@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .funcstruct import (
     FunctionStructure,
@@ -98,22 +97,19 @@ class RetrievalResult:
     ranked: tuple[tuple[str, Fraction], ...]  # (case id, score), best first
 
 
-def multiset_jaccard(a: Counter, b: Counter) -> Fraction:
-    """min-over-max multiset Jaccard; two empty multisets count as equal."""
-    keys = set(a) | set(b)
-    union = sum(max(a[k], b[k]) for k in keys)
+def multiset_jaccard(a: Mapping[str, int], b: Mapping[str, int]) -> Fraction:
+    """min-over-max multiset Jaccard; two empty multisets count as equal.
+
+    Counts are non-negative, so the sum of maxima is the two totals minus
+    the sum of minima, and only shared keys need a lookup.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    overlap = sum(min(n, b[k]) for k, n in a.items() if k in b)
+    union = sum(a.values()) + sum(b.values()) - overlap
     if union == 0:
         return Fraction(1)
-    overlap = sum(min(a[k], b[k]) for k in keys)
     return Fraction(overlap, union)
-
-
-def function_label_counts(fs: FunctionStructure) -> Counter:
-    return Counter(v.label for v in fs.vertices)
-
-
-def flow_label_counts(fs: FunctionStructure) -> Counter:
-    return Counter(f.label for f in fs.flows)
 
 
 def structure_similarity(spec: SimilaritySpec, a: FunctionStructure,
@@ -121,9 +117,11 @@ def structure_similarity(spec: SimilaritySpec, a: FunctionStructure,
     """Weighted blend of label overlap and interdependency closeness.
 
     Symmetric, 1 on identical structures, and always within [0, 1].
+    Label multisets and indices are read from each structure's cache,
+    so scoring a pair costs O(distinct labels) once both are warm.
     """
-    functions = multiset_jaccard(function_label_counts(a), function_label_counts(b))
-    flows = multiset_jaccard(flow_label_counts(a), flow_label_counts(b))
+    functions = multiset_jaccard(a.function_labels, b.function_labels)
+    flows = multiset_jaccard(a.flow_labels, b.flow_labels)
     pi_gap = abs(interdependency_index(a) - interdependency_index(b))
     return (
         spec.function_weight * functions

@@ -33,6 +33,8 @@ def _read(path: str) -> bytes:
 def _load(path: str, parser):
     try:
         return parser(_read(path))
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not valid UTF-8 (byte {exc.start})") from exc
     except SchemaError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
@@ -61,6 +63,7 @@ def _cmd_metrics(args) -> int:
         )
     pi = funcstruct.interdependency_index(problem)
     decomposable = funcstruct.is_decomposable(problem)
+    busy = sum(1 for d in problem.degrees.values() if d > 2) if decomposable else 0
     if args.format == "json":
         doc = {
             "kind": "structure" if decomposable else "blackbox",
@@ -69,14 +72,11 @@ def _cmd_metrics(args) -> int:
         }
         if decomposable:
             doc["vertices"] = len(problem.vertices)
-            doc["busy_vertices"] = sum(
-                1 for v in problem.vertices if funcstruct.degree(problem, v.id) > 2
-            )
+            doc["busy_vertices"] = busy
         _emit_json(doc)
         return 0
     print(f"decomposable = {'yes' if decomposable else 'no'}")
     if decomposable:
-        busy = sum(1 for v in problem.vertices if funcstruct.degree(problem, v.id) > 2)
         print(f"vertices = {len(problem.vertices)} ({busy} with degree > 2)")
     print(f"PI = {pi}")
     print(f"PI (decimal) = {float(pi):.6f}")

@@ -10,7 +10,6 @@ non-numeric value must join an interval.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -177,7 +176,3 @@ def domain_to_dict(domain: Domain) -> dict:
     if isinstance(domain, DescribedDomain):
         return {"description": domain.description}
     return {"any_of": [domain_to_dict(p) for p in domain.parts]}
-
-
-def describe(domain: Domain) -> str:
-    return json.dumps(domain_to_dict(domain), sort_keys=True)

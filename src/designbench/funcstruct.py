@@ -15,9 +15,12 @@ never counted in the denominator.  All arithmetic is exact
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Union
 
 INPUT = "input"
 OUTPUT = "output"
@@ -98,6 +101,11 @@ class FunctionStructure:
     Construction is permissive: semantic invariants (acyclicity, path
     coverage, ...) are checked by :func:`validate`, which reports
     violations as data rather than raising.
+
+    Derived values (validation report, degree table, label multisets,
+    interdependency index) are computed on first use and kept on the
+    instance.  The structure is frozen, so they cannot go stale, and
+    they are freed together with it.
     """
 
     vertices: tuple[FunctionVertex, ...]
@@ -115,6 +123,47 @@ class FunctionStructure:
             if v.id == vertex_id:
                 return v
         raise KeyError(f"unknown vertex id: {vertex_id!r}")
+
+    def __getstate__(self) -> dict:
+        # Pickle and copy only the fields: the cached values are rebuilt on
+        # demand, and their read-only mapping proxies cannot be pickled.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def degrees(self) -> Mapping[str, int]:
+        """Read-only table of every function vertex's total degree.
+
+        Built in one pass over ``flows``: O(V+F) once per structure.
+        """
+        table = {v.id: 0 for v in self.vertices}
+        for f in self.flows:
+            if f.source in table:
+                table[f.source] += 1
+            if f.target in table:
+                table[f.target] += 1
+        return MappingProxyType(table)
+
+    @cached_property
+    def function_labels(self) -> Mapping[str, int]:
+        """Read-only multiset of function-vertex labels (missing labels count 0)."""
+        return MappingProxyType(Counter(v.label for v in self.vertices))
+
+    @cached_property
+    def flow_labels(self) -> Mapping[str, int]:
+        """Read-only multiset of flow labels (missing labels count 0)."""
+        return MappingProxyType(Counter(f.label for f in self.flows))
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return _check(self)
+
+    @cached_property
+    def _pi(self) -> Fraction:
+        report = validate(self)
+        if not report.ok:
+            raise InvalidStructureError(report)
+        busy = sum(1 for d in self.degrees.values() if d > 2)
+        return Fraction(busy, len(self.vertices))
 
 
 @dataclass(frozen=True)
@@ -137,7 +186,14 @@ def is_decomposable(problem: DesignProblem) -> bool:
 
 
 def validate(fs: FunctionStructure) -> ValidationReport:
-    """Check every structural invariant; violations are data, not errors."""
+    """Check every structural invariant; violations are data, not errors.
+
+    The report is computed once per structure and kept on it.
+    """
+    return fs._report
+
+
+def _check(fs: FunctionStructure) -> ValidationReport:
     out: list[Violation] = []
 
     seen: set[str] = set()
@@ -271,17 +327,24 @@ def validate_blackbox(box: BlackBox) -> ValidationReport:
 def degree(fs: FunctionStructure, vertex_id: str) -> int:
     """Total degree: in-degree + out-degree, terminal flows included.
 
-    Parallel flows between the same endpoints each count.
+    Parallel flows between the same endpoints each count.  Reads the
+    structure's degree table, which costs O(V+F) on first use and O(1)
+    afterwards.  Raises ``KeyError`` for an id that is not a function
+    vertex.
     """
-    if vertex_id not in fs.vertex_ids():
-        raise KeyError(f"unknown vertex id: {vertex_id!r}")
-    return sum(1 for f in fs.flows if f.source == vertex_id) + sum(
-        1 for f in fs.flows if f.target == vertex_id
-    )
+    try:
+        return fs.degrees[vertex_id]
+    except KeyError:
+        raise KeyError(f"unknown vertex id: {vertex_id!r}") from None
 
 
 def interdependency_index(problem: DesignProblem) -> Fraction:
     """Fraction of function vertices with degree strictly greater than two.
+
+    A structure is validated and its index counted from the degree table
+    once, in O(V+F); the index is kept on the structure, so later calls
+    cost O(1).  An invalid structure raises
+    :class:`InvalidStructureError` on every call.
 
     Black boxes: 1 if the box carries more than two boundary flows in
     total, else 0 (the box is a single vertex of that degree).
@@ -292,11 +355,7 @@ def interdependency_index(problem: DesignProblem) -> Fraction:
             raise InvalidStructureError(report)
         return Fraction(1) if len(problem.inputs) + len(problem.outputs) > 2 else Fraction(0)
 
-    report = validate(problem)
-    if not report.ok:
-        raise InvalidStructureError(report)
-    busy = sum(1 for v in problem.vertices if degree(problem, v.id) > 2)
-    return Fraction(busy, len(problem.vertices))
+    return problem._pi
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 These deliberately avoid the library's own algorithms: isomorphism is
 decided by trying node bijections, derivation spaces are enumerated
-depth-first without canonical forms, and circuit satisfiability is
-decided by enumerating every gate chain directly.
+depth-first without canonical forms, circuit satisfiability is
+decided by enumerating every gate chain directly, and the
+interdependency index is counted by scanning the flow list once per
+vertex.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 
 from designbench import grammar as gr
@@ -204,3 +207,17 @@ def pair_sat(n_inputs: int, targets: tuple[int, int], max_gates: int) -> bool:
     if key not in _PAIR_CACHE:
         _PAIR_CACHE[key] = _achievable_pairs(n_inputs, max_gates)
     return targets in _PAIR_CACHE[key]
+
+
+# ---------------------------------------------------------------------------
+# Interdependency index by a direct flow scan
+
+def flow_scan_pi(structure) -> Fraction:
+    """Share of function vertices with more than two flow ends, counted by
+    scanning every flow for every vertex: O(V*F), for small structures.
+    Parallel and terminal flows each count; a valid structure is assumed."""
+    busy = sum(
+        1 for v in structure.vertices
+        if sum((f.source == v.id) + (f.target == v.id) for f in structure.flows) > 2
+    )
+    return Fraction(busy, len(structure.vertices))

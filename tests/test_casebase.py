@@ -7,6 +7,7 @@ import pytest
 from designbench import casebase as cb
 from designbench import funcstruct as fs
 from conftest import load_fixture_bytes, random_structure
+from oracles import flow_scan_pi
 
 # Hand-evaluated winder-vs-fishing-reel similarity under default weights:
 #   function labels: 3 shared of 28 + 7       -> 3/32
@@ -32,7 +33,8 @@ def spec():
 
 
 def oracle_similarity(spec, a, b) -> Fraction:
-    """Term-by-term recomputation, independent of structure_similarity."""
+    """Term-by-term recomputation, independent of structure_similarity
+    and of the values cached on either structure."""
     def jaccard(x: Counter, y: Counter) -> Fraction:
         union = sum((x | y).values())
         if union == 0:
@@ -43,7 +45,7 @@ def oracle_similarity(spec, a, b) -> Fraction:
                         Counter(v.label for v in b.vertices))
     flows = jaccard(Counter(f.label for f in a.flows),
                     Counter(f.label for f in b.flows))
-    gap = abs(fs.interdependency_index(a) - fs.interdependency_index(b))
+    gap = abs(flow_scan_pi(a) - flow_scan_pi(b))
     return (spec.function_weight * functions + spec.flow_weight * flows
             + spec.structure_weight * (1 - gap))
 
@@ -244,6 +246,33 @@ class TestRetain:
         with pytest.raises(fs.SchemaError) as err:
             cb.parse_case_base(json.dumps(doc).encode())
         assert "cycle" in str(err.value)
+
+    def test_directly_built_cyclic_case_still_fails_retrieval(self, spec, base, winder):
+        s = tiny_structure(["wind", "clamp"], "wire")
+        cyclic = fs.FunctionStructure(
+            s.vertices, s.terminals, s.flows + (fs.Flow("v1", "v0", "wire"),))
+        grown = cb.retain(base, cb.Case("loop", cyclic, cb.Solution("")))
+        for _ in range(2):  # caching must never skip the check
+            with pytest.raises(fs.InvalidStructureError):
+                cb.retrieve(grown, spec, winder, 1)
+            with pytest.raises(fs.InvalidStructureError):
+                cb.retrieve(base, spec, cyclic, 1)
+
+    def test_repeated_retrieval_over_grown_base_matches_oracle(self, spec, base):
+        rng = random.Random(31)
+        grown, queries = base, []
+        for i in range(40):
+            if queries and rng.random() < 0.3:
+                query = rng.choice(queries)
+            else:
+                query = random_structure(rng)
+                queries.append(query)
+            for _ in range(2):
+                expected = sorted(
+                    ((c.id, oracle_similarity(spec, query, c.problem)) for c in grown.cases),
+                    key=lambda pair: (-pair[1], pair[0]))
+                assert cb.retrieve(grown, spec, query, len(grown)).ranked == tuple(expected)
+            grown = cb.retain(grown, cb.Case(f"query-{i}", query, cb.Solution("")))
 
     def test_retain_never_lowers_best_score(self, spec, base, winder):
         best_before = cb.retrieve(base, spec, winder, 1).ranked[0][1]

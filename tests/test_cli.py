@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from designbench import cli
 from designbench import funcstruct as fs
 from conftest import FIXTURES
@@ -222,6 +224,25 @@ class TestArgumentHandling:
         code, _, err = run_cli(capsys, "metrics", bad)
         assert code == 2
         assert "broken.fs.json" in err
+
+    # Each subcommand with the undecodable file in one input position;
+    # the other positions hold valid fixtures.
+    @pytest.mark.parametrize("argv", [
+        ("metrics", "BAD"),
+        ("novelty", FIXTURES / "helicopter.kb.json", "BAD"),
+        ("grammar-generate", "BAD"),
+        ("cbr-retrieve", FIXTURES / "winder_cases.cases.json", "BAD"),
+        ("synth", "BAD", "--max-gates", "1"),
+        ("classify", "BAD"),
+    ], ids=lambda argv: argv[0])
+    def test_non_utf8_input_names_file_and_byte(self, tmp_path, capsys, argv):
+        data = b'{"kind": "caf\xe9"}'
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(data)
+        code, out, err = run_cli(capsys, *(bad if a == "BAD" else a for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: not valid UTF-8 (byte {data.index(0xE9)})\n"
 
 
 class TestFixtureHygiene:

@@ -1,10 +1,14 @@
+import copy
+import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from designbench import funcstruct as fs
 from conftest import load_fixture_bytes, random_structure, relabel_structure
+from oracles import flow_scan_pi
 
 
 def chain(n: int) -> fs.FunctionStructure:
@@ -77,6 +81,8 @@ class TestDegree:
     def test_unknown_vertex(self):
         with pytest.raises(KeyError):
             fs.degree(chain(1), "nope")
+        with pytest.raises(KeyError):  # a terminal is not a function vertex
+            fs.degree(chain(1), "in0")
 
     def test_degree_matches_flow_scan(self):
         rng = random.Random(7)
@@ -97,6 +103,21 @@ class TestDegree:
             s.vertices, s.terminals, s.flows + (fs.Flow("v0", "v1", "signal"),)
         )
         assert fs.degree(doubled, "v0") == 3
+
+    def test_degree_table_is_read_only(self):
+        s = chain(3)
+        assert dict(s.degrees) == {"v0": 2, "v1": 2, "v2": 2}
+        with pytest.raises(TypeError):
+            s.degrees["v0"] = 5  # type: ignore[index]
+        assert fs.degree(s, "v0") == 2
+
+    def test_structure_with_cached_values_pickles_and_copies(self):
+        s = fs.parse_structure(load_fixture_bytes("coil_winder.fs.json"))
+        assert fs.interdependency_index(s) == Fraction(3, 7)
+        for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert twin == s
+            assert fs.interdependency_index(twin) == Fraction(3, 7)
+            assert twin.degrees == s.degrees
 
 
 class TestInterdependencyIndex:
@@ -128,8 +149,9 @@ class TestInterdependencyIndex:
         cyclic = fs.FunctionStructure(
             s.vertices, s.terminals, s.flows + (fs.Flow("v1", "v0", "material"),)
         )
-        with pytest.raises(fs.InvalidStructureError):
-            fs.interdependency_index(cyclic)
+        for _ in range(2):  # a failed check is never cached as a value
+            with pytest.raises(fs.InvalidStructureError):
+                fs.interdependency_index(cyclic)
 
     def test_relabeling_and_flow_order_invariance(self):
         rng = random.Random(13)
@@ -155,6 +177,42 @@ class TestInterdependencyIndex:
             )
             assert fs.validate(spliced).ok
             assert fs.interdependency_index(spliced) <= fs.interdependency_index(s)
+
+    def test_matches_flow_scan_oracle(self):
+        rng = random.Random(2201)
+        parallel = terminal = 0
+        for _ in range(200):
+            base = random_structure(rng, max_vertices=16)
+            flows = list(base.flows)
+            for _ in range(rng.randint(0, 4)):
+                f = rng.choice(base.flows)
+                flows.append(fs.Flow(f.source, f.target, rng.choice(("material", "signal"))))
+            rng.shuffle(flows)
+            s = fs.FunctionStructure(base.vertices, base.terminals, tuple(flows))
+            parallel += len(flows) - len({(f.source, f.target) for f in flows})
+            ends = base.terminal_ids()
+            terminal += sum(1 for f in flows if f.source in ends or f.target in ends)
+            expected = flow_scan_pi(s)
+            assert fs.interdependency_index(s) == expected
+            assert fs.interdependency_index(s) == expected  # cached value
+        assert parallel > 100 and terminal > 400
+
+    def test_long_chain_is_linear_time(self):
+        # 20,000 vertices, every fourth fed by an extra input terminal:
+        # those reach degree three, so PI = 1/4.  A per-vertex flow scan
+        # would take tens of seconds here.
+        n = 20_000
+        s = chain(n)
+        extra = tuple(fs.BoundaryTerminal(f"side{i}", "input", "signal")
+                      for i in range(0, n, 4))
+        side = fs.FunctionStructure(
+            s.vertices, s.terminals + extra,
+            s.flows + tuple(fs.Flow(t.id, f"v{i}", "signal")
+                            for t, i in zip(extra, range(0, n, 4))),
+        )
+        start = time.perf_counter()
+        assert fs.interdependency_index(side) == Fraction(1, 4)
+        assert time.perf_counter() - start < 2.0
 
     def test_all_busy_structure_reaches_one(self):
         # one vertex with two inputs and one output

@@ -35,6 +35,8 @@ def _load(path: str, parser):
         return parser(_read(path))
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path}: not valid UTF-8 (byte {exc.start})") from exc
+    except RecursionError as exc:
+        raise _InputError(f"{path}: nested too deeply") from exc
     except SchemaError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 

@@ -859,6 +859,8 @@ def _pattern_from_dict(doc: object, location: str) -> PatternGraph:
             op = p.get("op", "eq")
             if op not in _PREDICATE_OPS:
                 raise SchemaError(f"unknown op {op!r}", f"{ploc}.op")
+            if op == "in" and not isinstance(p.get("value"), list):
+                raise SchemaError("op 'in' needs an array 'value'", f"{ploc}.value")
             predicates.append(AttrPredicate(p["attr"], op, p.get("value")))
         nodes.append(PatternNode(n["id"], n["label"], tuple(predicates)))
     edges = [_edge_from_dict(e, f"{location}.edges[{i}]")

@@ -175,6 +175,18 @@ class TestSynth:
         assert code == 1
         assert "UNSAT" in out
 
+    @pytest.mark.parametrize("one", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_bits_rejected_with_row(self, capsys, tmp_path, one):
+        zero = not one if isinstance(one, bool) else 0
+        doc = {"inputs": ["x"], "outputs": ["y"],
+               "rows": [{"in": [0], "out": [1]}, {"in": [zero], "out": [one]}]}
+        req = tmp_path / "typed.req.json"
+        req.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "synth", req, "--max-gates", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {req}: $.rows[1]: rows must contain bits (0 or 1)\n"
+
 
 class TestClassify:
     def test_creative_profile_exits_one(self, capsys):
@@ -243,6 +255,22 @@ class TestArgumentHandling:
         assert code == 2
         assert out == ""
         assert err == f"error: {bad}: not valid UTF-8 (byte {data.index(0xE9)})\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("metrics", "BAD"),
+        ("novelty", FIXTURES / "helicopter.kb.json", "BAD"),
+        ("grammar-generate", "BAD"),
+        ("cbr-retrieve", FIXTURES / "winder_cases.cases.json", "BAD"),
+        ("synth", "BAD", "--max-gates", "1"),
+        ("classify", "BAD"),
+    ], ids=lambda argv: argv[0])
+    def test_deep_nesting_names_file(self, tmp_path, capsys, argv):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000)
+        code, out, err = run_cli(capsys, *(bad if a == "BAD" else a for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: nested too deeply\n"
 
 
 class TestFixtureHygiene:

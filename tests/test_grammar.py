@@ -1,3 +1,4 @@
+import json
 from itertools import permutations
 
 import pytest
@@ -373,3 +374,23 @@ class TestVocabulary:
     def test_duplicate_rule_names_rejected(self, shaft):
         with pytest.raises(ValueError):
             gr.Grammar(shaft.vocabulary, shaft.rules + (shaft.rules[0],), shaft.axiom)
+
+
+class TestParseGrammar:
+    @staticmethod
+    def shaft_with_end_predicate(predicate):
+        # the first rule of shaft matches an end node where finished == false
+        doc = json.loads(load_fixture_bytes("shaft.grammar.json"))
+        doc["rules"][0]["lhs"]["nodes"][1]["where"] = [predicate]
+        return json.dumps(doc)
+
+    def test_in_predicate_needs_an_array(self):
+        data = self.shaft_with_end_predicate({"attr": "finished", "op": "in", "value": 5})
+        with pytest.raises(gr.SchemaError,
+                           match=r"lhs\.nodes\[1\]\.where\[0\]\.value: op 'in' needs an array"):
+            gr.parse_grammar(data)
+
+    def test_in_predicate_over_an_array_matches_like_eq(self, shaft):
+        data = self.shaft_with_end_predicate({"attr": "finished", "op": "in", "value": [False]})
+        assert gr.generate(gr.parse_grammar(data), 3, 100).canonical_forms() == \
+            gr.generate(shaft, 3, 100).canonical_forms()

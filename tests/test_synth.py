@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from designbench import funcstruct as fs
@@ -180,6 +182,86 @@ class TestSynthesizeTopology:
     def test_bound_below_one_rejected(self, subtractor_req):
         with pytest.raises(ValueError):
             synth.synthesize_topology(subtractor_req, 0)
+
+
+def _three_input_table(table):
+    rows = tuple(
+        (((r >> 2) & 1, (r >> 1) & 1, r & 1), ((table >> r) & 1,)) for r in range(8)
+    )
+    return Requirement(("a", "b", "c"), ("y",), rows)
+
+
+class TestFewestGates:
+    # packed input columns: a = 0b1100 and b = 0b1010 on two inputs
+    TWO_INPUTS = Requirement.from_function(("a", "b"), ("y",), lambda a, b: (a,)).input_vectors()
+
+    def test_equals_set_oracle_minimum_on_every_three_input_table(self):
+        input_vecs = _three_input_table(0).input_vectors()
+        for table in range(256):
+            for max_gates in (1, 2, 3, 4):
+                smallest = next((k for k in range(1, max_gates + 1)
+                                 if reachable_sat(3, table, k)), None)
+                assert synth._fewest_gates(input_vecs, [table], 255, max_gates) == smallest, \
+                    f"table {table:08b} at max_gates={max_gates}"
+
+    def test_agrees_with_pair_oracle_on_two_input_pairs(self):
+        for t1 in range(16):
+            for t2 in range(16):
+                for max_gates in (1, 2, 3):
+                    smallest = next((k for k in range(1, max_gates + 1)
+                                     if pair_sat(2, (t1, t2), k)), None)
+                    got = synth._fewest_gates(self.TWO_INPUTS, [t1, t2], 15, max_gates)
+                    assert got == smallest, \
+                        f"targets ({t1:04b}, {t2:04b}) at max_gates={max_gates}"
+
+    @pytest.mark.parametrize("targets, fewest", [
+        ((0b1100,), 1),          # equals input a: one IDENTITY slot
+        ((0b1100, 0b1010), 2),   # both inputs
+        ((0b1100, 0b0011), 2),   # a and NOT a
+        ((6, 6), 1),             # equal targets share one XOR slot
+        ((0,), 1),               # a XOR a
+        ((15,), 2),              # NOT (a XOR a)
+        ((0, 15), 2),
+    ])
+    def test_edge_cases(self, targets, fewest):
+        assert synth._fewest_gates(self.TWO_INPUTS, targets, 15, 3) == fewest
+        if fewest > 1:
+            assert synth._fewest_gates(self.TWO_INPUTS, targets, 15, fewest - 1) is None
+        pair = (targets[0], targets[-1])
+        assert pair_sat(2, pair, fewest) and not pair_sat(2, pair, fewest - 1)
+
+    def test_capped_levels_give_a_lower_bound_and_the_same_circuits(self, monkeypatch):
+        input_vecs = _three_input_table(0).input_vectors()
+        exact = {(t, k): synth._fewest_gates(input_vecs, [t], 255, k)
+                 for t in range(256) for k in (1, 2, 3, 4)}
+        # one table each needing 3 gates, 4 gates and more than 4
+        tables = [next(t for t in range(256) if exact[t, 4] == size) for size in (3, 4, None)]
+        uncapped = [synth.synthesize_topology(_three_input_table(t), 4) for t in tables]
+        monkeypatch.setattr(synth, "_BOUND_STATES", 20)
+        for (table, max_gates), fewest in exact.items():
+            got = synth._fewest_gates(input_vecs, [table], 255, max_gates)
+            if fewest is None:
+                assert got is None or got <= max_gates
+            else:
+                assert got is not None and got <= fewest
+        assert [synth.synthesize_topology(_three_input_table(t), 4) for t in tables] == uncapped
+
+    def test_subtractor_needs_exactly_five(self, subtractor_req):
+        args = (subtractor_req.input_vectors(), subtractor_req.target_vectors(), 255)
+        assert synth._fewest_gates(*args, 4) is None
+        assert synth._fewest_gates(*args, 7) == 5
+
+    def test_topology_search_output_is_pinned(self, subtractor_req):
+        # sha256 over every one-output three-input table at four gates
+        # and the subtractor at five, as produced before the bound existed
+        digest = hashlib.sha256()
+        for table in range(256):
+            circuit = synth.synthesize_topology(_three_input_table(table), 4)
+            digest.update(b"UNSAT\n" if circuit is None else synth.serialize_circuit(circuit))
+        circuit = synth.synthesize_topology(subtractor_req, 5)
+        digest.update(synth.serialize_circuit(circuit))
+        assert digest.hexdigest() == \
+            "8adf22f6d341c96781a438155acbb94208da751d469064d64912bdc501a98a95"
 
 
 class TestToFunctionStructure:

@@ -14,15 +14,26 @@ condition and reject the application instead of being deleted silently;
 such violations almost always indicate an authoring error in the rule.
 
 Designs are deduplicated and ordered by :func:`canonical_form`, an exact
-isomorphism-respecting certificate (colour refinement plus
-individualisation search; fixture-scale graphs keep the worst case
-irrelevant).
+isomorphism-respecting certificate: colour refinement plus an
+individualisation search whose certificate is the smallest over the
+leaves of the search tree.  Without pruning that tree grows
+factorially in the number of interchangeable nodes, so the search
+skips a branch when an automorphism that fixes every vertex
+individualised above it maps it onto a branch already searched
+(McKay & Piperno, "Practical graph isomorphism, II", 2014).
+Automorphisms come from structural twins, whose transposition
+preserves the edge multiset, and from two leaves with equal
+certificates.  An automorphism maps the subtree below one branch onto
+the subtree below the other with the same leaf certificates, so the
+minimum, and with it every certificate byte, is the one the unpruned
+search finds.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 from .domains import (
@@ -50,6 +61,10 @@ class DanglingEdgeError(ValueError):
 # ---------------------------------------------------------------------------
 # Designs
 
+# ``json.dumps(..., sort_keys=True)`` without building an encoder per call
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 @dataclass(frozen=True)
 class GraphNode:
     id: str
@@ -61,6 +76,12 @@ class GraphNode:
              attrs: Optional[Mapping[str, Scalar]] = None) -> "GraphNode":
         items = tuple(sorted((attrs or {}).items()))
         return cls(node_id, label, items)
+
+    @cached_property
+    def colour_key(self) -> str:
+        """JSON text of the label and attributes: the node's initial colour
+        in :func:`canonical_form` and its entry in the certificate."""
+        return _KEY_ENCODER.encode([self.label, [[k, v] for k, v in self.attrs]])
 
     def attr_map(self) -> dict[str, Scalar]:
         return dict(self.attrs)
@@ -91,11 +112,12 @@ class Design:
         if len(ids) != len(set(ids)):
             raise ValueError("node ids must be unique")
 
+    @cached_property
+    def _by_id(self) -> dict[str, GraphNode]:
+        return {n.id: n for n in self.nodes}
+
     def node(self, node_id: str) -> GraphNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._by_id[node_id]
 
     def node_ids(self) -> set[str]:
         return {n.id for n in self.nodes}
@@ -120,23 +142,27 @@ class Vocabulary:
         )
         return cls(packed, tuple(edge_labels))
 
-    def schema_of(self, label: str) -> dict[str, Domain]:
+    @cached_property
+    def _schemas(self) -> dict[str, dict[str, Domain]]:
+        schemas: dict[str, dict[str, Domain]] = {}
         for name, schema in self.node_labels:
-            if name == label:
-                return dict(schema)
-        raise KeyError(label)
+            schemas.setdefault(name, dict(schema))
+        return schemas
+
+    def schema_of(self, label: str) -> dict[str, Domain]:
+        return dict(self._schemas[label])
 
     def has_node_label(self, label: str) -> bool:
-        return any(name == label for name, _ in self.node_labels)
+        return label in self._schemas
 
     def check_design(self, design: Design) -> list[str]:
         """Conformance problems; empty list means the design is valid."""
         problems = []
         for node in design.nodes:
-            if not self.has_node_label(node.label):
+            schema = self._schemas.get(node.label)
+            if schema is None:
                 problems.append(f"node {node.id!r}: unknown label {node.label!r}")
                 continue
-            schema = self.schema_of(node.label)
             attrs = node.attr_map()
             for attr, domain in schema.items():
                 if attr not in attrs:
@@ -597,80 +623,213 @@ def apply(rule: Rule, design: Design, match: Match,
 # ---------------------------------------------------------------------------
 # Canonical form
 
-def _attr_colour(node: GraphNode) -> str:
-    return json.dumps([node.label, [[k, v] for k, v in node.attrs]], sort_keys=True)
+def _refine(colours: list[int], count: int, out_adj: list[list[tuple[int, int]]],
+            in_adj: list[list[tuple[int, int]]]) -> tuple[list[int], int]:
+    """Colour refinement to the coarsest stable colouring and its size.
 
-
-def _refine(n: int, colours: list, out_adj: list[list[tuple[str, int]]],
-            in_adj: list[list[tuple[str, int]]]) -> list[int]:
-    """Colour refinement; returns stable integer colours (value-ranked)."""
+    ``colours`` are dense ranks ``0..count-1``; adjacency entries are
+    ``(label_rank * n, neighbour)``, so ``label_rank * n + colour`` orders
+    like the pair ``(label, colour)``.  Each round ranks the signatures
+    ``(colour, sorted out-neighbours, sorted in-neighbours)`` by value,
+    so colours depend on colour values only, never on vertex order.  A
+    vertex alone in its colour is ranked by that colour alone, which
+    orders it the same way.  A round that splits no cell changes no
+    colour, so refinement stops there or once the colouring is discrete.
+    """
+    n = len(colours)
     current = colours
-    while True:
-        signatures = []
-        for i in range(n):
-            out_sig = tuple(sorted((lbl, current[j]) for lbl, j in out_adj[i]))
-            in_sig = tuple(sorted((lbl, current[j]) for lbl, j in in_adj[i]))
-            signatures.append((current[i], out_sig, in_sig))
+    while count < n:
+        size = [0] * count
+        for c in current:
+            size[c] += 1
+        signatures = [
+            (c,) if size[c] == 1 else
+            (c, tuple(sorted([lbl + current[j] for lbl, j in out_adj[v]])),
+             tuple(sorted([lbl + current[j] for lbl, j in in_adj[v]])))
+            for v, c in enumerate(current)
+        ]
         ranks = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
-        renumbered = [ranks[sig] for sig in signatures]
-        if renumbered == current:
-            return renumbered
-        current = renumbered
+        if len(ranks) == count:
+            break
+        current = [ranks[sig] for sig in signatures]
+        count = len(ranks)
+    return current, count
+
+
+def _twin_classes(colours: list[int], out_adj: list[list[tuple[int, int]]],
+                  in_adj: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Classes of structural twins: vertices with one colour whose
+    transposition maps the edge multiset onto itself.  Transpositions
+    that are automorphisms compose to automorphisms, so the relation is
+    an equivalence; only classes of two or more are returned."""
+    def swapped(adj: list[tuple[int, int]], u: int, v: int) -> list[tuple[int, int]]:
+        return sorted((lbl, v if j == u else u if j == v else j) for lbl, j in adj)
+
+    out_sorted = [sorted(adj) for adj in out_adj]
+    in_sorted = [sorted(adj) for adj in in_adj]
+    classes: dict[int, list[list[int]]] = {}
+    for v, c in enumerate(colours):
+        for cls in classes.setdefault(c, []):
+            u = cls[0]
+            if swapped(out_adj[u], u, v) == out_sorted[v] \
+                    and swapped(in_adj[u], u, v) == in_sorted[v]:
+                cls.append(v)
+                break
+        else:
+            classes[c].append([v])
+    return [cls for group in classes.values() for cls in group if len(cls) > 1]
 
 
 def canonical_form(design: Design) -> bytes:
     """A byte string equal for two designs iff they are isomorphic
-    (respecting node labels, attributes, edge labels and multiplicity)."""
+    (respecting node labels, attributes, edge labels and multiplicity).
+
+    The certificate is the JSON text of ``{"edges": [...], "nodes":
+    [...]}`` for the vertex order, among the leaves of the search tree,
+    whose text is smallest.  Nodes appear as their ``colour_key``, edges
+    as ``[source position, target position, label]`` in sorted order.
+    """
     nodes = design.nodes
     n = len(nodes)
     index = {node.id: i for i, node in enumerate(nodes)}
-    out_adj: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    in_adj: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-    for edge in design.edges:
-        out_adj[index[edge.source]].append((edge.label, index[edge.target]))
-        in_adj[index[edge.target]].append((edge.label, index[edge.source]))
+    edges = [(index[e.source], index[e.target], e.label) for e in design.edges]
+    labels = sorted({label for _, _, label in edges})
+    label_rank = {label: r * n for r, label in enumerate(labels)}
+    encoded = {label: json.dumps(label) for label in labels}
+    out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, t, label in edges:
+        out_adj[s].append((label_rank[label], t))
+        in_adj[t].append((label_rank[label], s))
 
-    initial_keys = [_attr_colour(node) for node in nodes]
-    ranks = {key: r for r, key in enumerate(sorted(set(initial_keys)))}
-    colours = _refine(n, [ranks[k] for k in initial_keys], out_adj, in_adj)
+    keys = [node.colour_key for node in nodes]
+    key_rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    colours, count = _refine([key_rank[k] for k in keys], len(key_rank), out_adj, in_adj)
 
     def certificate(order: list[int]) -> bytes:
-        position = {v: p for p, v in enumerate(order)}
-        node_part = [json.loads(initial_keys[v]) for v in order]
-        edge_part = sorted(
-            [position[index[e.source]], position[index[e.target]], e.label]
-            for e in design.edges
-        )
-        return json.dumps({"nodes": node_part, "edges": edge_part},
-                          sort_keys=True).encode("utf-8")
+        position = [0] * n
+        for p, v in enumerate(order):
+            position[v] = p
+        edge_part = sorted((position[s], position[t], label) for s, t, label in edges)
+        return "".join((
+            '{"edges": [',
+            ", ".join(f"[{a}, {b}, {encoded[label]}]" for a, b, label in edge_part),
+            '], "nodes": [',
+            ", ".join(keys[v] for v in order),
+            "]}",
+        )).encode("utf-8")
 
-    best: Optional[bytes] = None
+    if count == n:
+        return certificate(sorted(range(n), key=colours.__getitem__))
 
-    def search(colouring: list[int]) -> None:
-        nonlocal best
-        cells: dict[int, list[int]] = {}
+    # Individualisation search with automorphism pruning (McKay & Piperno,
+    # "Practical graph isomorphism, II", 2014).  ``path`` holds the vertices
+    # individualised above the current node; ``finished[i]`` the children of
+    # the node at level i whose subtrees are accounted for.  An automorphism
+    # that fixes ``path[:i]`` maps the node at level i to itself and the
+    # subtree below one child onto the subtree below its image, with equal
+    # leaf certificates, so a child in the orbit of a finished child cannot
+    # lower the minimum and is skipped.  Automorphisms come from structural
+    # twins (their transpositions fix every other vertex) and from pairs of
+    # leaves with equal certificates.
+    twins = _twin_classes(colours, out_adj, in_adj)
+    automorphisms: list[list[int]] = []
+    path: list[int] = []
+    finished: list[list[int]] = []
+    first: Optional[tuple[bytes, list[int]]] = None
+    best: Optional[tuple[bytes, list[int]]] = None
+
+    def orbits(level: int) -> list[int]:
+        """Orbit representatives under the known automorphisms that fix
+        ``path[:level]`` pointwise."""
+        fixed = set(path[:level])
+        parent = list(range(n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x: int, y: int) -> None:
+            x, y = find(x), find(y)
+            if x != y:
+                parent[max(x, y)] = min(x, y)
+
+        for cls in twins:
+            free = [v for v in cls if v not in fixed]
+            for u, v in zip(free, free[1:]):
+                union(u, v)
+        for gamma in automorphisms:
+            if all(gamma[v] == v for v in fixed):
+                for v in range(n):
+                    union(v, gamma[v])
+        return [find(v) for v in range(n)]
+
+    def redundant(level: int, v: int, orbit: list[int]) -> bool:
+        return any(orbit[w] == orbit[v] for w in finished[level])
+
+    def leaf(colouring: list[int]) -> Optional[int]:
+        """Record a leaf; on an automorphism, the shallowest level whose
+        current child it makes redundant."""
+        nonlocal first, best
+        order = [0] * n
         for v, c in enumerate(colouring):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            order = sorted(range(n), key=lambda v: colouring[v])
-            cert = certificate(order)
-            if best is None or cert < best:
-                best = cert
-            return
-        for v in target:
-            branched = [(c, 1) for c in colouring]
-            branched[v] = (colouring[v], 0)
-            ranks_b = {key: r for r, key in enumerate(sorted(set(branched)))}
-            search(_refine(n, [ranks_b[key] for key in branched], out_adj, in_adj))
+            order[c] = v
+        cert = certificate(order)
+        if best is None:
+            first = best = (cert, order)
+            return None
+        for known_cert, known_order in (first, best):
+            if cert == known_cert:
+                gamma = [0] * n
+                for p, v in enumerate(known_order):
+                    gamma[v] = order[p]
+                automorphisms.append(gamma)
+                for level, v in enumerate(path):
+                    if redundant(level, v, orbits(level)):
+                        return level
+                    if gamma[v] != v:
+                        break
+                return None
+        if cert < best[0]:
+            best = (cert, order)
+        return None
 
-    search(colours)
+    def search(colouring: list[int], count: int) -> Optional[int]:
+        """Explore below a node; returns a shallower level to unwind to."""
+        if count == n:
+            return leaf(colouring)
+        size = [0] * count
+        for c in colouring:
+            size[c] += 1
+        cell = min(c for c in range(count) if size[c] > 1)
+        level = len(path)
+        finished.append([])
+        known = -1
+        for v in range(n):
+            if colouring[v] != cell:
+                continue
+            if known != len(automorphisms):
+                known = len(automorphisms)
+                orbit = orbits(level)
+            if redundant(level, v, orbit):
+                continue
+            branched = [c + 1 if c >= cell else c for c in colouring]
+            branched[v] = cell
+            path.append(v)
+            unwind = search(*_refine(branched, count + 1, out_adj, in_adj))
+            path.pop()
+            if unwind is not None and unwind < level:
+                finished.pop()
+                return unwind
+            finished[level].append(v)
+        finished.pop()
+        return None
+
+    search(colours, count)
     assert best is not None
-    return best
+    return best[0]
 
 
 # ---------------------------------------------------------------------------
@@ -932,13 +1091,10 @@ def grammar_from_dict(doc: object, location: str = "$") -> Grammar:
         anchors_raw = r.get("anchors", {})
         if not isinstance(anchors_raw, dict):
             raise SchemaError("'anchors' must be an object", f"{loc}.anchors")
+        lhs = _pattern_from_dict(r.get("lhs", {}), f"{loc}.lhs")
+        rhs = _rhs_from_dict(r.get("rhs", {}), f"{loc}.rhs")
         try:
-            rule = Rule(
-                name=r["name"],
-                lhs=_pattern_from_dict(r.get("lhs", {}), f"{loc}.lhs"),
-                rhs=_rhs_from_dict(r.get("rhs", {}), f"{loc}.rhs"),
-                anchors=tuple(sorted(anchors_raw.items())),
-            )
+            rule = Rule(r["name"], lhs, rhs, tuple(sorted(anchors_raw.items())))
         except ValueError as exc:
             raise SchemaError(str(exc), loc) from exc
         rules.append(rule)

@@ -149,7 +149,8 @@ class Requirement:
         for in_bits, out_bits in self.rows:
             if len(in_bits) != n or len(out_bits) != m:
                 raise ValueError("row width does not match the declared names")
-            if any(b not in (0, 1) for b in (*in_bits, *out_bits)):
+            # True == 1 and 1.0 == 1 in Python, but neither is a bit
+            if not all(type(b) is int and b in (0, 1) for b in (*in_bits, *out_bits)):
                 raise ValueError("rows must contain bits (0 or 1)")
             if in_bits in seen:
                 raise ValueError(f"duplicate row for inputs {in_bits}")

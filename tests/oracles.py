@@ -1,16 +1,19 @@
 """Independent brute-force oracles used to cross-check the engines.
 
 These deliberately avoid the library's own algorithms: isomorphism is
-decided by trying node bijections, derivation spaces are enumerated
-depth-first without canonical forms, circuit satisfiability is
+decided by trying node bijections, canonical forms are computed by an
+individualisation search that never prunes, derivation spaces are
+enumerated depth-first without canonical forms, circuit satisfiability is
 decided by enumerating every gate chain directly, and the
 interdependency index is counted by scanning the flow list once per
 vertex.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from typing import Optional
 
 from designbench import grammar as gr
 
@@ -48,6 +51,90 @@ def brute_force_isomorphic(a: gr.Design, b: gr.Design) -> bool:
         if mapped == b_edges:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Canonical form by an unpruned individualisation search
+#
+# The library's canonical form before automorphism pruning, kept verbatim:
+# it branches on every vertex of the target cell, so its certificate is
+# the minimum over all leaves of the search tree.  Factorial in the number
+# of interchangeable nodes; use on small designs only.
+
+def _attr_colour(node: gr.GraphNode) -> str:
+    return json.dumps([node.label, [[k, v] for k, v in node.attrs]], sort_keys=True)
+
+
+def _refine(n: int, colours: list, out_adj: list[list[tuple[str, int]]],
+            in_adj: list[list[tuple[str, int]]]) -> list[int]:
+    """Colour refinement; returns stable integer colours (value-ranked)."""
+    current = colours
+    while True:
+        signatures = []
+        for i in range(n):
+            out_sig = tuple(sorted((lbl, current[j]) for lbl, j in out_adj[i]))
+            in_sig = tuple(sorted((lbl, current[j]) for lbl, j in in_adj[i]))
+            signatures.append((current[i], out_sig, in_sig))
+        ranks = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
+        renumbered = [ranks[sig] for sig in signatures]
+        if renumbered == current:
+            return renumbered
+        current = renumbered
+
+
+def canonical_form(design: gr.Design) -> bytes:
+    """A byte string equal for two designs iff they are isomorphic
+    (respecting node labels, attributes, edge labels and multiplicity)."""
+    nodes = design.nodes
+    n = len(nodes)
+    index = {node.id: i for i, node in enumerate(nodes)}
+    out_adj: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+    in_adj: list[list[tuple[str, int]]] = [[] for _ in range(n)]
+    for edge in design.edges:
+        out_adj[index[edge.source]].append((edge.label, index[edge.target]))
+        in_adj[index[edge.target]].append((edge.label, index[edge.source]))
+
+    initial_keys = [_attr_colour(node) for node in nodes]
+    ranks = {key: r for r, key in enumerate(sorted(set(initial_keys)))}
+    colours = _refine(n, [ranks[k] for k in initial_keys], out_adj, in_adj)
+
+    def certificate(order: list[int]) -> bytes:
+        position = {v: p for p, v in enumerate(order)}
+        node_part = [json.loads(initial_keys[v]) for v in order]
+        edge_part = sorted(
+            [position[index[e.source]], position[index[e.target]], e.label]
+            for e in design.edges
+        )
+        return json.dumps({"nodes": node_part, "edges": edge_part},
+                          sort_keys=True).encode("utf-8")
+
+    best: Optional[bytes] = None
+
+    def search(colouring: list[int]) -> None:
+        nonlocal best
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colouring):
+            cells.setdefault(c, []).append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            order = sorted(range(n), key=lambda v: colouring[v])
+            cert = certificate(order)
+            if best is None or cert < best:
+                best = cert
+            return
+        for v in target:
+            branched = [(c, 1) for c in colouring]
+            branched[v] = (colouring[v], 0)
+            ranks_b = {key: r for r, key in enumerate(sorted(set(branched)))}
+            search(_refine(n, [ranks_b[key] for key in branched], out_adj, in_adj))
+
+    search(colours)
+    assert best is not None
+    return best
 
 
 # ---------------------------------------------------------------------------

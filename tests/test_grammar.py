@@ -1,11 +1,16 @@
+import hashlib
 import json
+import random
+import time
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from designbench import grammar as gr
 from designbench.domains import SetDomain, TypeDomain
 from conftest import load_fixture_bytes
+import oracles
 from oracles import brute_force_isomorphic, enumerate_designs
 
 
@@ -261,6 +266,171 @@ class TestCanonicalForm:
         assert gr.canonical_form(single) != gr.canonical_form(double)
 
 
+NODE_KINDS = [("a", {}), ("a", {"x": 1}), ("a", {"x": 2.5}), ("b", {}),
+              ("b", {"x": "s\u00e9"}), ("b", {"x": None, "y": True})]
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 7 labelled nodes: a component repeated one or more times,
+    plus random edges; parallel edges and self-loops included."""
+    size = draw(st.integers(0, 7))
+    copies = draw(st.integers(1, max(1, 7 // size))) if size else 1
+    kinds = draw(st.lists(st.sampled_from(NODE_KINDS), min_size=size, max_size=size))
+    inner = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1),
+                                    st.sampled_from(["p", "q"])),
+                          max_size=2 * size)) if size else []
+    n = size * copies
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.sampled_from(["p", "q"])), max_size=3)) if n else []
+    nodes = tuple(gr.GraphNode.make(f"v{c * size + i}", *kinds[i])
+                  for c in range(copies) for i in range(size))
+    edges = [(c * size + s, c * size + t, label)
+             for c in range(copies) for s, t, label in inner]
+    edges += extra
+    if edges and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))  # a parallel edge
+    return gr.Design(nodes, tuple(gr.GraphEdge(f"v{s}", f"v{t}", label)
+                                  for s, t, label in edges))
+
+
+def shuffled(design, rng):
+    """The same design with node order, edge order and ids shuffled."""
+    ids = [n.id for n in design.nodes]
+    fresh = dict(zip(ids, rng.sample([f"w{i}" for i in range(len(ids))], len(ids))))
+    nodes = [gr.GraphNode(fresh[n.id], n.label, n.attrs) for n in design.nodes]
+    edges = [gr.GraphEdge(fresh[e.source], fresh[e.target], e.label) for e in design.edges]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return gr.Design(tuple(nodes), tuple(edges))
+
+
+def mutated(design, rng):
+    """One edge relabelled or redirected, or one node's kind changed."""
+    nodes, edges = list(design.nodes), list(design.edges)
+    if edges and rng.random() < 0.6:
+        i = rng.randrange(len(edges))
+        edge = edges[i]
+        if rng.random() < 0.5:
+            edges[i] = gr.GraphEdge(edge.source, edge.target, "q" if edge.label == "p" else "p")
+        else:
+            edges[i] = gr.GraphEdge(edge.source, rng.choice(nodes).id, edge.label)
+    elif nodes:
+        i = rng.randrange(len(nodes))
+        nodes[i] = gr.GraphNode.make(nodes[i].id, *rng.choice(NODE_KINDS))
+    return gr.Design(tuple(nodes), tuple(edges))
+
+
+def star(leaves):
+    hub = gr.GraphNode.make("hub", "shaft", {"role": "input"})
+    spokes = tuple(gr.GraphNode.make(f"l{i}", "bearing") for i in range(leaves))
+    return gr.Design((hub, *spokes),
+                     tuple(gr.GraphEdge(n.id, "hub", "supports") for n in spokes))
+
+
+def gear_pairs(pairs):
+    """Two shafts joined by ``pairs`` meshing 20/40-tooth gear pairs."""
+    nodes = [gr.GraphNode.make("in", "shaft", {"role": "input"}),
+             gr.GraphNode.make("out", "shaft", {"role": "output"})]
+    edges = []
+    for i in range(pairs):
+        nodes += [gr.GraphNode.make(f"g{i}", "gear", {"teeth": 20}),
+                  gr.GraphNode.make(f"h{i}", "gear", {"teeth": 40})]
+        edges += [gr.GraphEdge(f"g{i}", "in", "mounted_on"),
+                  gr.GraphEdge(f"h{i}", "out", "mounted_on"),
+                  gr.GraphEdge(f"g{i}", f"h{i}", "meshes")]
+    return gr.Design(tuple(nodes), tuple(edges))
+
+
+def cycle_union(lengths, undirected):
+    """Disjoint cycles of one node kind.  With two lengths, colour
+    refinement cannot tell the cycles apart, so the search tree has
+    leaves with different certificates."""
+    nodes, edges = [], []
+    for length in lengths:
+        ids = [f"c{len(nodes) + i}" for i in range(length)]
+        nodes += [gr.GraphNode.make(i, "a") for i in ids]
+        for i in range(length):
+            edges.append(gr.GraphEdge(ids[i], ids[(i + 1) % length], "p"))
+            if undirected:
+                edges.append(gr.GraphEdge(ids[(i + 1) % length], ids[i], "p"))
+    return gr.Design(tuple(nodes), tuple(edges))
+
+
+def partitions(total, largest):
+    if total == 0:
+        yield ()
+    for part in range(min(total, largest), 0, -1):
+        for rest in partitions(total - part, part):
+            yield (part, *rest)
+
+
+class TestCanonicalFormPruning:
+    """The pruned search against the unpruned oracle, and its budgets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs(), st.randoms(use_true_random=False))
+    def test_certificate_bytes_equal_the_unpruned_oracle(self, design, rng):
+        form = gr.canonical_form(design)
+        assert form == oracles.canonical_form(design)
+        assert gr.canonical_form(shuffled(design, rng)) == form
+        other = shuffled(mutated(design, rng), rng)
+        assert (gr.canonical_form(other) == form) == brute_force_isomorphic(design, other)
+
+    @pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+    def test_cycle_unions_equal_the_unpruned_oracle(self, undirected):
+        rng = random.Random(3)
+        for total in range(1, 8):
+            for lengths in partitions(total, total):
+                design = cycle_union(lengths, undirected)
+                form = gr.canonical_form(design)
+                assert form == oracles.canonical_form(design), lengths
+                assert gr.canonical_form(shuffled(design, rng)) == form, lengths
+
+    def test_twins_need_equal_in_edges(self):
+        # u and v have one colour and the same out-edge, but u is fed by a
+        # 6-cycle and v by two 3-cycles: not twins, and not automorphic
+        nodes = [gr.GraphNode.make(i, "a") for i in ("u", "v", "w")]
+        edges = [gr.GraphEdge("u", "w", "p"), gr.GraphEdge("v", "w", "p")]
+        for sink, cycles in (("u", [6]), ("v", [3, 3])):
+            design = cycle_union(cycles, undirected=False)
+            ids = {n.id: f"{sink}{n.id}" for n in design.nodes}
+            nodes += [gr.GraphNode.make(ids[n.id], "a") for n in design.nodes]
+            edges += [gr.GraphEdge(ids[e.source], ids[e.target], "p") for e in design.edges]
+            edges += [gr.GraphEdge(i, sink, "q") for i in ids.values()]
+        design = gr.Design(tuple(nodes), tuple(edges))
+        form = oracles.canonical_form(design)
+        rng = random.Random(5)
+        for _ in range(6):
+            assert gr.canonical_form(shuffled(design, rng)) == form
+
+    def test_generation_digest_is_pinned(self, shaft, gearbox):
+        # sha256 over the concatenated certificates, computed with the
+        # unpruned search; pins every byte and the order of both outputs
+        digest = hashlib.sha256()
+        for grammar in (gearbox, shaft):
+            for form in gr.generate(grammar, 6, 1000).canonical_forms():
+                digest.update(form)
+        assert digest.hexdigest() == \
+            "f92d62462eb215fbce9de5205c13354890b2d39ca5373f48ba30489affca77e4"
+
+    @pytest.mark.parametrize("design", [
+        star(16),
+        gr.Design(tuple(gr.GraphNode.make(f"b{i}", "bearing") for i in range(16))),
+        gear_pairs(8),
+    ], ids=["star-16", "isolated-16", "gear-pairs-8"])
+    def test_symmetric_design_within_budget(self, gearbox, design):
+        assert not gearbox.vocabulary.check_design(design)
+        start = time.perf_counter()
+        form = gr.canonical_form(design)
+        assert time.perf_counter() - start < 1.0
+        assert gr.canonical_form(shuffled(design, random.Random(7))) == form
+
+    def test_small_symmetric_designs_equal_the_oracle(self):
+        for design in (star(6), gear_pairs(3)):
+            assert gr.canonical_form(design) == oracles.canonical_form(design)
+
+
 class TestGenerate:
     def test_zero_rules_yields_axiom(self, shaft):
         bare = gr.Grammar(shaft.vocabulary, (), shaft.axiom)
@@ -386,9 +556,20 @@ class TestParseGrammar:
 
     def test_in_predicate_needs_an_array(self):
         data = self.shaft_with_end_predicate({"attr": "finished", "op": "in", "value": 5})
-        with pytest.raises(gr.SchemaError,
-                           match=r"lhs\.nodes\[1\]\.where\[0\]\.value: op 'in' needs an array"):
+        with pytest.raises(gr.SchemaError) as caught:
             gr.parse_grammar(data)
+        # one location, not the rule's prefixed to the predicate's
+        assert str(caught.value) == \
+            "$.rules[0].lhs.nodes[1].where[0].value: op 'in' needs an array 'value'"
+        assert caught.value.location == "$.rules[0].lhs.nodes[1].where[0].value"
+
+    def test_bad_anchor_is_located_at_the_rule(self):
+        doc = json.loads(load_fixture_bytes("shaft.grammar.json"))
+        doc["rules"][0]["anchors"] = {"ghost": "s"}
+        with pytest.raises(gr.SchemaError) as caught:
+            gr.parse_grammar(json.dumps(doc))
+        assert caught.value.location == "$.rules[0]"
+        assert "anchor source 'ghost' not in LHS" in str(caught.value)
 
     def test_in_predicate_over_an_array_matches_like_eq(self, shaft):
         data = self.shaft_with_end_predicate({"attr": "finished", "op": "in", "value": [False]})

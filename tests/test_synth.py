@@ -308,6 +308,16 @@ class TestStructuralInvariants:
         with pytest.raises(ValueError):
             Requirement(("a",), ("y",), (((0,), (0,)), ((0,), (1,))))
 
+    @pytest.mark.parametrize("one", [True, 1.0, 2], ids=["bool", "float", "two"])
+    @pytest.mark.parametrize("side", ["in", "out"])
+    def test_bits_must_be_int_zero_or_one(self, one, side):
+        zero = not one if isinstance(one, bool) else 0
+        rows = [[(0,), (0,)], [(1,), (1,)]]
+        rows[1][side == "out"] = (one,)
+        rows[0][side == "out"] = (zero,)
+        with pytest.raises(ValueError, match=r"rows must contain bits \(0 or 1\)"):
+            Requirement(("a",), ("y",), tuple(map(tuple, rows)))
+
     def test_requirement_fixture_round_trips(self, subtractor_req):
         doc = {
             "inputs": list(subtractor_req.inputs),

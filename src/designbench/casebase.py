@@ -4,15 +4,23 @@ Similarity between two function structures blends three terms, each in
 [0, 1]: multiset Jaccard over function-vertex labels, multiset Jaccard
 over flow labels, and closeness of the two interdependency indices.
 The weights are configurable and default to (1/2, 3/10, 1/5).  Scores
-are exact rationals, which keeps ranking ties deterministic.
+are exact rationals, which keeps ranking ties deterministic.  The
+kernel keeps every term as an integer numerator and denominator and
+builds a single ``Fraction`` per pair; rational arithmetic is exact
+and ``Fraction`` reduces to lowest terms, so the score is the same
+value, with the same ``str``, as a term-by-term ``Fraction`` sum.
+Retrieval selects the top k with ``heapq.nsmallest`` under the sort
+key (best score, then case id), which equals a full sort cut at k.
 
 Reuse maps the retrieved case's components onto the query's
-subfunctions greedily by word overlap; revise only checks requirements
-and records open tasks, it performs no automatic repair.
+subfunctions greedily by word overlap, tokenising each label and
+component text once; revise only checks requirements and records open
+tasks, it performs no automatic repair.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass
@@ -22,6 +30,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .funcstruct import (
     FunctionStructure,
     SchemaError,
+    _fraction_from_json,
     interdependency_index,
     problem_from_dict,
     problem_to_dict,
@@ -97,19 +106,15 @@ class RetrievalResult:
     ranked: tuple[tuple[str, Fraction], ...]  # (case id, score), best first
 
 
-def multiset_jaccard(a: Mapping[str, int], b: Mapping[str, int]) -> Fraction:
-    """min-over-max multiset Jaccard; two empty multisets count as equal.
-
-    Counts are non-negative, so the sum of maxima is the two totals minus
-    the sum of minima, and only shared keys need a lookup.
-    """
+def _overlap(a: Mapping[str, int], b: Mapping[str, int]) -> int:
+    """Size of the multiset intersection: the smaller count of each label."""
     if len(a) > len(b):
         a, b = b, a
-    overlap = sum(min(n, b[k]) for k, n in a.items() if k in b)
-    union = sum(a.values()) + sum(b.values()) - overlap
-    if union == 0:
-        return Fraction(1)
-    return Fraction(overlap, union)
+    total = 0
+    for label, n in a.items():
+        m = b.get(label, 0)
+        total += n if n < m else m
+    return total
 
 
 def structure_similarity(spec: SimilaritySpec, a: FunctionStructure,
@@ -119,14 +124,34 @@ def structure_similarity(spec: SimilaritySpec, a: FunctionStructure,
     Symmetric, 1 on identical structures, and always within [0, 1].
     Label multisets and indices are read from each structure's cache,
     so scoring a pair costs O(distinct labels) once both are warm.
+
+    The kernel stays in integers and builds one ``Fraction``.  A label
+    Jaccard is the multiset overlap over the union, which is the two
+    totals (every vertex, every flow) minus the overlap; a valid
+    structure has a vertex and flows, so no union is zero, and an
+    invalid one raises from :func:`interdependency_index`.  The PI term
+    ``1 - |pa/qa - pb/qb|`` is cross-multiplied from the two reduced
+    indices, and each weight enters as its numerator and denominator.
+    ``Fraction(N, D)`` over the product of the denominators reduces
+    once to the same value, hence the same ``str``, as summing the
+    terms as ``Fraction``s.
     """
-    functions = multiset_jaccard(a.function_labels, b.function_labels)
-    flows = multiset_jaccard(a.flow_labels, b.flow_labels)
-    pi_gap = abs(interdependency_index(a) - interdependency_index(b))
-    return (
-        spec.function_weight * functions
-        + spec.flow_weight * flows
-        + spec.structure_weight * (1 - pi_gap)
+    fo = _overlap(a.function_labels, b.function_labels)
+    fu = len(a.vertices) + len(b.vertices) - fo
+    lo = _overlap(a.flow_labels, b.flow_labels)
+    lu = len(a.flows) + len(b.flows) - lo
+    pa, pb = interdependency_index(a), interdependency_index(b)
+    pq = pa.denominator * pb.denominator
+    closeness = pq - abs(pa.numerator * pb.denominator - pb.numerator * pa.denominator)
+    fn, fd = spec.function_weight.as_integer_ratio()
+    ln, ld = spec.flow_weight.as_integer_ratio()
+    sn, sd = spec.structure_weight.as_integer_ratio()
+    functions_d, flows_d, structure_d = fd * fu, ld * lu, sd * pq
+    return Fraction(
+        fn * fo * flows_d * structure_d
+        + ln * lo * functions_d * structure_d
+        + sn * closeness * functions_d * flows_d,
+        functions_d * flows_d * structure_d,
     )
 
 
@@ -141,11 +166,12 @@ def retrieve(base: CaseBase, spec: SimilaritySpec, query: FunctionStructure,
         raise ValueError("k must be at least 1")
     if not base.cases:
         raise EmptyCaseBaseError("cannot retrieve from an empty case base")
-    scored = sorted(
+    # heapq.nsmallest(k, it, key) is documented as sorted(it, key=key)[:k].
+    return RetrievalResult(tuple(heapq.nsmallest(
+        k,
         ((case.id, similarity(spec, query, case)) for case in base.cases),
         key=lambda pair: (-pair[1], pair[0]),
-    )
-    return RetrievalResult(tuple(scored[:k]))
+    )))
 
 
 def retain(base: CaseBase, case: Case) -> CaseBase:
@@ -165,13 +191,17 @@ def _tokens(text: str) -> frozenset[str]:
     return frozenset(_WORDS.findall(text.lower()))
 
 
+def _word_overlap(ta: frozenset[str], tb: frozenset[str]) -> tuple[int, int]:
+    """Word Jaccard as (shared, union); two empty word sets count as 1/1."""
+    if not ta and not tb:
+        return 1, 1
+    shared = len(ta & tb)
+    return shared, len(ta) + len(tb) - shared
+
+
 def label_affinity(a: str, b: str) -> Fraction:
     """Word-overlap Jaccard between two free-text labels."""
-    ta, tb = _tokens(a), _tokens(b)
-    if not ta and not tb:
-        return Fraction(1)
-    union = len(ta | tb)
-    return Fraction(len(ta & tb), union)
+    return Fraction(*_word_overlap(_tokens(a), _tokens(b)))
 
 
 @dataclass(frozen=True)
@@ -196,17 +226,22 @@ def reuse(case: Case, query: FunctionStructure) -> DraftSolution:
     """Adapt the retrieved case: annotate each component with the query
     subfunction it best serves (greedy, one-to-one); leftover query
     subfunctions become gaps."""
-    labels: list[str] = []
-    for vertex in query.vertices:
-        if vertex.label not in labels:
-            labels.append(vertex.label)
+    labels = list(dict.fromkeys(v.label for v in query.vertices))
+    label_words = [(label, _tokens(label)) for label in labels]
 
+    # Each text is tokenised once; a pair's affinity is the larger of the
+    # serves and name Jaccards, compared as integer ratios, and only a
+    # positive one becomes a Fraction.
     candidates = []
     for comp in case.solution.components:
-        for label in labels:
-            score = max(label_affinity(comp.serves, label), label_affinity(comp.name, label))
-            if score > 0:
-                candidates.append((score, comp.name, label, comp))
+        serves, name = _tokens(comp.serves), _tokens(comp.name)
+        for label, words in label_words:
+            shared, union = _word_overlap(serves, words)
+            name_shared, name_union = _word_overlap(name, words)
+            if name_shared * union > shared * name_union:
+                shared, union = name_shared, name_union
+            if shared:
+                candidates.append((Fraction(shared, union), comp.name, label, comp))
     candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
 
     assigned: dict[str, tuple[str, Fraction]] = {}  # component name -> (label, score)
@@ -288,21 +323,6 @@ def requirement_from_dict(doc: object, location: str) -> Requirement:
 
 # ---------------------------------------------------------------------------
 # JSON formats (.cases.json / .simspec.json)
-
-def _fraction_from_json(value: object, location: str) -> Fraction:
-    try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"not a valid rational: {value!r}", location) from exc
-    raise SchemaError(f"not a valid rational: {value!r}", location)
-
 
 def case_from_dict(doc: object, location: str) -> Case:
     if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):

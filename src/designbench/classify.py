@@ -22,7 +22,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .funcstruct import SchemaError
+from .funcstruct import SchemaError, _fraction_from_json
 from .novelty import DesignCategory
 
 
@@ -169,21 +169,6 @@ def recommend(profile: ProblemProfile,
 # ---------------------------------------------------------------------------
 # JSON formats (.profile.json / matrix override)
 
-def _fraction_from_json(value: object, location: str) -> Fraction:
-    try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"not a valid rational: {value!r}", location) from exc
-    raise SchemaError(f"not a valid rational: {value!r}", location)
-
-
 def profile_from_dict(doc: object, location: str = "$") -> ProblemProfile:
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", location)
@@ -232,6 +217,8 @@ def matrix_from_dict(doc: object, location: str = "$") -> tuple[MethodCapabiliti
             method = Method(row.get("method"))
         except ValueError as exc:
             raise SchemaError(f"unknown method {row.get('method')!r}", f"{loc}.method") from exc
+        if any(r.method is method for r in rows):
+            raise SchemaError(f"duplicate method {method.value!r}", f"{loc}.method")
         if not isinstance(row.get("requires_decomposable"), bool):
             raise SchemaError("'requires_decomposable' must be a boolean",
                               f"{loc}.requires_decomposable")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 Scalar = Union[None, bool, int, float, str]
+_SCALARS = (type(None), bool, int, float, str)
 
 _TYPE_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
@@ -137,6 +138,9 @@ def domain_from_dict(doc: object, location: str) -> Domain:
     if key == "set":
         if not isinstance(payload, list) or not payload:
             raise SchemaError("'set' takes a non-empty array", f"{location}.set")
+        for j, member in enumerate(payload):
+            if not isinstance(member, _SCALARS):
+                raise SchemaError("set members must be scalars", f"{location}.set[{j}]")
         return SetDomain(tuple(payload))
     if key == "interval":
         ok = (

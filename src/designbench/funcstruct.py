@@ -39,6 +39,23 @@ class SchemaError(ValueError):
         self.reason = message
 
 
+def _fraction_from_json(value: object, location: str) -> Fraction:
+    """A JSON rational: an int, a float (read from its shortest repr) or a
+    string such as ``"3/10"``; anything else is a :class:`SchemaError`."""
+    try:
+        if isinstance(value, str):
+            return Fraction(value)
+        if isinstance(value, bool):
+            raise ValueError
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, float):
+            return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"not a valid rational: {value!r}", location) from exc
+    raise SchemaError(f"not a valid rational: {value!r}", location)
+
+
 class InvalidStructureError(ValueError):
     """Raised when an operation requires a valid structure but got violations."""
 
@@ -360,73 +377,89 @@ def interdependency_index(problem: DesignProblem) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # JSON round-trip (.fs.json)
+#
+# The parser tests types and duplicate ids inline and formats a location
+# only in the branch that raises, so a well-formed document pays no
+# string formatting.  The checks run in document order, field by field,
+# and the first failure is the one reported.
 
-def _expect(condition: bool, message: str, location: str) -> None:
-    if not condition:
-        raise SchemaError(message, location)
-
-
-def _expect_str(value: object, location: str) -> str:
-    _expect(isinstance(value, str), "expected a string", location)
-    return value  # type: ignore[return-value]
+def _located(message: str, location: str, key: str, i: int, field: str = "") -> SchemaError:
+    """The error for element ``i`` of array ``key`` (or its ``field``)."""
+    return SchemaError(message, f"{location}.{key}[{i}]" + (f".{field}" if field else ""))
 
 
 def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
-    _expect(isinstance(doc, dict), "expected an object", location)
-    assert isinstance(doc, dict)
+    if not isinstance(doc, dict):
+        raise SchemaError("expected an object", location)
     kind = doc.get("kind")
-    _expect(kind in ("structure", "blackbox"),
-            "kind must be 'structure' or 'blackbox'", f"{location}.kind")
+    if kind not in ("structure", "blackbox"):
+        raise SchemaError("kind must be 'structure' or 'blackbox'", f"{location}.kind")
 
     if kind == "blackbox":
-        label = _expect_str(doc.get("label", ""), f"{location}.label")
+        label = doc.get("label", "")
+        if not isinstance(label, str):
+            raise SchemaError("expected a string", f"{location}.label")
         for key in ("inputs", "outputs"):
-            _expect(isinstance(doc.get(key), list), "expected an array", f"{location}.{key}")
-        inputs = tuple(
-            _expect_str(x, f"{location}.inputs[{i}]") for i, x in enumerate(doc["inputs"])
-        )
-        outputs = tuple(
-            _expect_str(x, f"{location}.outputs[{i}]") for i, x in enumerate(doc["outputs"])
-        )
-        return BlackBox(label=label, inputs=inputs, outputs=outputs)
+            if not isinstance(doc.get(key), list):
+                raise SchemaError("expected an array", f"{location}.{key}")
+        for key in ("inputs", "outputs"):
+            for i, name in enumerate(doc[key]):
+                if not isinstance(name, str):
+                    raise SchemaError("expected a string", f"{location}.{key}[{i}]")
+        return BlackBox(label, tuple(doc["inputs"]), tuple(doc["outputs"]))
 
     for key in ("vertices", "terminals", "flows"):
-        _expect(isinstance(doc.get(key), list), "expected an array", f"{location}.{key}")
+        if not isinstance(doc.get(key), list):
+            raise SchemaError("expected an array", f"{location}.{key}")
 
     seen_ids: set[str] = set()
     vertices = []
     for i, v in enumerate(doc["vertices"]):
-        loc = f"{location}.vertices[{i}]"
-        _expect(isinstance(v, dict), "expected an object", loc)
-        vid = _expect_str(v.get("id"), f"{loc}.id")
-        _expect(vid not in seen_ids, f"duplicate id {vid!r}", f"{loc}.id")
+        if not isinstance(v, dict):
+            raise _located("expected an object", location, "vertices", i)
+        vid = v.get("id")
+        if not isinstance(vid, str):
+            raise _located("expected a string", location, "vertices", i, "id")
+        if vid in seen_ids:
+            raise _located(f"duplicate id {vid!r}", location, "vertices", i, "id")
         seen_ids.add(vid)
-        vertices.append(FunctionVertex(id=vid, label=_expect_str(v.get("label"), f"{loc}.label")))
+        label = v.get("label")
+        if not isinstance(label, str):
+            raise _located("expected a string", location, "vertices", i, "label")
+        vertices.append(FunctionVertex(vid, label))
 
     terminals = []
     for i, t in enumerate(doc["terminals"]):
-        loc = f"{location}.terminals[{i}]"
-        _expect(isinstance(t, dict), "expected an object", loc)
-        tid = _expect_str(t.get("id"), f"{loc}.id")
-        _expect(tid not in seen_ids, f"duplicate id {tid!r}", f"{loc}.id")
+        if not isinstance(t, dict):
+            raise _located("expected an object", location, "terminals", i)
+        tid = t.get("id")
+        if not isinstance(tid, str):
+            raise _located("expected a string", location, "terminals", i, "id")
+        if tid in seen_ids:
+            raise _located(f"duplicate id {tid!r}", location, "terminals", i, "id")
         seen_ids.add(tid)
-        kind_t = _expect_str(t.get("kind"), f"{loc}.kind")
-        _expect(kind_t in (INPUT, OUTPUT), "kind must be 'input' or 'output'", f"{loc}.kind")
-        terminals.append(
-            BoundaryTerminal(id=tid, kind=kind_t, label=_expect_str(t.get("label"), f"{loc}.label"))
-        )
+        kind_t = t.get("kind")
+        if not isinstance(kind_t, str):
+            raise _located("expected a string", location, "terminals", i, "kind")
+        if kind_t not in (INPUT, OUTPUT):
+            raise _located("kind must be 'input' or 'output'", location, "terminals", i, "kind")
+        label = t.get("label")
+        if not isinstance(label, str):
+            raise _located("expected a string", location, "terminals", i, "label")
+        terminals.append(BoundaryTerminal(tid, kind_t, label))
 
     flows = []
     for i, f in enumerate(doc["flows"]):
-        loc = f"{location}.flows[{i}]"
-        _expect(isinstance(f, dict), "expected an object", loc)
-        flows.append(
-            Flow(
-                source=_expect_str(f.get("source"), f"{loc}.source"),
-                target=_expect_str(f.get("target"), f"{loc}.target"),
-                label=_expect_str(f.get("label"), f"{loc}.label"),
-            )
-        )
+        if not isinstance(f, dict):
+            raise _located("expected an object", location, "flows", i)
+        source, target, label = f.get("source"), f.get("target"), f.get("label")
+        if not isinstance(source, str):
+            raise _located("expected a string", location, "flows", i, "source")
+        if not isinstance(target, str):
+            raise _located("expected a string", location, "flows", i, "target")
+        if not isinstance(label, str):
+            raise _located("expected a string", location, "flows", i, "label")
+        flows.append(Flow(source, target, label))
 
     return FunctionStructure(tuple(vertices), tuple(terminals), tuple(flows))
 

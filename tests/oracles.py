@@ -4,18 +4,27 @@ These deliberately avoid the library's own algorithms: isomorphism is
 decided by trying node bijections, canonical forms are computed by an
 individualisation search that never prunes, derivation spaces are
 enumerated depth-first without canonical forms, circuit satisfiability is
-decided by enumerating every gate chain directly, and the
-interdependency index is counted by scanning the flow list once per
-vertex.
+decided by enumerating every gate chain directly, the interdependency
+index is counted by scanning the flow list once per vertex, and case
+similarity and reuse are the term-by-term ``Fraction`` versions that
+preceded the integer kernel and the tokenise-once reuse.
 """
 
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Optional
+from typing import Mapping, Optional
 
 from designbench import grammar as gr
+from designbench.casebase import (
+    Case,
+    ComponentMapping,
+    DraftSolution,
+    SimilaritySpec,
+)
+from designbench.funcstruct import FunctionStructure, interdependency_index
 
 
 # ---------------------------------------------------------------------------
@@ -308,3 +317,89 @@ def flow_scan_pi(structure) -> Fraction:
         if sum((f.source == v.id) + (f.target == v.id) for f in structure.flows) > 2
     )
     return Fraction(busy, len(structure.vertices))
+
+
+# ---------------------------------------------------------------------------
+# Case similarity and reuse, term by term (verbatim from casebase before
+# the single-Fraction kernel and the tokenise-once reuse)
+
+def multiset_jaccard(a: Mapping[str, int], b: Mapping[str, int]) -> Fraction:
+    """min-over-max multiset Jaccard; two empty multisets count as equal.
+
+    Counts are non-negative, so the sum of maxima is the two totals minus
+    the sum of minima, and only shared keys need a lookup.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    overlap = sum(min(n, b[k]) for k, n in a.items() if k in b)
+    union = sum(a.values()) + sum(b.values()) - overlap
+    if union == 0:
+        return Fraction(1)
+    return Fraction(overlap, union)
+
+
+def structure_similarity(spec: SimilaritySpec, a: FunctionStructure,
+                         b: FunctionStructure) -> Fraction:
+    """Weighted blend of label overlap and interdependency closeness.
+
+    Symmetric, 1 on identical structures, and always within [0, 1].
+    Label multisets and indices are read from each structure's cache,
+    so scoring a pair costs O(distinct labels) once both are warm.
+    """
+    functions = multiset_jaccard(a.function_labels, b.function_labels)
+    flows = multiset_jaccard(a.flow_labels, b.flow_labels)
+    pi_gap = abs(interdependency_index(a) - interdependency_index(b))
+    return (
+        spec.function_weight * functions
+        + spec.flow_weight * flows
+        + spec.structure_weight * (1 - pi_gap)
+    )
+
+
+_WORDS = re.compile(r"[a-z0-9]+")
+
+
+def _tokens(text: str) -> frozenset[str]:
+    return frozenset(_WORDS.findall(text.lower()))
+
+
+def label_affinity(a: str, b: str) -> Fraction:
+    """Word-overlap Jaccard between two free-text labels."""
+    ta, tb = _tokens(a), _tokens(b)
+    if not ta and not tb:
+        return Fraction(1)
+    union = len(ta | tb)
+    return Fraction(len(ta & tb), union)
+
+
+def reuse(case: Case, query: FunctionStructure) -> DraftSolution:
+    """Adapt the retrieved case: annotate each component with the query
+    subfunction it best serves (greedy, one-to-one); leftover query
+    subfunctions become gaps."""
+    labels: list[str] = []
+    for vertex in query.vertices:
+        if vertex.label not in labels:
+            labels.append(vertex.label)
+
+    candidates = []
+    for comp in case.solution.components:
+        for label in labels:
+            score = max(label_affinity(comp.serves, label), label_affinity(comp.name, label))
+            if score > 0:
+                candidates.append((score, comp.name, label, comp))
+    candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
+
+    assigned: dict[str, tuple[str, Fraction]] = {}  # component name -> (label, score)
+    covered: set[str] = set()
+    for score, comp_name, label, _ in candidates:
+        if comp_name in assigned or label in covered:
+            continue
+        assigned[comp_name] = (label, score)
+        covered.add(label)
+
+    mappings = []
+    for comp in case.solution.components:
+        label, score = assigned.get(comp.name, (None, Fraction(0)))
+        mappings.append(ComponentMapping(comp, label, score))
+    gaps = tuple(label for label in labels if label not in covered)
+    return DraftSolution(case.id, case.solution.description, tuple(mappings), gaps)

@@ -7,6 +7,7 @@ import pytest
 from designbench import casebase as cb
 from designbench import funcstruct as fs
 from conftest import load_fixture_bytes, random_structure
+import oracles
 from oracles import flow_scan_pi
 
 # Hand-evaluated winder-vs-fishing-reel similarity under default weights:
@@ -280,3 +281,83 @@ class TestRetain:
                                         cb.Solution("")))
         best_after = cb.retrieve(grown, spec, winder, 1).ranked[0][1]
         assert best_after >= best_before
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel, top-k selection and tokenise-once reuse against the
+# term-by-term versions kept in tests/oracles.py
+
+WEIGHT_SPECS = [
+    cb.SimilaritySpec(),
+    cb.SimilaritySpec(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+    cb.SimilaritySpec(Fraction(1), Fraction(0), Fraction(0)),
+    cb.SimilaritySpec(Fraction(0), Fraction(0), Fraction(1)),
+    cb.SimilaritySpec(Fraction(7, 11), Fraction(3, 11), Fraction(1, 11)),
+]
+
+
+def with_parallel_flows(rng, structure):
+    """The structure with some flows doubled (still valid, PI may rise)."""
+    extra = tuple(f for f in structure.flows if rng.random() < 0.3)
+    return fs.FunctionStructure(structure.vertices, structure.terminals,
+                                structure.flows + extra)
+
+
+class TestKernelAgainstOracle:
+    @pytest.mark.parametrize("spec", WEIGHT_SPECS, ids=str)
+    def test_scores_equal_term_by_term_oracle(self, spec):
+        rng = random.Random(53)
+        pool = [random_structure(rng, max_vertices=rng.choice((3, 12)))
+                for _ in range(30)]
+        pool += [with_parallel_flows(rng, s) for s in pool[:10]]
+        for _ in range(300):
+            a, b = rng.choice(pool), rng.choice(pool)
+            score = cb.structure_similarity(spec, a, b)
+            expected = oracles.structure_similarity(spec, a, b)
+            assert type(score) is Fraction and score == expected
+            assert str(score) == str(expected)
+
+    def test_top_k_is_prefix_of_brute_force_sort_with_ties(self, spec):
+        rng = random.Random(59)
+        shapes = [random_structure(rng) for _ in range(4)]
+        ids = [f"case-{i:02d}" for i in range(24)]
+        rng.shuffle(ids)
+        base = cb.CaseBase(tuple(cb.Case(cid, shapes[i % len(shapes)], cb.Solution(""))
+                                 for i, cid in enumerate(ids)))
+        for query in shapes + [random_structure(rng) for _ in range(4)]:
+            expected = sorted(
+                ((c.id, oracles.structure_similarity(spec, query, c.problem))
+                 for c in base.cases),
+                key=lambda pair: (-pair[1], pair[0]))
+            for k in (1, 2, 3, len(base)):
+                assert cb.retrieve(base, spec, query, k).ranked == tuple(expected[:k])
+
+    def test_reuse_equals_oracle_on_overlapping_words(self):
+        rng = random.Random(61)
+        words = ["wind", "wire", "guide", "spool", "clamp", "drive", "line", "coil"]
+
+        def phrase():
+            if rng.random() < 0.1:
+                return rng.choice(["", "--", "?!"])  # no words at all
+            return " ".join(rng.sample(words, rng.randint(1, 3))).title()
+
+        for _ in range(200):
+            shape = random_structure(rng)
+            query = fs.FunctionStructure(
+                tuple(fs.FunctionVertex(v.id, phrase()) for v in shape.vertices),
+                shape.terminals, shape.flows)
+            components = tuple(
+                cb.Component(f"{phrase()} {i}", rng.choice(["", "", phrase()]))
+                for i in range(rng.randint(0, 5)))
+            case = cb.Case("c", shape, cb.Solution("d", components))
+            draft = cb.reuse(case, query)
+            expected = oracles.reuse(case, query)
+            assert draft == expected
+            assert [str(m.affinity) for m in draft.mappings] == \
+                [str(m.affinity) for m in expected.mappings]
+
+    def test_label_affinity_unchanged(self):
+        pairs = [("wind wire", "Wind the wire"), ("", ""), ("", "wind"), ("--", "?!"),
+                 ("spool", "coil"), ("guide line", "line guide")]
+        for a, b in pairs:
+            assert cb.label_affinity(a, b) == oracles.label_affinity(a, b)

@@ -11,6 +11,7 @@ from designbench.classify import (
     ProblemProfile,
     Verdict,
 )
+from designbench.funcstruct import SchemaError
 from designbench.novelty import DesignCategory
 from conftest import load_fixture_bytes
 
@@ -125,6 +126,14 @@ class TestProfileValidation:
         blackbox = classify.parse_profile(
             load_fixture_bytes("blackbox_routine.profile.json"))
         assert not blackbox.decomposable and blackbox.pi is None
+
+    def test_duplicate_method_rows_rejected(self):
+        row = {"method": "grammar_based", "requires_decomposable": True,
+               "interdependencies": "full", "innovation": "full", "creativity": "full"}
+        other = dict(row, method="analogy_based")
+        with pytest.raises(SchemaError) as err:
+            classify.matrix_from_dict([row, other, dict(row, creativity="none")])
+        assert str(err.value) == "$[2].method: duplicate method 'grammar_based'"
 
     def test_matrix_override_parses(self):
         doc = [{"method": "grammar_based", "requires_decomposable": False,

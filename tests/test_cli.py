@@ -82,6 +82,16 @@ class TestNovelty:
         assert doc["new"] == ["medium"]
 
 
+    def test_non_scalar_set_member_is_input_error(self, tmp_path, capsys):
+        kb = json.loads((FIXTURES / "helicopter.kb.json").read_text())
+        kb["variables"][1]["domain"]["set"].append([1, 2])
+        path = tmp_path / "nested.kb.json"
+        path.write_text(json.dumps(kb))
+        code, out, err = run_cli(capsys, "novelty", path, FIXTURES / "quadrocopter.design.json")
+        assert (code, out) == (2, "")
+        assert "$.variables[1].domain.set[1]: set members must be scalars" in err
+
+
 class TestGrammarGenerate:
     def test_text_output_counts_designs(self, capsys):
         code, out, _ = run_cli(capsys, "grammar-generate",
@@ -99,6 +109,17 @@ class TestGrammarGenerate:
         assert code1 == code2 == 0
         assert out1 == out2
         assert json.loads(out1)["count"] == 20
+
+
+    def test_non_scalar_vocabulary_member_is_input_error(self, tmp_path, capsys):
+        grammar = json.loads((FIXTURES / "shaft.grammar.json").read_text())
+        grammar["vocabulary"]["node_labels"]["end"]["finished"]["set"].append({"a": 1})
+        path = tmp_path / "nested.grammar.json"
+        path.write_text(json.dumps(grammar))
+        code, out, err = run_cli(capsys, "grammar-generate", path, "--max-depth", "1")
+        assert (code, out) == (2, "")
+        assert ("$.vocabulary.node_labels.end.finished.set[2]: set members must be scalars"
+                in err)
 
 
 class TestCbrRetrieve:
@@ -209,6 +230,16 @@ class TestClassify:
                                "--matrix", matrix)
         assert code == 0
         assert "grammar_based: applicable" in out
+
+    def test_duplicate_matrix_rows_are_input_error(self, capsys, tmp_path):
+        row = {"method": "grammar_based", "requires_decomposable": True,
+               "interdependencies": "full", "innovation": "full", "creativity": "full"}
+        matrix = tmp_path / "twice.matrix.json"
+        matrix.write_text(json.dumps([row, row]))
+        code, out, err = run_cli(capsys, "classify", FIXTURES / "creative.profile.json",
+                                 "--matrix", matrix)
+        assert (code, out) == (2, "")
+        assert "$[1].method: duplicate method 'grammar_based'" in err
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "classify",

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 import time
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from designbench import casebase as cb
 from designbench import funcstruct as fs
 from conftest import load_fixture_bytes, random_structure, relabel_structure
 from oracles import flow_scan_pi
@@ -269,3 +271,154 @@ class TestJsonRoundTrip:
         data = load_fixture_bytes("coil_winder.fs.json")
         problem = fs.parse_structure(data)
         assert fs.serialize_structure(problem) == fs.serialize_structure(problem)
+
+
+# ---------------------------------------------------------------------------
+# Ingress error messages, pinned verbatim (computed with the eager-location
+# parser that preceded the lazy one).
+
+_DROP = object()
+
+
+def _valid_doc(kind: str) -> dict:
+    if kind == "blackbox":
+        return {"kind": "blackbox", "label": "hold load",
+                "inputs": ["force"], "outputs": ["force", "heat"]}
+    return {
+        "kind": "structure",
+        "vertices": [{"id": "a", "label": "wind wire"}, {"id": "b", "label": "guide wire"}],
+        "terminals": [{"id": "i", "kind": "input", "label": "wire"},
+                      {"id": "o", "kind": "output", "label": "wire"}],
+        "flows": [{"source": "i", "target": "a", "label": "wire"},
+                  {"source": "a", "target": "b", "label": "wire"},
+                  {"source": "b", "target": "o", "label": "wire"}],
+    }
+
+
+def broken(*edits, kind: str = "structure") -> dict:
+    """A valid document with each ``(path, value)`` edit applied in turn;
+    the value ``_DROP`` deletes the key."""
+    doc = _valid_doc(kind)
+    for path, value in edits:
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return doc
+
+
+# (name, document, str(SchemaError) from parse_structure, str(SchemaError)
+# with the document as the second case's problem in a .cases.json)
+MALFORMED = [
+    ('not an object', [],
+     '$: expected an object',
+     '$[1].problem: expected an object'),
+    ('unknown kind', broken((("kind",), "graph")),
+     "$.kind: kind must be 'structure' or 'blackbox'",
+     "$[1].problem.kind: kind must be 'structure' or 'blackbox'"),
+    ('vertices not an array', broken((("vertices",), {})),
+     '$.vertices: expected an array',
+     '$[1].problem.vertices: expected an array'),
+    ('terminals missing', broken((("terminals",), _DROP)),
+     '$.terminals: expected an array',
+     '$[1].problem.terminals: expected an array'),
+    ('flows a string', broken((("flows",), "i->a")),
+     '$.flows: expected an array',
+     '$[1].problem.flows: expected an array'),
+    ('vertex not an object', broken((("vertices", 1), "b")),
+     '$.vertices[1]: expected an object',
+     '$[1].problem.vertices[1]: expected an object'),
+    ('vertex id an int', broken((("vertices", 1, "id"), 7)),
+     '$.vertices[1].id: expected a string',
+     '$[1].problem.vertices[1].id: expected a string'),
+    ('vertex label null', broken((("vertices", 0, "label"), None)),
+     '$.vertices[0].label: expected a string',
+     '$[1].problem.vertices[0].label: expected a string'),
+    ('vertex id and label both bad', broken((("vertices", 1, "id"), 7), (("vertices", 1, "label"), 8)),
+     '$.vertices[1].id: expected a string',
+     '$[1].problem.vertices[1].id: expected a string'),
+    ('two vertices share an id', broken((("vertices", 1, "id"), "a")),
+     "$.vertices[1].id: duplicate id 'a'",
+     "$[1].problem.vertices[1].id: duplicate id 'a'"),
+    ('duplicate id before bad label', broken((("vertices", 1, "id"), "a"), (("vertices", 1, "label"), [])),
+     "$.vertices[1].id: duplicate id 'a'",
+     "$[1].problem.vertices[1].id: duplicate id 'a'"),
+    ('terminal not an object', broken((("terminals", 0), ["i", "input"])),
+     '$.terminals[0]: expected an object',
+     '$[1].problem.terminals[0]: expected an object'),
+    ('terminal id a bool', broken((("terminals", 0, "id"), True)),
+     '$.terminals[0].id: expected a string',
+     '$[1].problem.terminals[0].id: expected a string'),
+    ('terminal shares a vertex id', broken((("terminals", 1, "id"), "b")),
+     "$.terminals[1].id: duplicate id 'b'",
+     "$[1].problem.terminals[1].id: duplicate id 'b'"),
+    ('terminal kind an int', broken((("terminals", 0, "kind"), 1)),
+     '$.terminals[0].kind: expected a string',
+     '$[1].problem.terminals[0].kind: expected a string'),
+    ('terminal kind unknown', broken((("terminals", 1, "kind"), "sink")),
+     "$.terminals[1].kind: kind must be 'input' or 'output'",
+     "$[1].problem.terminals[1].kind: kind must be 'input' or 'output'"),
+    ('bad kind before bad label', broken((("terminals", 1, "kind"), "sink"), (("terminals", 1, "label"), 3)),
+     "$.terminals[1].kind: kind must be 'input' or 'output'",
+     "$[1].problem.terminals[1].kind: kind must be 'input' or 'output'"),
+    ('terminal label missing', broken((("terminals", 0, "label"), _DROP)),
+     '$.terminals[0].label: expected a string',
+     '$[1].problem.terminals[0].label: expected a string'),
+    ('flow not an object', broken((("flows", 2), None)),
+     '$.flows[2]: expected an object',
+     '$[1].problem.flows[2]: expected an object'),
+    ('flow source an int', broken((("flows", 0, "source"), 0)),
+     '$.flows[0].source: expected a string',
+     '$[1].problem.flows[0].source: expected a string'),
+    ('flow target a list', broken((("flows", 1, "target"), ["b"])),
+     '$.flows[1].target: expected a string',
+     '$[1].problem.flows[1].target: expected a string'),
+    ('flow label an object', broken((("flows", 2, "label"), {})),
+     '$.flows[2].label: expected a string',
+     '$[1].problem.flows[2].label: expected a string'),
+    ('bad vertex before bad flow', broken((("vertices", 0, "id"), 1.5), (("flows", 0, "label"), None)),
+     '$.vertices[0].id: expected a string',
+     '$[1].problem.vertices[0].id: expected a string'),
+    ('black box label an int', broken((("label",), 5), kind="blackbox"),
+     '$.label: expected a string',
+     '$[1].problem.label: expected a string'),
+    ('black box inputs not an array', broken((("inputs",), "force"), kind="blackbox"),
+     '$.inputs: expected an array',
+     '$[1].problem.inputs: expected an array'),
+    ('black box outputs missing', broken((("outputs",), _DROP), kind="blackbox"),
+     '$.outputs: expected an array',
+     '$[1].problem.outputs: expected an array'),
+    ('black box output not a string', broken((("outputs", 1), 2), kind="blackbox"),
+     '$.outputs[1]: expected a string',
+     '$[1].problem.outputs[1]: expected a string'),
+]
+
+
+class TestIngressErrors:
+    @pytest.mark.parametrize("name,doc,message,nested", MALFORMED,
+                             ids=[row[0] for row in MALFORMED])
+    def test_structure_message_is_pinned(self, name, doc, message, nested):
+        with pytest.raises(fs.SchemaError) as err:
+            fs.parse_structure(json.dumps(doc))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name,doc,message,nested", MALFORMED,
+                             ids=[row[0] for row in MALFORMED])
+    def test_nested_case_message_is_pinned(self, name, doc, message, nested):
+        cases = [
+            {"id": "c0", "problem": _valid_doc("structure"),
+             "solution": {"description": "ok", "components": []}},
+            {"id": "c1", "problem": doc, "solution": {"description": "bad", "components": []}},
+        ]
+        with pytest.raises(fs.SchemaError) as err:
+            cb.parse_case_base(json.dumps(cases))
+        assert str(err.value) == nested
+
+    def test_valid_documents_parse(self):
+        for kind in ("structure", "blackbox"):
+            problem = fs.problem_from_dict(_valid_doc(kind))
+            assert fs.problem_to_dict(problem) == _valid_doc(kind)

@@ -1,10 +1,12 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from designbench import novelty
-from designbench.domains import IntervalDomain, SetDomain
+from designbench.domains import IntervalDomain, SetDomain, domain_from_dict
+from designbench.funcstruct import SchemaError
 from designbench.novelty import DesignCategory, DesignInstance, DesignVariable, KnowledgeBase
 from conftest import load_fixture_bytes
 
@@ -27,6 +29,26 @@ def signal_kb():
 @pytest.fixture
 def radio():
     return novelty.parse_design_instance(load_fixture_bytes("radio.design.json"))
+
+
+class TestSetDomainMembers:
+    @pytest.mark.parametrize("member,index", [([1, 2], 1), ({"a": 1}, 1), ([], 0)])
+    def test_non_scalar_member_rejected(self, member, index):
+        payload = [7, member] if index else [member, 7]
+        with pytest.raises(SchemaError) as err:
+            domain_from_dict({"set": payload}, "$.x")
+        assert str(err.value) == f"$.x.set[{index}]: set members must be scalars"
+
+    def test_knowledge_base_locates_member(self):
+        kb = {"variables": [{"name": "rotor_count", "subfunction": "apply lift",
+                             "domain": {"set": [1, [1, 2], {"a": 1}]}}]}
+        with pytest.raises(SchemaError) as err:
+            novelty.parse_knowledge_base(json.dumps(kb))
+        assert str(err.value) == "$.variables[0].domain.set[1]: set members must be scalars"
+
+    def test_every_scalar_kind_accepted(self):
+        domain = domain_from_dict({"set": [None, True, 0, 1.5, "x"]}, "$")
+        assert domain == SetDomain((None, True, 0, 1.5, "x"))
 
 
 class TestInnovationIndex:

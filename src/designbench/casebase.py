@@ -345,7 +345,10 @@ def case_from_dict(doc: object, location: str) -> Case:
         loc = f"{location}.solution.components[{i}]"
         if not isinstance(c, dict) or not isinstance(c.get("name"), str):
             raise SchemaError("component needs a string 'name'", loc)
-        components.append(Component(c["name"], str(c.get("serves", ""))))
+        serves = c.get("serves", "")
+        if not isinstance(serves, str):
+            raise SchemaError("'serves' must be a string", f"{loc}.serves")
+        components.append(Component(c["name"], serves))
     domain = doc.get("domain", "engineering")
     if not isinstance(domain, str):
         raise SchemaError("'domain' must be a string", f"{location}.domain")

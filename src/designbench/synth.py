@@ -8,17 +8,22 @@ Two search problems are solved at desk scale:
 * topology generation: additionally search over canonical topologies by
   increasing gate count and return the first satisfiable circuit.
 
-Topology generation first computes the exact fewest number of gates
-the table needs, breadth first over sets of computed truth vectors
-(Knuth's minimum-cost computation, TAOCP 4A 7.1.2).  A count above the
-bound is UNSAT without enumerating a topology; otherwise the enumeration
-starts at that count, since no smaller one can succeed.
+Truth vectors are packed into integers, one bit per row.  Topology
+generation first computes the exact fewest number of gates the table
+needs, breadth first over sets of computed truth vectors (Knuth's
+minimum-cost computation, TAOCP 4A 7.1.2).  A count above the bound is
+UNSAT without enumerating a topology; otherwise the search starts at
+that count, since no smaller one can succeed.
 
-The search is plain backtracking over gate assignments with per-row
-propagation (truth vectors are packed into integers, and any slot wired
-to a primary output is checked the moment it is assigned).  Every
-returned circuit is re-verified row by row through the scalar evaluator
-before it is handed back.  UNSAT is a value (``None``), not an error.
+Topologies and gate assignments are then searched together, in one
+depth-first walk over canonical slot sequences that shares each slot
+prefix's computed values between every topology extending it, and the
+same bound drops a prefix whose remaining slots cannot produce the
+targets it lacks.  Gate assignment on a fixed topology stays plain
+backtracking, with any slot wired to a primary output checked the moment
+it is assigned.  Every returned circuit is re-verified row by row
+through the scalar evaluator before it is handed back.  UNSAT is a value
+(``None``), not an error.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .funcstruct import (
     BoundaryTerminal,
@@ -59,6 +64,16 @@ _UNARY = tuple(g for g in GATE_ORDER if g.arity == 1)
 _BINARY = tuple(g for g in GATE_ORDER if g.arity == 2)
 
 
+def _check_names(names: Sequence[str], kind: str) -> None:
+    """Primary input and output names are distinct, non-empty and never
+    look like a slot ref, so every name is one signal and one terminal."""
+    if len(set(names)) != len(names):
+        raise ValueError(f"primary {kind} names must be unique")
+    for name in names:
+        if not name or _SLOT_REF.match(name):
+            raise ValueError(f"illegal primary {kind} name {name!r}")
+
+
 @dataclass(frozen=True)
 class GateSlot:
     arity: int
@@ -72,15 +87,13 @@ class Topology:
     outputs: tuple[str, ...]  # slot refs
 
     def __post_init__(self):
-        if len(set(self.inputs)) != len(self.inputs):
-            raise ValueError("primary input names must be unique")
-        for name in self.inputs:
-            if not name or _SLOT_REF.match(name):
-                raise ValueError(f"illegal primary input name {name!r}")
+        _check_names(self.inputs, "input")
         if not self.slots:
             raise ValueError("a topology needs at least one gate slot")
         for j, slot in enumerate(self.slots):
-            if slot.arity not in (1, 2) or len(slot.refs) != slot.arity:
+            # True == 1 and 1.0 == 1 in Python, but neither is an arity
+            if type(slot.arity) is not int or slot.arity not in (1, 2) \
+                    or len(slot.refs) != slot.arity:
                 raise ValueError(f"slot {j}: arity must be 1 or 2 and match the wiring")
             for ref in slot.refs:
                 self._resolve(ref, j)
@@ -143,6 +156,8 @@ class Requirement:
         n, m = len(self.inputs), len(self.outputs)
         if n < 1 or m < 1:
             raise ValueError("a requirement needs inputs and outputs")
+        _check_names(self.inputs, "input")
+        _check_names(self.outputs, "output")
         if len(self.rows) != 2 ** n:
             raise ValueError(f"expected {2 ** n} rows, got {len(self.rows)}")
         seen = set()
@@ -343,40 +358,6 @@ def _ref_choices(n_sources: int) -> list[tuple[int, tuple[int, ...]]]:
     return choices
 
 
-def _enumerate_slot_sequences(n_inputs: int,
-                              gate_count: int) -> Iterator[list[tuple[int, ...]]]:
-    """Canonical slot sequences: per slot the tuple of source indices.
-
-    Slots are kept sorted by (depth, arity, refs); every abstract
-    topology has at least one such labelling, so the enumeration is
-    complete but may repeat a structure (1065 sequences cover 1020
-    distinct DAGs at 3 inputs and 3 gates, 14,805 cover 13,401 at 4).
-    """
-    slots: list[tuple[int, ...]] = []
-    depths: list[int] = []
-
-    def depth_of(source: int) -> int:
-        return 0 if source < n_inputs else depths[source - n_inputs]
-
-    def rec(prev_key) -> Iterator[list[tuple[int, ...]]]:
-        j = len(slots)
-        if j == gate_count:
-            yield slots
-            return
-        for arity, refs in _ref_choices(n_inputs + j):
-            depth = 1 + max(depth_of(r) for r in refs)
-            key = (depth, arity, refs)
-            if key < prev_key:
-                continue
-            slots.append(refs)
-            depths.append(depth)
-            yield from rec(key)
-            slots.pop()
-            depths.pop()
-
-    yield from rec((0, 0, ()))
-
-
 def _closures(n_inputs: int, slots: list[tuple[int, ...]]) -> list[int]:
     """Per slot, bitmask of primary inputs in its transitive fan-in."""
     out: list[int] = []
@@ -435,9 +416,9 @@ def _one_gate_makes(target: int, signals: frozenset[int], full: int) -> bool:
 
 #: Slot-value sets ``_fewest_gates`` keeps in one level (tens of MB).  A
 #: level that outgrows it ends the bound early with the count proven so
-#: far; the topology enumeration, whose memory does not grow with the
-#: count, takes over from there.  Three-input single-output tables stay
-#: well below it at any count.
+#: far; the topology walk takes over from there, and the same capped
+#: bound still drops its hopeless prefixes.  Three-input single-output
+#: tables stay well below it at any count.
 _BOUND_STATES = 100_000
 
 
@@ -513,16 +494,36 @@ def synthesize_topology(requirement: Requirement,
 
     The fewest-gates count (``_fewest_gates``) is computed first.  If it
     exceeds ``max_gates`` the answer is UNSAT without enumerating any
-    topology; otherwise the enumeration starts at that count.  The
-    enumeration returns only verified circuits, so no count below a
-    lower bound can succeed, and skipping those counts returns the same
-    first circuit."""
+    topology; otherwise the search starts at that count.  It returns only
+    verified circuits, so no count below a lower bound can succeed, and
+    skipping those counts returns the same first circuit.
+
+    At each count one depth-first walk visits the canonical slot
+    sequences (slots sorted by (depth, arity, refs); every abstract
+    topology has at least one such labelling, so the walk is complete but
+    may repeat a structure) and assigns gates on the way down.  A prefix
+    carries the distinct tuples of slot values its assignments reach,
+    each with the lexicographically-first assignment reaching it, in
+    that order.  At a full sequence, every choice of output slots that
+    spans the needed inputs and covers every slot takes the first tuple
+    whose output slots carry the targets.  The result is the circuit the
+    plain enumerate-then-assign search returns, for two reasons:
+
+    * a slot's value depends only on the values before it, so extending
+      each kept tuple in order, gate by gate, and keeping the first
+      assignment per new tuple yields the lexicographically-first
+      assignment of every reachable tuple, and the first matching tuple
+      carries the first matching assignment;
+    * a tuple is dropped only when ``_fewest_gates`` finds that the
+      remaining slots cannot carry the targets no slot holds yet.  That
+      count is a lower bound even when ``_BOUND_STATES`` caps a level,
+      so only tuples without any completion are dropped."""
     if max_gates < 1:
         raise ValueError("max_gates must be at least 1")
     n = len(requirement.inputs)
     m = len(requirement.outputs)
     full = (1 << 2 ** n) - 1
-    input_vecs = requirement.input_vectors()
+    input_vecs = tuple(requirement.input_vectors())
     targets = requirement.target_vectors()
     fewest = _fewest_gates(input_vecs, targets, full, max_gates)
     if fewest is None:
@@ -530,39 +531,90 @@ def synthesize_topology(requirement: Requirement,
     support_masks = [
         sum(1 << i for i in support) for support in requirement.supports()
     ]
+    completable: dict[tuple[frozenset[int], int], bool] = {}
+
+    def can_complete(values: tuple[int, ...], left: int) -> bool:
+        key = (frozenset(values), left)
+        verdict = completable.get(key)
+        if verdict is None:
+            missing = [t for t in targets if t not in key[0]]
+            verdict = _fewest_gates(input_vecs + values, missing, full, left) is not None
+            completable[key] = verdict
+        return verdict
+
+    def extend(reached: list[tuple[tuple[int, ...], tuple[GateType, ...]]],
+               refs: tuple[int, ...], left: int):
+        seen: set[tuple[int, ...]] = set()
+        grown = []
+        candidates = _UNARY if len(refs) == 1 else _BINARY
+        for values, gates in reached:
+            signals = input_vecs + values
+            operands = [signals[r] for r in refs]
+            for gate in candidates:
+                longer = values + (_gate_vector(gate, operands, full),)
+                if longer in seen:
+                    continue
+                seen.add(longer)
+                if can_complete(longer, left):
+                    grown.append((longer, gates + (gate,)))
+        return grown
+
+    slots: list[tuple[int, ...]] = []
+    depths: list[int] = []
+
+    def finish(reached) -> Optional[Circuit]:
+        gate_count = len(slots)
+        closures = _closures(n, slots)
+        cover = _backward_cover(n, slots)
+        # Per output position, slots whose fan-in spans the needed inputs.
+        candidates = [
+            [j for j in range(gate_count) if closures[j] & support_masks[p] == support_masks[p]]
+            for p in range(m)
+        ]
+        if any(not c for c in candidates):
+            return None
+        all_slots_mask = (1 << gate_count) - 1
+        for output_slots in product(*candidates):
+            covered = 0
+            for j in output_slots:
+                covered |= cover[j]
+            if covered != all_slots_mask:
+                continue
+            for values, gates in reached:
+                if all(values[j] == t for j, t in zip(output_slots, targets)):
+                    topology = _slot_sequence_to_topology(
+                        requirement.inputs, slots, output_slots
+                    )
+                    circuit = Circuit(topology, gates)
+                    _verify(circuit, requirement)
+                    return circuit
+        return None
+
+    def walk(prev_key, reached, gate_count: int) -> Optional[Circuit]:
+        j = len(slots)
+        if j == gate_count:
+            return finish(reached)
+        for arity, refs in _ref_choices(n + j):
+            depth = 1 + max(0 if r < n else depths[r - n] for r in refs)
+            key = (depth, arity, refs)
+            if key < prev_key:
+                continue
+            grown = extend(reached, refs, gate_count - j - 1)
+            if not grown:
+                continue
+            slots.append(refs)
+            depths.append(depth)
+            circuit = walk(key, grown, gate_count)
+            slots.pop()
+            depths.pop()
+            if circuit is not None:
+                return circuit
+        return None
 
     for gate_count in range(fewest, max_gates + 1):
-        all_slots_mask = (1 << gate_count) - 1
-        for slots in _enumerate_slot_sequences(n, gate_count):
-            closures = _closures(n, slots)
-            cover = _backward_cover(n, slots)
-            # Per output position, slots whose fan-in spans the needed inputs.
-            candidates = [
-                [j for j in range(gate_count) if closures[j] & support_masks[p] == support_masks[p]]
-                for p in range(m)
-            ]
-            if any(not c for c in candidates):
-                continue
-            # Enumeration refs already use the inputs-then-slots index space.
-            slot_sources = [tuple(refs) for refs in slots]
-            for output_slots in product(*candidates):
-                covered = 0
-                for j in output_slots:
-                    covered |= cover[j]
-                if covered != all_slots_mask:
-                    continue
-                checked: dict[int, list[int]] = {}
-                for position, j in enumerate(output_slots):
-                    checked.setdefault(j, []).append(targets[position])
-                gates = _search_assignment(slot_sources, input_vecs, checked, full)
-                if gates is None:
-                    continue
-                topology = _slot_sequence_to_topology(
-                    requirement.inputs, slots, output_slots
-                )
-                circuit = Circuit(topology, tuple(gates))
-                _verify(circuit, requirement)
-                return circuit
+        circuit = walk((0, 0, ()), [((), ())], gate_count)
+        if circuit is not None:
+            return circuit
     return None
 
 
@@ -611,9 +663,13 @@ def requirement_from_dict(doc: object, location: str = "$") -> Requirement:
     for key in ("inputs", "outputs", "rows"):
         if not isinstance(doc.get(key), list):
             raise SchemaError(f"'{key}' must be an array", f"{location}.{key}")
-    for key in ("inputs", "outputs"):
+    for key, kind in (("inputs", "input"), ("outputs", "output")):
         if not all(isinstance(x, str) for x in doc[key]):
             raise SchemaError(f"'{key}' must contain strings", f"{location}.{key}")
+        try:
+            _check_names(doc[key], kind)
+        except ValueError as exc:
+            raise SchemaError(str(exc), f"{location}.{key}") from exc
     rows = []
     for i, row in enumerate(doc["rows"]):
         loc = f"{location}.rows[{i}]"
@@ -655,6 +711,8 @@ def topology_from_dict(doc: object, location: str = "$") -> Topology:
         if not all(isinstance(r, str) for r in refs):
             raise SchemaError("'from' must contain refs (strings)", f"{loc}.from")
         arity = slot.get("arity", len(refs))
+        if type(arity) is not int:
+            raise SchemaError("'arity' must be an integer", f"{loc}.arity")
         slots.append(GateSlot(arity, tuple(refs)))
     try:
         return Topology(tuple(doc["inputs"]), tuple(slots), tuple(doc["outputs"]))

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: isomorphism is
 decided by trying node bijections, canonical forms are computed by an
 individualisation search that never prunes, derivation spaces are
 enumerated depth-first without canonical forms, circuit satisfiability is
-decided by enumerating every gate chain directly, the interdependency
+decided by enumerating every gate chain directly, topology search is the
+enumerate-then-assign loop that preceded the fused walk, the interdependency
 index is counted by scanning the flow list once per vertex, and case
 similarity and reuse are the term-by-term ``Fraction`` versions that
 preceded the integer kernel and the tokenise-once reuse.
@@ -15,7 +16,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from designbench import grammar as gr
 from designbench.casebase import (
@@ -25,6 +26,17 @@ from designbench.casebase import (
     SimilaritySpec,
 )
 from designbench.funcstruct import FunctionStructure, interdependency_index
+from designbench.synth import (
+    Circuit,
+    Requirement,
+    _backward_cover,
+    _closures,
+    _fewest_gates,
+    _ref_choices,
+    _search_assignment,
+    _slot_sequence_to_topology,
+    _verify,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +315,97 @@ def pair_sat(n_inputs: int, targets: tuple[int, int], max_gates: int) -> bool:
     if key not in _PAIR_CACHE:
         _PAIR_CACHE[key] = _achievable_pairs(n_inputs, max_gates)
     return targets in _PAIR_CACHE[key]
+
+
+# ---------------------------------------------------------------------------
+# Topology search by enumerate-then-assign (verbatim from synth before the
+# fused walk): every canonical slot sequence at a gate count, then a fresh
+# backtracking gate assignment for every choice of output slots
+
+def _enumerate_slot_sequences(n_inputs: int,
+                              gate_count: int) -> Iterator[list[tuple[int, ...]]]:
+    """Canonical slot sequences: per slot the tuple of source indices.
+
+    Slots are kept sorted by (depth, arity, refs); every abstract
+    topology has at least one such labelling, so the enumeration is
+    complete but may repeat a structure (1065 sequences cover 1020
+    distinct DAGs at 3 inputs and 3 gates, 14,805 cover 13,401 at 4).
+    """
+    slots: list[tuple[int, ...]] = []
+    depths: list[int] = []
+
+    def depth_of(source: int) -> int:
+        return 0 if source < n_inputs else depths[source - n_inputs]
+
+    def rec(prev_key) -> Iterator[list[tuple[int, ...]]]:
+        j = len(slots)
+        if j == gate_count:
+            yield slots
+            return
+        for arity, refs in _ref_choices(n_inputs + j):
+            depth = 1 + max(depth_of(r) for r in refs)
+            key = (depth, arity, refs)
+            if key < prev_key:
+                continue
+            slots.append(refs)
+            depths.append(depth)
+            yield from rec(key)
+            slots.pop()
+            depths.pop()
+
+    yield from rec((0, 0, ()))
+
+
+def enumerate_then_assign(requirement: Requirement,
+                          max_gates: int) -> Optional[Circuit]:
+    """``synth.synthesize_topology`` as it was before the fused walk."""
+    if max_gates < 1:
+        raise ValueError("max_gates must be at least 1")
+    n = len(requirement.inputs)
+    m = len(requirement.outputs)
+    full = (1 << 2 ** n) - 1
+    input_vecs = requirement.input_vectors()
+    targets = requirement.target_vectors()
+    fewest = _fewest_gates(input_vecs, targets, full, max_gates)
+    if fewest is None:
+        return None
+    support_masks = [
+        sum(1 << i for i in support) for support in requirement.supports()
+    ]
+
+    for gate_count in range(fewest, max_gates + 1):
+        all_slots_mask = (1 << gate_count) - 1
+        for slots in _enumerate_slot_sequences(n, gate_count):
+            closures = _closures(n, slots)
+            cover = _backward_cover(n, slots)
+            # Per output position, slots whose fan-in spans the needed inputs.
+            candidates = [
+                [j for j in range(gate_count) if closures[j] & support_masks[p] == support_masks[p]]
+                for p in range(m)
+            ]
+            if any(not c for c in candidates):
+                continue
+            # Enumeration refs already use the inputs-then-slots index space.
+            slot_sources = [tuple(refs) for refs in slots]
+            for output_slots in product(*candidates):
+                covered = 0
+                for j in output_slots:
+                    covered |= cover[j]
+                if covered != all_slots_mask:
+                    continue
+                checked: dict[int, list[int]] = {}
+                for position, j in enumerate(output_slots):
+                    checked.setdefault(j, []).append(targets[position])
+                gates = _search_assignment(slot_sources, input_vecs, checked, full)
+                if gates is None:
+                    continue
+                topology = _slot_sequence_to_topology(
+                    requirement.inputs, slots, output_slots
+                )
+                circuit = Circuit(topology, tuple(gates))
+                _verify(circuit, requirement)
+                return circuit
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,24 @@ class TestRetain:
             cb.parse_case_base(json.dumps(doc).encode())
         assert "cycle" in str(err.value)
 
+    @pytest.mark.parametrize("serves", [None, 3, ["wind line"]],
+                             ids=["null", "number", "array"])
+    def test_non_string_serves_rejected_at_parse(self, serves):
+        import json
+        doc = json.loads(load_fixture_bytes("winder_cases.cases.json"))
+        doc[0]["solution"]["components"][1]["serves"] = serves
+        with pytest.raises(fs.SchemaError) as err:
+            cb.parse_case_base(json.dumps(doc).encode())
+        assert str(err.value) == \
+            "$[0].solution.components[1].serves: 'serves' must be a string"
+
+    def test_missing_serves_reads_as_empty_label(self):
+        import json
+        doc = json.loads(load_fixture_bytes("winder_cases.cases.json"))
+        del doc[0]["solution"]["components"][1]["serves"]
+        case = cb.parse_case_base(json.dumps(doc).encode()).cases[0]
+        assert case.solution.components[1].serves == ""
+
     def test_directly_built_cyclic_case_still_fails_retrieval(self, spec, base, winder):
         s = tiny_structure(["wind", "clamp"], "wire")
         cyclic = fs.FunctionStructure(

@@ -208,6 +208,38 @@ class TestSynth:
         assert out == ""
         assert err == f"error: {req}: $.rows[1]: rows must contain bits (0 or 1)\n"
 
+    @pytest.mark.parametrize("inputs, outputs, where, message", [
+        (["a", "a"], ["y"], "inputs", "primary input names must be unique"),
+        (["s0", "b"], ["y"], "inputs", "illegal primary input name 's0'"),
+        (["a", "b"], ["y", "y"], "outputs", "primary output names must be unique"),
+    ], ids=["duplicate-input", "slot-like-input", "duplicate-output"])
+    @pytest.mark.parametrize("table", [0b1000, 0b1001], ids=["sat", "unsat"])
+    def test_bad_names_are_located_input_errors(self, capsys, tmp_path, inputs,
+                                                outputs, where, message, table):
+        # AND fits one gate and XNOR needs two: the names are rejected
+        # whatever the search would answer
+        doc = {"inputs": inputs, "outputs": outputs,
+               "rows": [{"in": [(r >> 1) & 1, r & 1],
+                         "out": [(table >> r) & 1] * len(outputs)} for r in range(4)]}
+        req = tmp_path / "named.req.json"
+        req.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "synth", req, "--max-gates", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {req}: $.{where}: {message}\n"
+
+    @pytest.mark.parametrize("arity", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_arity_rejected_with_slot(self, capsys, tmp_path, arity):
+        topo = tmp_path / "typed.topo.json"
+        topo.write_text(json.dumps({"inputs": ["a", "b"],
+                                    "slots": [{"arity": arity, "from": ["a"]}],
+                                    "outputs": ["s0"]}))
+        code, out, err = run_cli(capsys, "synth", FIXTURES / "and_gate.req.json",
+                                 "--topology", topo)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {topo}: $.slots[0].arity: 'arity' must be an integer\n"
+
 
 class TestClassify:
     def test_creative_profile_exits_one(self, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from designbench import funcstruct as fs
 from designbench import synth
 from designbench.synth import GateSlot, GateType, Requirement, Topology
 from conftest import load_fixture_bytes
-from oracles import chain_sat, pair_sat, reachable_sat
+from oracles import chain_sat, enumerate_then_assign, pair_sat, reachable_sat
 
 
 def subtraction_oracle(a, b, bin_):
@@ -264,6 +265,89 @@ class TestFewestGates:
             "8adf22f6d341c96781a438155acbb94208da751d469064d64912bdc501a98a95"
 
 
+def _table(vectors, n=3):
+    """Truth table over ``n`` inputs whose output j is ``vectors[j]``
+    packed by row (row r has input i equal to bit n-1-i of r)."""
+    rows = tuple(
+        (tuple((r >> (n - 1 - i)) & 1 for i in range(n)),
+         tuple((v >> r) & 1 for v in vectors))
+        for r in range(2 ** n)
+    )
+    return Requirement(tuple("abcd"[:n]), tuple(f"y{j}" for j in range(len(vectors))), rows)
+
+
+def _random_pairs(seed, count):
+    rng = random.Random(seed)
+    return [(rng.randrange(256), rng.randrange(256)) for _ in range(count)]
+
+
+# constants, the three inputs and their complements, every ordered pair of
+# them, plus equal targets that need a gate
+_A, _B, _C = 0xF0, 0xCC, 0xAA
+_SPECIAL = (0, 255, _A, _B, _C, _A ^ 255, _B ^ 255, _C ^ 255)
+EDGE_PAIRS = [(x, y) for x in _SPECIAL for y in _SPECIAL] + \
+    [(t, t) for t in (0x96, 0x17, 0xE8, 0x69)]
+
+
+def _digest(circuits):
+    digest = hashlib.sha256()
+    for circuit in circuits:
+        digest.update(b"UNSAT\n" if circuit is None else synth.serialize_circuit(circuit))
+    return digest.hexdigest()
+
+
+class TestWalkAgainstOracle:
+    """The fused walk returns the enumerate-then-assign search's circuit."""
+
+    def test_every_one_output_table_at_bounds_one_to_four(self):
+        for table in range(256):
+            req = _table([table])
+            for max_gates in (1, 2, 3, 4):
+                assert synth.synthesize_topology(req, max_gates) == \
+                    enumerate_then_assign(req, max_gates), \
+                    f"table {table:08b} at max_gates={max_gates}"
+
+    @pytest.mark.parametrize("pairs", [_random_pairs(19, 24), EDGE_PAIRS],
+                             ids=["random", "edge"])
+    def test_two_output_pairs_at_bounds_one_to_four(self, pairs):
+        for pair in pairs:
+            req = _table(pair)
+            for max_gates in (1, 2, 3, 4):
+                assert synth.synthesize_topology(req, max_gates) == \
+                    enumerate_then_assign(req, max_gates), \
+                    f"targets {pair} at max_gates={max_gates}"
+
+    def test_random_pairs_at_five_gates_are_pinned(self):
+        # sha256 of the enumerate-then-assign outputs, which took 33 s on a
+        # 2-vCPU Intel Xeon host; 9 of the 24 pairs need all five gates
+        got = _digest(synth.synthesize_topology(_table(pair), 5)
+                      for pair in _random_pairs(29, 24))
+        assert got == "21315171a8495237dc5544e6068a362e3cec2535eea870b492ef0da3f6d0d506"
+
+    def test_capped_bound_still_equals_oracle(self, monkeypatch):
+        monkeypatch.setattr(synth, "_BOUND_STATES", 20)
+        cases = [((table,), 4) for table in range(0, 256, 7)]
+        cases += [(pair, max_gates) for pair in _random_pairs(19, 24)[:2] + EDGE_PAIRS[::7]
+                  for max_gates in (1, 2, 3, 4)]
+        for vectors, max_gates in cases:
+            req = _table(vectors)
+            assert synth.synthesize_topology(req, max_gates) == \
+                enumerate_then_assign(req, max_gates), \
+                f"targets {vectors} at max_gates={max_gates}"
+
+    @pytest.mark.parametrize("vectors, n, max_gates, size, sha256", [
+        ((231, 97), 3, 6, 6, "14b3bc15c9541da11d3ffe62ea4b37d4cdbce43e73fb2084d630122af73c7ac6"),
+        ((228, 155), 3, 6, 6, "ceabe76bfd5ccfb14f9f10e3aadf53913294972144c9eb11c1f9976e5290075f"),
+        ((15455,), 4, 5, 5, "6fc6b8cca0255c828e3c3bb24d8d85772915a893c341d63e7212d088b0c61169"),
+    ], ids=["231-97", "228-155", "4-input-15455"])
+    def test_large_searches_are_pinned(self, vectors, n, max_gates, size, sha256):
+        # outputs of the enumerate-then-assign search, which took 27 s,
+        # 212 s and 0.9 s on a 2-vCPU Intel Xeon host
+        circuit = synth.synthesize_topology(_table(vectors, n), max_gates)
+        assert len(circuit.gates) == size
+        assert hashlib.sha256(synth.serialize_circuit(circuit)).hexdigest() == sha256
+
+
 class TestToFunctionStructure:
     def test_standard_topology_reproduces_famous_pi(self, subtractor_circuit):
         from fractions import Fraction
@@ -317,6 +401,22 @@ class TestStructuralInvariants:
         rows[0][side == "out"] = (zero,)
         with pytest.raises(ValueError, match=r"rows must contain bits \(0 or 1\)"):
             Requirement(("a",), ("y",), tuple(map(tuple, rows)))
+
+    @pytest.mark.parametrize("inputs, outputs, message", [
+        (("a", "a"), ("y",), "primary input names must be unique"),
+        (("s0", "b"), ("y",), "illegal primary input name 's0'"),
+        (("", "b"), ("y",), "illegal primary input name ''"),
+        (("a", "b"), ("y", "y"), "primary output names must be unique"),
+        (("a", "b"), ("s1",), "illegal primary output name 's1'"),
+    ])
+    def test_requirement_names_follow_the_topology_rule(self, inputs, outputs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Requirement.from_function(inputs, outputs, lambda a, b: (a & b,) * len(outputs))
+
+    @pytest.mark.parametrize("arity", [True, 2.0], ids=["bool", "float"])
+    def test_arity_must_be_int(self, arity):
+        with pytest.raises(ValueError, match="arity must be 1 or 2"):
+            Topology(("a", "b"), (GateSlot(arity, ("a", "b")),), ("s0",))
 
     def test_requirement_fixture_round_trips(self, subtractor_req):
         doc = {

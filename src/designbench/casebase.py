@@ -33,7 +33,6 @@ from .funcstruct import (
     _fraction_from_json,
     interdependency_index,
     problem_from_dict,
-    problem_to_dict,
     validate,
 )
 
@@ -95,6 +94,8 @@ class SimilaritySpec:
 
     def __post_init__(self):
         weights = (self.function_weight, self.flow_weight, self.structure_weight)
+        if any(isinstance(w, bool) or not isinstance(w, (int, Fraction)) for w in weights):
+            raise ValueError("similarity weights must be integers or Fractions")
         if any(w < 0 for w in weights):
             raise ValueError("similarity weights must be non-negative")
         if sum(weights) != 1:
@@ -306,21 +307,6 @@ def min_components(count: int) -> Callable[[tuple[Component, ...]], bool]:
     return lambda comps: len(comps) >= count
 
 
-def requirement_from_dict(doc: object, location: str) -> Requirement:
-    if not isinstance(doc, dict) or not isinstance(doc.get("name"), str):
-        raise SchemaError("requirement needs a string 'name'", location)
-    if "has_component" in doc:
-        return Requirement(doc["name"], has_component(str(doc["has_component"])))
-    if "serves_function" in doc:
-        return Requirement(doc["name"], serves_function(str(doc["serves_function"])))
-    if "min_components" in doc:
-        return Requirement(doc["name"], min_components(int(doc["min_components"])))
-    raise SchemaError(
-        "requirement needs one of 'has_component', 'serves_function', 'min_components'",
-        location,
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON formats (.cases.json / .simspec.json)
 
@@ -369,25 +355,6 @@ def parse_case_base(data: bytes | str) -> CaseBase:
         return CaseBase(cases)
     except DuplicateCaseError as exc:
         raise SchemaError(str(exc)) from exc
-
-
-def case_to_dict(case: Case) -> dict:
-    return {
-        "id": case.id,
-        "domain": case.domain,
-        "problem": problem_to_dict(case.problem),
-        "solution": {
-            "description": case.solution.description,
-            "components": [
-                {"name": c.name, "serves": c.serves} for c in case.solution.components
-            ],
-        },
-    }
-
-
-def serialize_case_base(base: CaseBase) -> bytes:
-    doc = [case_to_dict(c) for c in base.cases]
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def parse_similarity_spec(data: bytes | str) -> SimilaritySpec:

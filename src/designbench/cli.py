@@ -3,15 +3,22 @@
 Exit codes: 0 on success, 1 when the run succeeded but the domain answer
 is negative (UNSAT, no applicable method), 2 on input errors (unreadable
 files, schema violations, bad flags).  JSON output is deterministic:
-identical inputs give byte-identical reports.
+identical inputs give byte-identical reports, equal byte for byte to
+``json.dumps(doc, indent=2, sort_keys=True)``.
+
+The argument parser is built on the first ``run`` and reused.  JSON is
+written by a small recursive emitter over the C string encoder, because
+``indent`` sends ``json.dumps`` to its pure-Python encoder, which costs
+more than most requests.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -41,8 +48,55 @@ def _load(path: str, parser):
         raise _InputError(f"{path}: {exc}") from exc
 
 
+def _indented_json(doc: object) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for the finite
+    values the CLI emits (floats come from ``float(Fraction)``)."""
+    pieces: list[str] = []
+    _append_json(doc, "", "\n", pieces)
+    return "".join(pieces)
+
+
+def _append_json(value: object, head: str, newline: str, pieces: list[str]) -> None:
+    # One piece per value: ``head`` is the separator and key before it,
+    # ``newline`` the line break and indentation of its own line.
+    if isinstance(value, str):
+        pieces.append(head + encode_basestring_ascii(value))
+    elif value is None:
+        pieces.append(head + "null")
+    elif value is True:
+        pieces.append(head + "true")
+    elif value is False:
+        pieces.append(head + "false")
+    elif isinstance(value, int):
+        pieces.append(head + int.__repr__(value))
+    elif isinstance(value, float):
+        pieces.append(head + float.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append(head + "{}")
+            return
+        inner = newline + "  "
+        head += "{" + inner
+        for key in sorted(value):
+            _append_json(value[key], head + encode_basestring_ascii(key) + ": ", inner, pieces)
+            head = "," + inner
+        pieces.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append(head + "[]")
+            return
+        inner = newline + "  "
+        head += "[" + inner
+        for item in value:
+            _append_json(item, head, inner, pieces)
+            head = "," + inner
+        pieces.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(doc: object) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_indented_json(doc))
 
 
 def _fraction_doc(value: Fraction) -> dict:
@@ -230,7 +284,10 @@ def _cmd_classify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` leaves it unchanged
+    and gives every call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="designbench",
         description="Model design problems, score them, and run the synthesis engines.",
@@ -284,9 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage; keep that contract but stay callable.
         return int(exc.code or 0)

@@ -169,14 +169,3 @@ def domain_from_dict(doc: object, location: str) -> Domain:
         )
     raise SchemaError(f"unknown domain form {key!r}", location)
 
-
-def domain_to_dict(domain: Domain) -> dict:
-    if isinstance(domain, SetDomain):
-        return {"set": list(domain.values)}
-    if isinstance(domain, IntervalDomain):
-        return {"interval": [domain.lower, domain.upper]}
-    if isinstance(domain, TypeDomain):
-        return {"type": domain.type_name}
-    if isinstance(domain, DescribedDomain):
-        return {"description": domain.description}
-    return {"any_of": [domain_to_dict(p) for p in domain.parts]}

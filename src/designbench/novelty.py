@@ -23,7 +23,7 @@ import json
 import math
 from typing import Mapping, Optional
 
-from .domains import Domain, Scalar, domain_from_dict, domain_to_dict, singleton
+from .domains import Domain, Scalar, domain_from_dict, singleton
 from .funcstruct import SchemaError
 
 
@@ -187,16 +187,6 @@ def kb_from_dict(doc: object, location: str = "$") -> KnowledgeBase:
     return KnowledgeBase(tuple(variables))
 
 
-def kb_to_dict(kb: KnowledgeBase) -> dict:
-    out = []
-    for v in kb.variables:
-        entry: dict = {"name": v.name, "domain": domain_to_dict(v.domain)}
-        if v.subfunction is not None:
-            entry["subfunction"] = v.subfunction
-        out.append(entry)
-    return {"variables": out}
-
-
 def parse_knowledge_base(data: bytes | str) -> KnowledgeBase:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -205,10 +195,6 @@ def parse_knowledge_base(data: bytes | str) -> KnowledgeBase:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
     return kb_from_dict(doc)
-
-
-def serialize_knowledge_base(kb: KnowledgeBase) -> bytes:
-    return (json.dumps(kb_to_dict(kb), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def design_from_dict(doc: object, location: str = "$") -> DesignInstance:

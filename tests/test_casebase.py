@@ -103,6 +103,18 @@ class TestSimilarity:
         with pytest.raises(ValueError):
             cb.SimilaritySpec(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
+    def test_float_weights_rejected(self):
+        with pytest.raises(ValueError, match="integers or Fractions"):
+            cb.SimilaritySpec(0.5, 0.3, 0.2)
+
+    def test_bool_weight_rejected(self):
+        with pytest.raises(ValueError, match="integers or Fractions"):
+            cb.SimilaritySpec(True, Fraction(0), Fraction(0))
+
+    def test_integer_weights_accepted(self):
+        assert cb.SimilaritySpec(1, 0, 0) == cb.SimilaritySpec(Fraction(1), Fraction(0),
+                                                                Fraction(0))
+
     def test_simspec_fixture_parses_exactly(self):
         spec = cb.parse_similarity_spec(load_fixture_bytes("default.simspec.json"))
         assert spec == cb.SimilaritySpec(Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
@@ -199,11 +211,10 @@ class TestRevise:
         assert [c.satisfied for c in revised.checks] == [True, True, False]
         assert revised.open_tasks == ("has a bobbin clamp",)
 
-    def test_requirement_from_json_forms(self):
-        req = cb.requirement_from_dict(
-            {"name": "big enough", "min_components": 2}, "$")
-        assert req.predicate((cb.Component("a"), cb.Component("b")))
-        assert not req.predicate((cb.Component("a"),))
+    def test_min_components_predicate(self):
+        big_enough = cb.min_components(2)
+        assert big_enough((cb.Component("a"), cb.Component("b")))
+        assert not big_enough((cb.Component("a"),))
 
 
 class TestRetain:

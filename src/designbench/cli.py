@@ -10,12 +10,20 @@ The argument parser is built on the first ``run`` and reused.  JSON is
 written by a small recursive emitter over the C string encoder, because
 ``indent`` sends ``json.dumps`` to its pure-Python encoder, which costs
 more than most requests.
+
+When the reader of standard output goes away early (``designbench ... |
+head -1``), ``main`` exits 1 without a traceback: it catches the
+``BrokenPipeError`` and points standard output at ``os.devnull``, so
+that the interpreter's flush at exit cannot raise it again (the recipe
+in Python's ``signal`` documentation).  ``run`` leaves the error to its
+caller.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -354,7 +362,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,23 @@ preserves the edge multiset, and from two leaves with equal
 certificates.  An automorphism maps the subtree below one branch onto
 the subtree below the other with the same leaf certificates, so the
 minimum, and with it every certificate byte, is the one the unpruned
-search finds.
+search finds.  When each cell of the refined colouring is a single
+vertex or one class of twins, every leaf is such an image of the
+colour order, so that order's certificate is returned without a
+search.  Each level of the search keeps its own orbit partition
+(a union-find forest over the twins and the automorphisms that fix the
+vertices above it), built when the search enters the level and merged
+with each automorphism found below it; it is the partition a rebuild
+from scratch would give, so the same branches are skipped.
+
+:func:`generate` does less work per child than rewriting and
+certifying it from scratch, with the same output.  A child is
+vocabulary-checked only on the nodes the rewrite touched, because its
+parent is valid and nothing else can have changed: a violation still
+gets the message of the full check.  A child identical to one built
+earlier at the same depth (commuting rewrites from different parents)
+is skipped before the check and the canonical form, because its
+verdict and certificate are those of the earlier one.
 """
 
 from __future__ import annotations
@@ -374,9 +390,16 @@ def check_rule(vocab: Vocabulary, rule: Rule) -> list[str]:
             if attr not in schema:
                 problems.append(f"RHS node {node.id!r}: undeclared attribute {attr!r}")
             elif isinstance(expr, CopyAttr):
-                if expr.node not in lhs_by_id:
+                source = lhs_by_id.get(expr.node)
+                if source is None:
                     problems.append(
                         f"RHS node {node.id!r}: copy references unknown LHS node {expr.node!r}"
+                    )
+                elif vocab.has_node_label(source.label) \
+                        and expr.attr not in vocab.schema_of(source.label):
+                    problems.append(
+                        f"RHS node {node.id!r}: copy references undeclared attribute "
+                        f"{expr.attr!r} of LHS node {expr.node!r}"
                     )
             elif not schema[attr].contains(expr):
                 problems.append(
@@ -719,7 +742,12 @@ def canonical_form(design: Design) -> bytes:
             "]}",
         )).encode("utf-8")
 
-    if count == n:
+    # When each cell is a single vertex or one class of twins, each
+    # permutation inside the cells is an automorphism.  Every leaf puts each
+    # cell's vertices on that cell's positions, so it is such an image of
+    # the colour order and has its certificate.
+    twins = _twin_classes(colours, out_adj, in_adj) if count < n else []
+    if count == len(twins) + n - sum(map(len, twins)):
         return certificate(sorted(range(n), key=colours.__getitem__))
 
     # Individualisation search with automorphism pruning (McKay & Piperno,
@@ -732,42 +760,58 @@ def canonical_form(design: Design) -> bytes:
     # lower the minimum and is skipped.  Automorphisms come from structural
     # twins (their transpositions fix every other vertex) and from pairs of
     # leaves with equal certificates.
-    twins = _twin_classes(colours, out_adj, in_adj)
+    #
+    # ``forests[i]`` is a union-find forest whose trees are the orbits,
+    # under the twins and the known automorphisms that fix ``path[:i]``,
+    # of the node at level i.  It is built when the search enters that
+    # node and takes each automorphism found below it at once, so the
+    # partition always equals one rebuilt from scratch.
     automorphisms: list[list[int]] = []
     path: list[int] = []
+    forests: list[list[int]] = []
     finished: list[list[int]] = []
     first: Optional[tuple[bytes, list[int]]] = None
     best: Optional[tuple[bytes, list[int]]] = None
 
-    def orbits(level: int) -> list[int]:
-        """Orbit representatives under the known automorphisms that fix
-        ``path[:level]`` pointwise."""
-        fixed = set(path[:level])
-        parent = list(range(n))
+    def find(forest: list[int], x: int) -> int:
+        while forest[x] != x:
+            forest[x] = forest[forest[x]]
+            x = forest[x]
+        return x
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def union(forest: list[int], x: int, y: int) -> None:
+        x, y = find(forest, x), find(forest, y)
+        if x != y:
+            forest[max(x, y)] = min(x, y)
 
-        def union(x: int, y: int) -> None:
-            x, y = find(x), find(y)
-            if x != y:
-                parent[max(x, y)] = min(x, y)
+    def merge(forest: list[int], gamma: list[int]) -> None:
+        for v, w in enumerate(gamma):
+            if v != w:
+                union(forest, v, w)
 
+    def enter() -> None:
+        """Push the forest and the finished list of the node at level
+        ``len(path)``."""
+        fixed = set(path)
+        forest = list(range(n))
         for cls in twins:
             free = [v for v in cls if v not in fixed]
             for u, v in zip(free, free[1:]):
-                union(u, v)
+                union(forest, u, v)
         for gamma in automorphisms:
-            if all(gamma[v] == v for v in fixed):
-                for v in range(n):
-                    union(v, gamma[v])
-        return [find(v) for v in range(n)]
+            if all(gamma[v] == v for v in path):
+                merge(forest, gamma)
+        forests.append(forest)
+        finished.append([])
 
-    def redundant(level: int, v: int, orbit: list[int]) -> bool:
-        return any(orbit[w] == orbit[v] for w in finished[level])
+    def leave() -> None:
+        forests.pop()
+        finished.pop()
+
+    def redundant(level: int, v: int) -> bool:
+        forest = forests[level]
+        root = find(forest, v)
+        return any(find(forest, w) == root for w in finished[level])
 
     def leaf(colouring: list[int]) -> Optional[int]:
         """Record a leaf; on an automorphism, the shallowest level whose
@@ -786,8 +830,10 @@ def canonical_form(design: Design) -> bytes:
                 for p, v in enumerate(known_order):
                     gamma[v] = order[p]
                 automorphisms.append(gamma)
+                # gamma fixes path[:level] at each level this loop visits
                 for level, v in enumerate(path):
-                    if redundant(level, v, orbits(level)):
+                    merge(forests[level], gamma)
+                    if redundant(level, v):
                         return level
                     if gamma[v] != v:
                         break
@@ -805,15 +851,9 @@ def canonical_form(design: Design) -> bytes:
             size[c] += 1
         cell = min(c for c in range(count) if size[c] > 1)
         level = len(path)
-        finished.append([])
-        known = -1
+        enter()
         for v in range(n):
-            if colouring[v] != cell:
-                continue
-            if known != len(automorphisms):
-                known = len(automorphisms)
-                orbit = orbits(level)
-            if redundant(level, v, orbit):
+            if colouring[v] != cell or redundant(level, v):
                 continue
             branched = [c + 1 if c >= cell else c for c in colouring]
             branched[v] = cell
@@ -821,10 +861,10 @@ def canonical_form(design: Design) -> bytes:
             unwind = search(*_refine(branched, count + 1, out_adj, in_adj))
             path.pop()
             if unwind is not None and unwind < level:
-                finished.pop()
+                leave()
                 return unwind
             finished[level].append(v)
-        finished.pop()
+        leave()
         return None
 
     search(colours, count)
@@ -860,6 +900,25 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
     Deduplicated by canonical form; output sorted by canonical form, so
     two runs over equal inputs produce identical sequences.  The axiom
     itself counts against ``max_designs``.
+
+    Every child is vocabulary-checked as :func:`apply` with ``vocab``
+    would check it, with the same verdict and message, but only on the
+    nodes the rewrite touched: the child's nodes that are not the very
+    objects of the parent (compared by identity, since fresh ids may
+    reuse a removed node's id).  The parent is valid (the axiom is
+    checked by :class:`Grammar`, every kept child here), unmatched edges
+    keep their labels, the dangling-edge check keeps their endpoints,
+    and :func:`check_rule` has checked the right side's edges and
+    literals, so an untouched node or edge cannot be at fault.  When a
+    touched node is, the whole child goes through
+    :meth:`Vocabulary.require_valid`, which raises the message a full
+    check gives.
+
+    A child whose node ids, node colours and edge tuple equal those of a
+    child built earlier at the same depth (commuting rewrites reached
+    from different parents) is skipped before the check and the
+    canonical form: it would get the same verdict and the certificate
+    already in ``seen``.
     """
     if max_depth < 1 or max_designs < 1:
         raise ValueError("generation limits must be positive")
@@ -874,13 +933,24 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
         if len(seen) >= max_designs:
             break
         next_frontier: list[GeneratedDesign] = []
+        # children of this depth by ids, colours and edges; ``Design``
+        # equality would take 1, 1.0 and True for one value
+        built: set[tuple] = set()
         for entry in frontier:
+            parent = entry.design
             for rule in grammar.rules:
-                for match in find_matches(rule, entry.design):
+                for match in find_matches(rule, parent):
                     try:
-                        child = apply(rule, entry.design, match, vocab)
+                        child = apply(rule, parent, match)
                     except DanglingEdgeError:
                         continue
+                    exact = (tuple([(n.id, n.colour_key) for n in child.nodes]), child.edges)
+                    if exact in built:
+                        continue
+                    built.add(exact)
+                    touched = [n for n in child.nodes if parent._by_id.get(n.id) is not n]
+                    if vocab.check_design(Design(tuple(touched))):
+                        vocab.require_valid(child, f"result of rule {rule.name!r}")
                     key = canonical_form(child)
                     if key in seen:
                         continue
@@ -970,11 +1040,19 @@ def modify(grammar: Grammar, edit: GrammarEdit) -> Grammar:
 # ---------------------------------------------------------------------------
 # JSON format (.grammar.json) and DOT rendering
 
+def _array(doc: dict, key: str, location: str) -> list:
+    """``doc[key]``, an array that may be left out."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"{key!r} must be an array", f"{location}.{key}")
+    return value
+
+
 def _design_from_dict(doc: object, location: str) -> Design:
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", location)
     nodes = []
-    for i, n in enumerate(doc.get("nodes", [])):
+    for i, n in enumerate(_array(doc, "nodes", location)):
         loc = f"{location}.nodes[{i}]"
         if not isinstance(n, dict) or not isinstance(n.get("id"), str):
             raise SchemaError("node needs a string 'id'", loc)
@@ -985,7 +1063,7 @@ def _design_from_dict(doc: object, location: str) -> Design:
             raise SchemaError("'attrs' must be an object", f"{loc}.attrs")
         nodes.append(GraphNode.make(n["id"], n["label"], attrs))
     edges = [_edge_from_dict(e, f"{location}.edges[{i}]")
-             for i, e in enumerate(doc.get("edges", []))]
+             for i, e in enumerate(_array(doc, "edges", location))]
     try:
         return Design(tuple(nodes), tuple(edges))
     except ValueError as exc:
@@ -1005,13 +1083,13 @@ def _pattern_from_dict(doc: object, location: str) -> PatternGraph:
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", location)
     nodes = []
-    for i, n in enumerate(doc.get("nodes", [])):
+    for i, n in enumerate(_array(doc, "nodes", location)):
         loc = f"{location}.nodes[{i}]"
         if not isinstance(n, dict) or not isinstance(n.get("id"), str) \
                 or not isinstance(n.get("label"), str):
             raise SchemaError("pattern node needs string 'id' and 'label'", loc)
         predicates = []
-        for j, p in enumerate(n.get("where", [])):
+        for j, p in enumerate(_array(n, "where", loc)):
             ploc = f"{loc}.where[{j}]"
             if not isinstance(p, dict) or not isinstance(p.get("attr"), str):
                 raise SchemaError("predicate needs a string 'attr'", ploc)
@@ -1023,7 +1101,7 @@ def _pattern_from_dict(doc: object, location: str) -> PatternGraph:
             predicates.append(AttrPredicate(p["attr"], op, p.get("value")))
         nodes.append(PatternNode(n["id"], n["label"], tuple(predicates)))
     edges = [_edge_from_dict(e, f"{location}.edges[{i}]")
-             for i, e in enumerate(doc.get("edges", []))]
+             for i, e in enumerate(_array(doc, "edges", location))]
     pattern_edges = tuple(PatternEdge(e.source, e.target, e.label) for e in edges)
     return PatternGraph(tuple(nodes), pattern_edges)
 
@@ -1032,7 +1110,7 @@ def _rhs_from_dict(doc: object, location: str) -> RhsGraph:
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", location)
     nodes = []
-    for i, n in enumerate(doc.get("nodes", [])):
+    for i, n in enumerate(_array(doc, "nodes", location)):
         loc = f"{location}.nodes[{i}]"
         if not isinstance(n, dict) or not isinstance(n.get("id"), str) \
                 or not isinstance(n.get("label"), str):
@@ -1055,7 +1133,7 @@ def _rhs_from_dict(doc: object, location: str) -> RhsGraph:
                 attrs[attr] = value
         nodes.append(RhsNode.make(n["id"], n["label"], attrs))
     edges = [_edge_from_dict(e, f"{location}.edges[{i}]")
-             for i, e in enumerate(doc.get("edges", []))]
+             for i, e in enumerate(_array(doc, "edges", location))]
     pattern_edges = tuple(PatternEdge(e.source, e.target, e.label) for e in edges)
     return RhsGraph(tuple(nodes), pattern_edges)
 
@@ -1084,13 +1162,16 @@ def grammar_from_dict(doc: object, location: str = "$") -> Grammar:
     vocab = Vocabulary.make(node_labels, edge_labels)
 
     rules = []
-    for i, r in enumerate(doc.get("rules", [])):
+    for i, r in enumerate(_array(doc, "rules", location)):
         loc = f"{location}.rules[{i}]"
         if not isinstance(r, dict) or not isinstance(r.get("name"), str):
             raise SchemaError("rule needs a string 'name'", loc)
         anchors_raw = r.get("anchors", {})
         if not isinstance(anchors_raw, dict):
             raise SchemaError("'anchors' must be an object", f"{loc}.anchors")
+        for lhs_id, rhs_id in anchors_raw.items():
+            if not isinstance(rhs_id, str):
+                raise SchemaError("anchor target must be a string", f"{loc}.anchors.{lhs_id}")
         lhs = _pattern_from_dict(r.get("lhs", {}), f"{loc}.lhs")
         rhs = _rhs_from_dict(r.get("rhs", {}), f"{loc}.rhs")
         try:

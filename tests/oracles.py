@@ -3,12 +3,14 @@
 These deliberately avoid the library's own algorithms: isomorphism is
 decided by trying node bijections, canonical forms are computed by an
 individualisation search that never prunes, derivation spaces are
-enumerated depth-first without canonical forms, circuit satisfiability is
-decided by enumerating every gate chain directly, topology search is the
-enumerate-then-assign loop that preceded the fused walk, the interdependency
-index is counted by scanning the flow list once per vertex, and case
-similarity and reuse are the term-by-term ``Fraction`` versions that
-preceded the integer kernel and the tokenise-once reuse.
+enumerated depth-first without canonical forms, generation checks every
+child against the whole vocabulary and skips no repeat, circuit
+satisfiability is decided by enumerating every gate chain directly,
+topology search is the enumerate-then-assign loop that preceded the fused
+walk, the interdependency index is counted by scanning the flow list once
+per vertex, and case similarity and reuse are the term-by-term
+``Fraction`` versions that preceded the integer kernel and the
+tokenise-once reuse.
 """
 
 import json
@@ -187,6 +189,62 @@ def enumerate_designs(grammar: gr.Grammar, max_depth: int) -> list[gr.Design]:
 
     expand(grammar.axiom, 0)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Generation with a full vocabulary check of every child
+#
+# The library's ``generate`` before the delta check and the exact-repeat
+# skip, kept verbatim: every child goes through ``apply(..., vocab)`` and
+# ``canonical_form``.
+
+def generate_full_check(grammar: gr.Grammar, max_depth: int,
+                        max_designs: int) -> gr.GenerationResult:
+    if max_depth < 1 or max_designs < 1:
+        raise ValueError("generation limits must be positive")
+
+    vocab = grammar.vocabulary
+    seen: dict[bytes, gr.GeneratedDesign] = {}
+    axiom_entry = gr.GeneratedDesign(grammar.axiom, gr.Derivation(),
+                                     gr.canonical_form(grammar.axiom), 0)
+    seen[axiom_entry.canonical] = axiom_entry
+    frontier = [axiom_entry]
+
+    for depth in range(1, max_depth + 1):
+        if len(seen) >= max_designs:
+            break
+        next_frontier: list[gr.GeneratedDesign] = []
+        for entry in frontier:
+            for rule in grammar.rules:
+                for match in gr.find_matches(rule, entry.design):
+                    try:
+                        child = gr.apply(rule, entry.design, match, vocab)
+                    except gr.DanglingEdgeError:
+                        continue
+                    key = gr.canonical_form(child)
+                    if key in seen:
+                        continue
+                    child_entry = gr.GeneratedDesign(
+                        child,
+                        gr.Derivation((*entry.derivation.steps,
+                                       gr.DerivationStep(rule.name, match))),
+                        key,
+                        depth,
+                    )
+                    seen[key] = child_entry
+                    next_frontier.append(child_entry)
+                    if len(seen) >= max_designs:
+                        break
+                if len(seen) >= max_designs:
+                    break
+            if len(seen) >= max_designs:
+                break
+        frontier = next_frontier
+        if not frontier:
+            break
+
+    ordered = tuple(sorted(seen.values(), key=lambda g: g.canonical))
+    return gr.GenerationResult(ordered)
 
 
 # ---------------------------------------------------------------------------

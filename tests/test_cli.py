@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +124,37 @@ class TestGrammarGenerate:
         assert (code, out) == (2, "")
         assert ("$.vocabulary.node_labels.end.finished.set[2]: set members must be scalars"
                 in err)
+
+    def test_copy_of_undeclared_attribute_is_input_error(self, tmp_path, capsys):
+        grammar = json.loads((FIXTURES / "shaft.grammar.json").read_text())
+        grammar["rules"][1]["rhs"]["nodes"][0]["attrs"]["diameter"] = \
+            {"copy": {"node": "s", "attr": "nope"}}
+        path = tmp_path / "copy.grammar.json"
+        path.write_text(json.dumps(grammar))
+        code, out, err = run_cli(capsys, "grammar-generate", path, "--max-depth", "3")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: $: rule 'groove_section': RHS node 's': copy "
+                       "references undeclared attribute 'nope' of LHS node 's'\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_reader_closing_early_exits_one_without_traceback(self, fmt):
+        # 140 kB of text (470 kB of JSON) outgrow the pipe buffer, so the
+        # process is still writing when the reader closes its end
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "designbench.cli", "grammar-generate",
+                str(FIXTURES / "gearbox.grammar.json"), "--max-depth", "5",
+                "--max-designs", "1000", "--format", fmt]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first in (b"211 designs (depth <= 5)\n", b"{\n")
+        assert b"Traceback" not in err, err.decode()
+        assert code == 1
 
 
 class TestCbrRetrieve:

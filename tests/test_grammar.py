@@ -478,6 +478,129 @@ class TestGenerate:
             assert any(brute_force_isomorphic(entry.design, d) for d in expected)
 
 
+class TestGenerateAgainstFullCheck:
+    """``generate`` checks only touched nodes and skips exact repeats;
+    the oracle checks every child in full and skips nothing."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["shaft", "gearbox"])
+    @pytest.mark.parametrize("max_designs", [1000, 37])
+    def test_results_equal_the_oracle(self, request, name, depth, max_designs):
+        grammar = request.getfixturevalue(name)
+        # dataclass equality: designs, derivations with their matches,
+        # certificates and depths
+        assert gr.generate(grammar, depth, max_designs) == \
+            oracles.generate_full_check(grammar, depth, max_designs)
+
+    def test_children_equal_as_designs_but_not_in_colour_are_both_kept(self):
+        # 1 == True, so the two children are equal Designs; their colours
+        # (and certificates) differ, so neither is a repeat of the other
+        vocab = gr.Vocabulary.make({"cell": {"v": SetDomain((0, 1, True))}}, [])
+        rules = tuple(
+            gr.Rule(f"set_{type(value).__name__}",
+                    lhs=gr.PatternGraph((gr.PatternNode(
+                        "x", "cell", (gr.AttrPredicate("v", "eq", 0),)),)),
+                    rhs=gr.RhsGraph((gr.RhsNode.make("x", "cell", {"v": value}),)),
+                    anchors=(("x", "x"),))
+            for value in (1, True)
+        )
+        grammar = gr.Grammar(vocab, rules, gr.Design((gr.GraphNode.make("a", "cell", {"v": 0}),)))
+        result = gr.generate(grammar, 1, 10)
+        assert len(result) == 3
+        assert result == oracles.generate_full_check(grammar, 1, 10)
+
+    @staticmethod
+    def swap_cell_grammar():
+        # The rule removes the matched cell and adds one that copies 3 out
+        # of the source; the new cell gets the removed cell's id "n0", so
+        # only an identity comparison sees that it is not the parent's.
+        vocab = gr.Vocabulary.make(
+            {"cell": {"v": SetDomain((1, 2))}, "source": {"w": SetDomain((1, 2, 3))}}, [])
+        axiom = gr.Design((gr.GraphNode.make("n0", "cell", {"v": 1}),
+                           gr.GraphNode.make("s", "source", {"w": 3})))
+        rule = gr.Rule(
+            "swap_cell",
+            lhs=gr.PatternGraph((gr.PatternNode("x", "cell"), gr.PatternNode("y", "source"))),
+            rhs=gr.RhsGraph((gr.RhsNode.make("y", "source"),
+                             gr.RhsNode.make("z", "cell", {"v": gr.CopyAttr("y", "w")}))),
+            anchors=(("y", "y"),),
+        )
+        return gr.Grammar(vocab, (rule,), axiom)
+
+    @staticmethod
+    def shaft_with(shaft, name):
+        if name == "copy_shape_to_diameter":
+            # a grooved section gets its shape as diameter, at depth 2
+            rule = gr.Rule(
+                name,
+                lhs=gr.PatternGraph((gr.PatternNode(
+                    "s", "section", (gr.AttrPredicate("shape", "eq", "grooved"),)),)),
+                rhs=gr.RhsGraph((gr.RhsNode.make(
+                    "s", "section", {"diameter": gr.CopyAttr("s", "shape")}),)),
+                anchors=(("s", "s"),),
+            )
+        else:
+            # a finished end is relabelled a section and keeps its attribute
+            rule = gr.Rule(
+                name,
+                lhs=gr.PatternGraph((gr.PatternNode(
+                    "e", "end", (gr.AttrPredicate("finished", "eq", True),)),)),
+                rhs=gr.RhsGraph((gr.RhsNode.make("e", "section"),)),
+                anchors=(("e", "e"),),
+            )
+        return gr.add_rule(shaft, rule)
+
+    @pytest.mark.parametrize("name, message", [
+        ("copy_shape_to_diameter",
+         "result of rule 'copy_shape_to_diameter': node 's1': "
+         "value 'grooved' outside domain of 'diameter'"),
+        ("end_to_section",
+         "result of rule 'end_to_section': node 'e1': missing attribute 'diameter'; "
+         "node 'e1': missing attribute 'length'; node 'e1': missing attribute 'shape'; "
+         "node 'e1': undeclared attribute 'finished'"),
+        ("swap_cell",
+         "result of rule 'swap_cell': node 'n0': value 3 outside domain of 'v'"),
+    ], ids=["copy_shape_to_diameter", "end_to_section", "swap_cell"])
+    def test_vocabulary_violation_message_equals_the_oracle(self, shaft, name, message):
+        if name == "swap_cell":
+            grammar = self.swap_cell_grammar()
+        else:
+            grammar = self.shaft_with(shaft, name)
+        for run in (gr.generate, oracles.generate_full_check):
+            with pytest.raises(gr.VocabularyError) as caught:
+                run(grammar, 4, 1000)
+            assert str(caught.value) == message, run
+
+    @pytest.mark.parametrize("name, checks, forms, oracle_forms", [
+        ("shaft", 0, 401, 1082),
+        ("gearbox", 0, 469, 549),
+    ])
+    def test_work_counters_are_pinned(self, request, monkeypatch, name, checks, forms,
+                                      oracle_forms):
+        # Without the axiom check (done by Grammar), the oracle checks and
+        # certifies every child; generate checks none of these valid ones
+        # in full and certifies no exact repeat.
+        grammar = request.getfixturevalue(name)
+        calls = {"require_valid": 0, "canonical_form": 0}
+        require_valid, canonical_form = gr.Vocabulary.require_valid, gr.canonical_form
+
+        def counted_require_valid(self, design, context):
+            calls["require_valid"] += 1
+            return require_valid(self, design, context)
+
+        def counted_canonical_form(design):
+            calls["canonical_form"] += 1
+            return canonical_form(design)
+
+        monkeypatch.setattr(gr.Vocabulary, "require_valid", counted_require_valid)
+        monkeypatch.setattr(gr, "canonical_form", counted_canonical_form)
+        gr.generate(grammar, 5, 1000)
+        assert calls == {"require_valid": checks, "canonical_form": forms}
+        calls.update(require_valid=0, canonical_form=0)
+        oracles.generate_full_check(grammar, 5, 1000)
+        assert calls == {"require_valid": oracle_forms - 1, "canonical_form": oracle_forms}
+
+
 class TestModify:
     def test_remove_then_readd_restores_generation(self, shaft):
         index = [r.name for r in shaft.rules].index("widen_section")
@@ -575,3 +698,46 @@ class TestParseGrammar:
         data = self.shaft_with_end_predicate({"attr": "finished", "op": "in", "value": [False]})
         assert gr.generate(gr.parse_grammar(data), 3, 100).canonical_forms() == \
             gr.generate(shaft, 3, 100).canonical_forms()
+
+    @pytest.mark.parametrize("path, message", [
+        pytest.param(path, message, id=".".join(map(str, path)))
+        for path, message in [
+            (("axiom", "nodes"), "$.axiom.nodes: 'nodes' must be an array"),
+            (("axiom", "edges"), "$.axiom.edges: 'edges' must be an array"),
+            (("rules",), "$.rules: 'rules' must be an array"),
+            (("rules", 0, "lhs", "nodes"), "$.rules[0].lhs.nodes: 'nodes' must be an array"),
+            (("rules", 0, "lhs", "edges"), "$.rules[0].lhs.edges: 'edges' must be an array"),
+            (("rules", 0, "lhs", "nodes", 1, "where"),
+             "$.rules[0].lhs.nodes[1].where: 'where' must be an array"),
+            (("rules", 0, "rhs", "nodes"), "$.rules[0].rhs.nodes: 'nodes' must be an array"),
+            (("rules", 0, "rhs", "edges"), "$.rules[0].rhs.edges: 'edges' must be an array"),
+        ]
+    ])
+    @pytest.mark.parametrize("value", [3, {"a": 1}, None], ids=["int", "object", "null"])
+    def test_non_array_is_a_located_schema_error(self, path, message, value):
+        doc = json.loads(load_fixture_bytes("shaft.grammar.json"))
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        with pytest.raises(gr.SchemaError) as caught:
+            gr.parse_grammar(json.dumps(doc))
+        assert str(caught.value) == message
+
+    def test_non_string_anchor_target_is_a_located_schema_error(self):
+        doc = json.loads(load_fixture_bytes("shaft.grammar.json"))
+        doc["rules"][0]["anchors"]["s"] = ["s"]
+        with pytest.raises(gr.SchemaError) as caught:
+            gr.parse_grammar(json.dumps(doc))
+        assert str(caught.value) == "$.rules[0].anchors.s: anchor target must be a string"
+
+    def test_copy_of_undeclared_attribute_is_rejected(self):
+        doc = json.loads(load_fixture_bytes("shaft.grammar.json"))
+        # groove_section: the section's diameter copies a missing attribute
+        doc["rules"][1]["rhs"]["nodes"][0]["attrs"]["diameter"] = \
+            {"copy": {"node": "s", "attr": "nope"}}
+        with pytest.raises(gr.SchemaError) as caught:
+            gr.parse_grammar(json.dumps(doc))
+        assert str(caught.value) == (
+            "$: rule 'groove_section': RHS node 's': copy references undeclared "
+            "attribute 'nope' of LHS node 's'")

@@ -11,9 +11,10 @@ Two search problems are solved at desk scale:
 Truth vectors are packed into integers, one bit per row.  Topology
 generation first computes the exact fewest number of gates the table
 needs, breadth first over sets of computed truth vectors (Knuth's
-minimum-cost computation, TAOCP 4A 7.1.2).  A count above the bound is
-UNSAT without enumerating a topology; otherwise the search starts at
-that count, since no smaller one can succeed.
+minimum-cost computation, TAOCP 4A 7.1.2), testing each set as it is
+made and never storing the last level.  A count above the bound is UNSAT
+without enumerating a topology; otherwise the search starts at that
+count, since no smaller one can succeed.
 
 Topologies and gate assignments are then searched together, in one
 depth-first walk over canonical slot sequences that shares each slot
@@ -32,8 +33,8 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
-from typing import Optional, Sequence
+from itertools import combinations, product
+from typing import Collection, Optional, Sequence
 
 from .funcstruct import (
     BoundaryTerminal,
@@ -249,7 +250,8 @@ def evaluate(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(
             f"expected {len(topo.inputs)} input bits, got {len(bits)}"
         )
-    if any(b not in (0, 1) for b in bits):
+    # True == 1 and 1.0 == 1 in Python, but neither is a bit
+    if not all(type(b) is int and b in (0, 1) for b in bits):
         raise ValueError("input bits must be 0 or 1")
     values = list(bits)
     for gate, sources in zip(circuit.gates, topo.source_indices()):
@@ -395,30 +397,22 @@ def _slot_sequence_to_topology(input_names: tuple[str, ...],
     return Topology(input_names, gate_slots, tuple(f"s{j}" for j in output_slots))
 
 
-def _one_gate_makes(target: int, signals: frozenset[int], full: int) -> bool:
-    """Whether a single gate over ``signals`` computes ``target``, which is
-    not itself a signal (so IDENTITY cannot)."""
-    if target ^ full in signals:  # NOT
+def _gate_with_new(target: int, new: Collection[int], signals: frozenset[int],
+                   full: int) -> bool:
+    """Whether a gate reading a value ``v`` of ``new`` computes ``target``:
+    NOT ``v``, or ``v`` XOR a signal, AND a superset or OR a subset.  With
+    ``new`` equal to ``signals``, whether any gate over them does."""
+    if target ^ full in new or any(s ^ target in new for s in signals):
         return True
-    supersets, subsets = [], []
-    for a in signals:
-        if a ^ target in signals:  # XOR
-            return True
-        if a & target == target:
-            supersets.append(a)
-        if a | target == target:
-            subsets.append(a)
-    # AND of two supersets, OR of two subsets; AND or OR of one signal
-    # with itself gives that signal back, never the target
-    return any(a & b == target for i, a in enumerate(supersets) for b in supersets[i + 1:]) \
-        or any(a | b == target for i, a in enumerate(subsets) for b in subsets[i + 1:])
+    return any(v & s == target for v in new if v & target == target for s in signals) \
+        or any(v | s == target for v in new if v | target == target for s in signals)
 
 
-#: Slot-value sets ``_fewest_gates`` keeps in one level (tens of MB).  A
-#: level that outgrows it ends the bound early with the count proven so
-#: far; the topology walk takes over from there, and the same capped
-#: bound still drops its hopeless prefixes.  Three-input single-output
-#: tables stay well below it at any count.
+#: Slot-value sets ``_fewest_gates`` stores in one level (tens of MB).  A
+#: stored level that outgrows it ends the bound early with the count
+#: proven so far; the last level is never stored, so never capped.  The
+#: topology walk takes over, and the capped bound still drops hopeless
+#: prefixes.  Three-input single-output tables stay well below it.
 _BOUND_STATES = 100_000
 
 
@@ -426,8 +420,8 @@ def _fewest_gates(input_vecs: Sequence[int], targets: Sequence[int], full: int,
                   max_gates: int) -> Optional[int]:
     """Smallest gate count, up to ``max_gates``, of a circuit whose slots
     carry every target vector; ``None`` if more gates are needed.  If a
-    level outgrows ``_BOUND_STATES``, the count proven so far is returned
-    instead: still a lower bound, no longer exact.
+    stored level outgrows ``_BOUND_STATES``, the count proven so far is
+    returned instead: still a lower bound, no longer exact.
 
     This is the minimum-cost computation over sets of computed functions
     (Knuth, TAOCP 4A, 7.1.2), searched breadth first over *sets* of slot
@@ -444,44 +438,49 @@ def _fewest_gates(input_vecs: Sequence[int], targets: Sequence[int], full: int,
     visited, and every visited set comes from a real circuit, so the
     count is exact.
 
-    Before a level is expanded, each of its states is checked for
-    whether one more gate finishes it, and states missing more targets
-    than gates remain are dropped.
+    One pass per level computes a state's one-gate values once and tests
+    each child as its value ``v`` is made.  No stored state finishes with
+    one more gate (the root is tested first, later states as children),
+    so a child lacking only ``t`` does iff that gate reads ``v``, or ``v``
+    was the other missing target and ``t`` is new too.  Only levels to be
+    expanded are stored, without states lacking more targets than gates.
     """
     inputs = frozenset(input_vecs)
     wanted = frozenset(targets)
     held = len(wanted & inputs)
     wanted -= inputs
     budget = max_gates - held
-    if budget < 0:
+    if len(wanted) > budget:
         return None
     if not wanted:
         return held
+    if len(wanted) == 1 and _gate_with_new(next(iter(wanted)), inputs, inputs, full):
+        return held + 1
     frontier: set[frozenset[int]] = {frozenset()}
-    for gate_count in range(1, budget + 1):
-        for state in frontier:
-            missing = wanted - state
-            if len(missing) == 1 and _one_gate_makes(next(iter(missing)),
-                                                     inputs | state, full):
-                return held + gate_count
-        left = budget - gate_count
-        if left == 0:
-            break
+    for size in range(budget - 1):  # children of size + 1 values finish at size + 2
+        left = budget - size - 1
         grown: set[frozenset[int]] = set()
         for state in frontier:
             signals = inputs | state
-            short = len(wanted - state)
-            values = tuple(signals)
-            made = {0}  # a XOR a
-            for i, a in enumerate(values):
-                made.add(a ^ full)
-                for b in values[i + 1:]:
-                    made.update((a & b, a | b, a ^ b))
-            for v in made - signals:
-                if short - (v in wanted) <= left:
-                    grown.add(state | {v})
-            if len(grown) > _BOUND_STATES:
-                return held + gate_count + 1
+            missing = wanted - state
+            new = {a ^ full for a in signals}
+            new.add(0)  # a XOR a
+            add = new.add
+            for a, b in combinations(signals, 2):
+                add(a & b)
+                add(a | b)
+                add(a ^ b)
+            new -= signals
+            if len(missing) <= 2:
+                # children lacking only t: any new value, or the other target
+                for t in missing:
+                    rest = missing - {t}
+                    if rest <= new and (t in new or _gate_with_new(t, rest or new, signals, full)):
+                        return held + size + 2
+            if left > 1:
+                grown.update(state | {v} for v in (new if len(missing) <= left else new & missing))
+                if len(grown) > _BOUND_STATES:
+                    return held + size + 2
         frontier = grown
     return None
 

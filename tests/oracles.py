@@ -7,10 +7,11 @@ enumerated depth-first without canonical forms, generation checks every
 child against the whole vocabulary and skips no repeat, circuit
 satisfiability is decided by enumerating every gate chain directly,
 topology search is the enumerate-then-assign loop that preceded the fused
-walk, the interdependency index is counted by scanning the flow list once
-per vertex, and case similarity and reuse are the term-by-term
-``Fraction`` versions that preceded the integer kernel and the
-tokenise-once reuse.
+walk, the fewest-gates bound is the level-by-level search that preceded
+the per-child test, the interdependency index is counted by scanning the
+flow list once per vertex, and case similarity and reuse are the
+term-by-term ``Fraction`` versions that preceded the integer kernel and
+the tokenise-once reuse.
 """
 
 import json
@@ -18,7 +19,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from designbench import grammar as gr
 from designbench.casebase import (
@@ -33,7 +34,6 @@ from designbench.synth import (
     Requirement,
     _backward_cover,
     _closures,
-    _fewest_gates,
     _ref_choices,
     _search_assignment,
     _slot_sequence_to_topology,
@@ -424,7 +424,7 @@ def enumerate_then_assign(requirement: Requirement,
     full = (1 << 2 ** n) - 1
     input_vecs = requirement.input_vectors()
     targets = requirement.target_vectors()
-    fewest = _fewest_gates(input_vecs, targets, full, max_gates)
+    fewest = fewest_gates(input_vecs, targets, full, max_gates)
     if fewest is None:
         return None
     support_masks = [
@@ -463,6 +463,100 @@ def enumerate_then_assign(requirement: Requirement,
                 circuit = Circuit(topology, tuple(gates))
                 _verify(circuit, requirement)
                 return circuit
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Fewest gates by whole levels: the bound that preceded the per-child test
+
+def _one_gate_makes(target: int, signals: frozenset[int], full: int) -> bool:
+    """Whether a single gate over ``signals`` computes ``target``, which is
+    not itself a signal (so IDENTITY cannot)."""
+    if target ^ full in signals:  # NOT
+        return True
+    supersets, subsets = [], []
+    for a in signals:
+        if a ^ target in signals:  # XOR
+            return True
+        if a & target == target:
+            supersets.append(a)
+        if a | target == target:
+            subsets.append(a)
+    # AND of two supersets, OR of two subsets; AND or OR of one signal
+    # with itself gives that signal back, never the target
+    return any(a & b == target for i, a in enumerate(supersets) for b in supersets[i + 1:]) \
+        or any(a | b == target for i, a in enumerate(subsets) for b in subsets[i + 1:])
+
+
+#: Slot-value sets ``fewest_gates`` keeps in one level (tens of MB).  A
+#: level that outgrows it ends the bound early with the count proven so
+#: far; the topology walk takes over from there, and the same capped
+#: bound still drops its hopeless prefixes.  Three-input single-output
+#: tables stay well below it at any count.
+_BOUND_STATES = 100_000
+
+
+def fewest_gates(input_vecs: Sequence[int], targets: Sequence[int], full: int,
+                 max_gates: int) -> Optional[int]:
+    """Smallest gate count, up to ``max_gates``, of a circuit whose slots
+    carry every target vector; ``None`` if more gates are needed.  If a
+    level outgrows ``_BOUND_STATES``, the count proven so far is returned
+    instead: still a lower bound, no longer exact.
+
+    This is the minimum-cost computation over sets of computed functions
+    (Knuth, TAOCP 4A, 7.1.2), searched breadth first over *sets* of slot
+    values, one level per gate count.  A minimum circuit never holds a
+    slot whose vector equals an earlier signal, unless that slot is an
+    output carrying a target equal to a primary input that no earlier
+    slot holds: otherwise rewiring the slot's consumers (and outputs) to
+    the earlier signal would drop a gate.  So the gates worth counting
+    each add a vector that is not yet a signal, except for the one
+    IDENTITY slot per input-valued target.  Such a slot is never a useful
+    operand (its value is already an input), so those targets cost one
+    gate each and the search runs on the rest with the remaining gates.
+    Every slot-value set a minimum circuit passes through is therefore
+    visited, and every visited set comes from a real circuit, so the
+    count is exact.
+
+    Before a level is expanded, each of its states is checked for
+    whether one more gate finishes it, and states missing more targets
+    than gates remain are dropped.
+    """
+    inputs = frozenset(input_vecs)
+    wanted = frozenset(targets)
+    held = len(wanted & inputs)
+    wanted -= inputs
+    budget = max_gates - held
+    if budget < 0:
+        return None
+    if not wanted:
+        return held
+    frontier: set[frozenset[int]] = {frozenset()}
+    for gate_count in range(1, budget + 1):
+        for state in frontier:
+            missing = wanted - state
+            if len(missing) == 1 and _one_gate_makes(next(iter(missing)),
+                                                     inputs | state, full):
+                return held + gate_count
+        left = budget - gate_count
+        if left == 0:
+            break
+        grown: set[frozenset[int]] = set()
+        for state in frontier:
+            signals = inputs | state
+            short = len(wanted - state)
+            values = tuple(signals)
+            made = {0}  # a XOR a
+            for i, a in enumerate(values):
+                made.add(a ^ full)
+                for b in values[i + 1:]:
+                    made.update((a & b, a | b, a ^ b))
+            for v in made - signals:
+                if short - (v in wanted) <= left:
+                    grown.add(state | {v})
+            if len(grown) > _BOUND_STATES:
+                return held + gate_count + 1
+        frontier = grown
     return None
 
 

@@ -7,7 +7,7 @@ from designbench import funcstruct as fs
 from designbench import synth
 from designbench.synth import GateSlot, GateType, Requirement, Topology
 from conftest import load_fixture_bytes
-from oracles import chain_sat, enumerate_then_assign, pair_sat, reachable_sat
+from oracles import chain_sat, enumerate_then_assign, fewest_gates, pair_sat, reachable_sat
 
 
 def subtraction_oracle(a, b, bin_):
@@ -53,6 +53,13 @@ class TestEvaluate:
     def test_width_mismatch_rejected(self, subtractor_circuit):
         with pytest.raises(ValueError):
             synth.evaluate(subtractor_circuit, (0, 1))
+
+    @pytest.mark.parametrize("bits", [(True, 0, 1), (1.0, 0, 1), (0, 2, 1), (0, "1", 1)])
+    def test_non_bits_rejected(self, subtractor_circuit, bits):
+        # True == 1 and 1.0 == 1 in Python; a float used to reach the XOR
+        # gate and fail there with a TypeError
+        with pytest.raises(ValueError, match="input bits must be 0 or 1"):
+            synth.evaluate(subtractor_circuit, bits)
 
 
 class TestSynthesizeAssignment:
@@ -192,6 +199,24 @@ def _three_input_table(table):
     return Requirement(("a", "b", "c"), ("y",), rows)
 
 
+@pytest.fixture(scope="module")
+def level_bounds():
+    """The level-by-level oracle bound of every one-output three-input
+    table at max_gates 1-5 (no level reaches its cap)."""
+    input_vecs = _three_input_table(0).input_vectors()
+    return {(table, k): fewest_gates(input_vecs, [table], 255, k)
+            for table in range(256) for k in range(1, 6)}
+
+
+@pytest.fixture(scope="module")
+def pair_bounds():
+    """The level-by-level oracle bound of 300 seeded three-input pairs at
+    max_gates 1-5, keyed by (targets, max_gates)."""
+    input_vecs = _three_input_table(0).input_vectors()
+    return {(pair, k): fewest_gates(input_vecs, pair, 255, k)
+            for pair in _random_pairs(7, 300) for k in range(1, 6)}
+
+
 class TestFewestGates:
     # packed input columns: a = 0b1100 and b = 0b1010 on two inputs
     TWO_INPUTS = Requirement.from_function(("a", "b"), ("y",), lambda a, b: (a,)).input_vectors()
@@ -231,21 +256,53 @@ class TestFewestGates:
         pair = (targets[0], targets[-1])
         assert pair_sat(2, pair, fewest) and not pair_sat(2, pair, fewest - 1)
 
-    def test_capped_levels_give_a_lower_bound_and_the_same_circuits(self, monkeypatch):
+    def test_equals_level_oracle_on_every_three_input_table(self, level_bounds):
         input_vecs = _three_input_table(0).input_vectors()
-        exact = {(t, k): synth._fewest_gates(input_vecs, [t], 255, k)
-                 for t in range(256) for k in (1, 2, 3, 4)}
+        for (table, max_gates), expected in level_bounds.items():
+            assert synth._fewest_gates(input_vecs, [table], 255, max_gates) == expected, \
+                f"table {table:08b} at max_gates={max_gates}"
+
+    def test_equals_level_oracle_on_two_input_pairs(self):
+        for t1 in range(16):
+            for t2 in range(16):
+                for max_gates in (1, 2, 3, 4):
+                    assert synth._fewest_gates(self.TWO_INPUTS, [t1, t2], 15, max_gates) == \
+                        fewest_gates(self.TWO_INPUTS, [t1, t2], 15, max_gates), \
+                        f"targets ({t1:04b}, {t2:04b}) at max_gates={max_gates}"
+
+    def test_equals_level_oracle_on_random_three_input_pairs(self, pair_bounds):
+        input_vecs = _three_input_table(0).input_vectors()
+        for (pair, max_gates), expected in pair_bounds.items():
+            assert synth._fewest_gates(input_vecs, pair, 255, max_gates) == expected, \
+                f"targets {pair} at max_gates={max_gates}"
+
+    def test_capped_levels_give_a_lower_bound_and_the_same_circuits(
+            self, monkeypatch, level_bounds, pair_bounds):
+        input_vecs = _three_input_table(0).input_vectors()
+        exact = {((table,), k): fewest for (table, k), fewest in level_bounds.items()}
+        exact.update(pair_bounds)
         # one table each needing 3 gates, 4 gates and more than 4
-        tables = [next(t for t in range(256) if exact[t, 4] == size) for size in (3, 4, None)]
+        tables = [next(t for t in range(256) if level_bounds[t, 4] == size)
+                  for size in (3, 4, None)]
         uncapped = [synth.synthesize_topology(_three_input_table(t), 4) for t in tables]
         monkeypatch.setattr(synth, "_BOUND_STATES", 20)
-        for (table, max_gates), fewest in exact.items():
-            got = synth._fewest_gates(input_vecs, [table], 255, max_gates)
+        for (targets, max_gates), fewest in exact.items():
+            got = synth._fewest_gates(input_vecs, targets, 255, max_gates)
             if fewest is None:
                 assert got is None or got <= max_gates
             else:
                 assert got is not None and got <= fewest
         assert [synth.synthesize_topology(_three_input_table(t), 4) for t in tables] == uncapped
+
+    @pytest.mark.parametrize("table", [17611, 8271])
+    def test_four_input_tables_beyond_five_gates_are_exact(self, table):
+        # Both need more than 5 gates.  The level-by-level bound outgrew
+        # _BOUND_STATES on the level it built last and returned a capped 5,
+        # so the topology walk had to exhaust 5 gates.
+        req = _table([table], 4)
+        assert synth._fewest_gates(req.input_vectors(), [table], 0xFFFF, 5) is None
+        assert fewest_gates(req.input_vectors(), [table], 0xFFFF, 5) == 5
+        assert synth.synthesize_topology(req, 5) is None
 
     def test_subtractor_needs_exactly_five(self, subtractor_req):
         args = (subtractor_req.input_vectors(), subtractor_req.target_vectors(), 255)

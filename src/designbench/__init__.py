@@ -14,10 +14,12 @@ Modules:
   truth tables.
 * :mod:`designbench.classify` - method recommendation from a problem
   profile.
+* :mod:`designbench.jsonio` - the one JSON reader every ``parse_*``
+  function goes through, and ``SchemaError``.
 * :mod:`designbench.cli` - the ``designbench`` command.
 """
 
-from . import casebase, classify, domains, funcstruct, grammar, novelty, synth
+from . import casebase, classify, domains, funcstruct, grammar, jsonio, novelty, synth
 
 __all__ = [
     "casebase",
@@ -25,6 +27,7 @@ __all__ = [
     "domains",
     "funcstruct",
     "grammar",
+    "jsonio",
     "novelty",
     "synth",
 ]

@@ -21,20 +21,13 @@ tasks, it performs no automatic repair.
 from __future__ import annotations
 
 import heapq
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .funcstruct import (
-    FunctionStructure,
-    SchemaError,
-    _fraction_from_json,
-    interdependency_index,
-    problem_from_dict,
-    validate,
-)
+from .funcstruct import FunctionStructure, interdependency_index, problem_from_dict, validate
+from .jsonio import SchemaError, fraction_from_json, load_document
 
 DEFAULT_WEIGHTS = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 
@@ -326,8 +319,11 @@ def case_from_dict(doc: object, location: str) -> Case:
     sol = doc.get("solution")
     if not isinstance(sol, dict) or not isinstance(sol.get("description"), str):
         raise SchemaError("solution needs a string 'description'", f"{location}.solution")
+    raw_components = sol.get("components", [])
+    if not isinstance(raw_components, list):
+        raise SchemaError("'components' must be an array", f"{location}.solution.components")
     components = []
-    for i, c in enumerate(sol.get("components", [])):
+    for i, c in enumerate(raw_components):
         loc = f"{location}.solution.components[{i}]"
         if not isinstance(c, dict) or not isinstance(c.get("name"), str):
             raise SchemaError("component needs a string 'name'", loc)
@@ -341,37 +337,33 @@ def case_from_dict(doc: object, location: str) -> Case:
     return Case(doc["id"], problem, Solution(sol["description"], tuple(components)), domain)
 
 
-def parse_case_base(data: bytes | str) -> CaseBase:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
+def case_base_from_dict(doc: object, location: str = "$") -> CaseBase:
     if not isinstance(doc, list):
-        raise SchemaError("expected an array of cases")
-    cases = tuple(case_from_dict(c, f"$[{i}]") for i, c in enumerate(doc))
+        raise SchemaError("expected an array of cases", location)
+    cases = tuple(case_from_dict(c, f"{location}[{i}]") for i, c in enumerate(doc))
     try:
         return CaseBase(cases)
     except DuplicateCaseError as exc:
-        raise SchemaError(str(exc)) from exc
+        raise SchemaError(str(exc), location) from exc
 
 
-def parse_similarity_spec(data: bytes | str) -> SimilaritySpec:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
+def parse_case_base(data: bytes | str) -> CaseBase:
+    return case_base_from_dict(load_document(data))
+
+
+def similarity_spec_from_dict(doc: object, location: str = "$") -> SimilaritySpec:
     if not isinstance(doc, dict):
-        raise SchemaError("expected an object with weight fields")
+        raise SchemaError("expected an object with weight fields", location)
     weights = {}
     for key in ("function", "flow", "structure"):
         if key not in doc:
-            raise SchemaError(f"missing weight {key!r}", f"$.{key}")
-        weights[key] = _fraction_from_json(doc[key], f"$.{key}")
+            raise SchemaError(f"missing weight {key!r}", f"{location}.{key}")
+        weights[key] = fraction_from_json(doc[key], f"{location}.{key}")
     try:
         return SimilaritySpec(weights["function"], weights["flow"], weights["structure"])
     except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        raise SchemaError(str(exc), location) from exc
+
+
+def parse_similarity_spec(data: bytes | str) -> SimilaritySpec:
+    return similarity_spec_from_dict(load_document(data))

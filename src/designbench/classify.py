@@ -16,13 +16,12 @@ rationale as an annotation only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .funcstruct import SchemaError, _fraction_from_json
+from .jsonio import SchemaError, fraction_from_json, load_document
 from .novelty import DesignCategory
 
 
@@ -184,7 +183,7 @@ def profile_from_dict(doc: object, location: str = "$") -> ProblemProfile:
         ) from exc
     pi = None
     if doc.get("pi") is not None:
-        pi = _fraction_from_json(doc["pi"], f"{location}.pi")
+        pi = fraction_from_json(doc["pi"], f"{location}.pi")
     try:
         return ProblemProfile(doc["decomposable"], pi, novelty)
     except ValueError as exc:
@@ -192,13 +191,7 @@ def profile_from_dict(doc: object, location: str = "$") -> ProblemProfile:
 
 
 def parse_profile(data: bytes | str) -> ProblemProfile:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
-    return profile_from_dict(doc)
+    return profile_from_dict(load_document(data))
 
 
 _LEVELS = {"none": CapabilityLevel.NONE, "limited": CapabilityLevel.LIMITED,
@@ -224,7 +217,7 @@ def matrix_from_dict(doc: object, location: str = "$") -> tuple[MethodCapabiliti
                               f"{loc}.requires_decomposable")
         levels = {}
         for key in ("interdependencies", "innovation", "creativity"):
-            if row.get(key) not in _LEVELS:
+            if not isinstance(row.get(key), str) or row[key] not in _LEVELS:
                 raise SchemaError(f"'{key}' must be one of none/limited/full", f"{loc}.{key}")
             levels[key] = _LEVELS[row[key]]
         rows.append(
@@ -236,13 +229,7 @@ def matrix_from_dict(doc: object, location: str = "$") -> tuple[MethodCapabiliti
 
 
 def parse_matrix(data: bytes | str) -> tuple[MethodCapabilities, ...]:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
-    return matrix_from_dict(doc)
+    return matrix_from_dict(load_document(data))
 
 
 def report_to_dict(report: MethodReport) -> dict:

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import casebase, classify, funcstruct, grammar, novelty, synth
-from .funcstruct import SchemaError
+from .jsonio import SchemaError
 
 
 class _InputError(Exception):

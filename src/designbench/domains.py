@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+from .jsonio import SchemaError
+
 Scalar = Union[None, bool, int, float, str]
 _SCALARS = (type(None), bool, int, float, str)
 
@@ -130,8 +132,6 @@ def singleton(value: Scalar) -> SetDomain:
 
 
 def domain_from_dict(doc: object, location: str) -> Domain:
-    from .funcstruct import SchemaError
-
     if not isinstance(doc, dict) or len(doc) != 1:
         raise SchemaError("domain must be a one-key object", location)
     key, payload = next(iter(doc.items()))

@@ -22,38 +22,10 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Union
 
+from .jsonio import SchemaError, load_document
+
 INPUT = "input"
 OUTPUT = "output"
-
-
-class SchemaError(ValueError):
-    """A document does not conform to the on-disk schema.
-
-    ``location`` is a dotted/indexed path into the offending document,
-    e.g. ``"flows[3].source"``.
-    """
-
-    def __init__(self, message: str, location: str = "$"):
-        super().__init__(f"{location}: {message}")
-        self.location = location
-        self.reason = message
-
-
-def _fraction_from_json(value: object, location: str) -> Fraction:
-    """A JSON rational: an int, a float (read from its shortest repr) or a
-    string such as ``"3/10"``; anything else is a :class:`SchemaError`."""
-    try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, float):
-            return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"not a valid rational: {value!r}", location) from exc
-    raise SchemaError(f"not a valid rational: {value!r}", location)
 
 
 class InvalidStructureError(ValueError):
@@ -488,15 +460,7 @@ def problem_to_dict(problem: DesignProblem) -> dict:
 def parse_structure(data: bytes | str) -> DesignProblem:
     """Parse a ``.fs.json`` document.  Raises :class:`SchemaError` with a
     location for malformed documents, schema violations and duplicate ids."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if not data.strip():
-        raise SchemaError("empty document")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
-    return problem_from_dict(doc)
+    return problem_from_dict(load_document(data))
 
 
 def serialize_structure(problem: DesignProblem) -> bytes:

@@ -59,7 +59,7 @@ from .domains import (
     is_number,
     same_scalar,
 )
-from .funcstruct import SchemaError
+from .jsonio import SchemaError, load_document
 
 
 class VocabularyError(ValueError):
@@ -1188,13 +1188,7 @@ def grammar_from_dict(doc: object, location: str = "$") -> Grammar:
 
 
 def parse_grammar(data: bytes | str) -> Grammar:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
-    return grammar_from_dict(doc)
+    return grammar_from_dict(load_document(data))
 
 
 def design_to_dict(design: Design) -> dict:

@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-import json
 import math
 from typing import Mapping, Optional
 
 from .domains import Domain, Scalar, domain_from_dict, singleton
-from .funcstruct import SchemaError
+from .jsonio import SchemaError, load_document
 
 
 class DesignCategory(Enum):
@@ -188,13 +187,7 @@ def kb_from_dict(doc: object, location: str = "$") -> KnowledgeBase:
 
 
 def parse_knowledge_base(data: bytes | str) -> KnowledgeBase:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
-    return kb_from_dict(doc)
+    return kb_from_dict(load_document(data))
 
 
 def design_from_dict(doc: object, location: str = "$") -> DesignInstance:
@@ -216,10 +209,4 @@ def design_from_dict(doc: object, location: str = "$") -> DesignInstance:
 
 
 def parse_design_instance(data: bytes | str) -> DesignInstance:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
-    return design_from_dict(doc)
+    return design_from_dict(load_document(data))

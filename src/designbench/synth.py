@@ -36,13 +36,8 @@ from enum import Enum
 from itertools import combinations, product
 from typing import Collection, Optional, Sequence
 
-from .funcstruct import (
-    BoundaryTerminal,
-    Flow,
-    FunctionStructure,
-    FunctionVertex,
-    SchemaError,
-)
+from .funcstruct import BoundaryTerminal, Flow, FunctionStructure, FunctionVertex
+from .jsonio import SchemaError, load_document
 
 _SLOT_REF = re.compile(r"^s(\d+)$")
 
@@ -686,13 +681,7 @@ def requirement_from_dict(doc: object, location: str = "$") -> Requirement:
 
 
 def parse_requirement(data: bytes | str) -> Requirement:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
-    return requirement_from_dict(doc)
+    return requirement_from_dict(load_document(data))
 
 
 def topology_from_dict(doc: object, location: str = "$") -> Topology:
@@ -720,13 +709,7 @@ def topology_from_dict(doc: object, location: str = "$") -> Topology:
 
 
 def parse_topology(data: bytes | str) -> Topology:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
-    return topology_from_dict(doc)
+    return topology_from_dict(load_document(data))
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

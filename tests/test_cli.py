@@ -136,6 +136,20 @@ class TestGrammarGenerate:
         assert err == (f"error: {path}: $: rule 'groove_section': RHS node 's': copy "
                        "references undeclared attribute 'nope' of LHS node 's'\n")
 
+    # json.loads reads these as inf and nan, which the JSON output would
+    # then print as the non-JSON tokens inf and nan
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
+    def test_non_finite_number_is_input_error(self, tmp_path, capsys, literal):
+        grammar = json.loads((FIXTURES / "shaft.grammar.json").read_text())
+        grammar["vocabulary"]["node_labels"]["section"]["length"] = {"type": "float"}
+        grammar["axiom"]["nodes"][0]["attrs"]["length"] = "LENGTH"
+        path = tmp_path / "infinite.grammar.json"
+        path.write_text(json.dumps(grammar).replace('"LENGTH"', literal))
+        code, out, err = run_cli(capsys, "grammar-generate", path, "--max-depth", "1",
+                                 "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: $: not valid JSON: {literal} is not a finite number\n"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_reader_closing_early_exits_one_without_traceback(self, fmt):
         # 140 kB of text (470 kB of JSON) outgrow the pipe buffer, so the
@@ -184,6 +198,25 @@ class TestCbrRetrieve:
                                FIXTURES / "coil_winder.fs.json")
         assert code == 2
         assert "empty" in err
+
+    @pytest.mark.parametrize("components", [True, 1, None, "ab", {"name": "x"}],
+                             ids=["bool", "int", "null", "string", "object"])
+    def test_non_array_components_is_input_error(self, tmp_path, capsys, components):
+        cases = json.loads((FIXTURES / "winder_cases.cases.json").read_text())
+        cases[1]["solution"]["components"] = components
+        path = tmp_path / "components.cases.json"
+        path.write_text(json.dumps(cases))
+        code, out, err = run_cli(capsys, "cbr-retrieve", path, FIXTURES / "coil_winder.fs.json")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: $[1].solution.components: "
+                       "'components' must be an array\n")
+
+    def test_missing_components_means_none(self):
+        from designbench import casebase
+
+        cases = json.loads((FIXTURES / "winder_cases.cases.json").read_text())
+        del cases[1]["solution"]["components"]
+        assert casebase.parse_case_base(json.dumps(cases)).cases[1].solution.components == ()
 
 
 class TestSynth:
@@ -307,6 +340,18 @@ class TestClassify:
                                  "--matrix", matrix)
         assert (code, out) == (2, "")
         assert "$[1].method: duplicate method 'grammar_based'" in err
+
+    @pytest.mark.parametrize("level", [[], {}], ids=["array", "object"])
+    def test_non_string_capability_level_is_input_error(self, capsys, tmp_path, level):
+        rows = [{"method": "grammar_based", "requires_decomposable": True,
+                 "interdependencies": "full", "innovation": level, "creativity": "none"}]
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(rows))
+        code, out, err = run_cli(capsys, "classify", FIXTURES / "creative.profile.json",
+                                 "--matrix", path)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: $[0].innovation: "
+                       "'innovation' must be one of none/limited/full\n")
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "classify",

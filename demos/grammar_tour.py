@@ -44,7 +44,9 @@ assert gr.replay(shaft, deepest.derivation) == deepest.design
 
 print()
 print("=== editing the grammar ===")
-no_groove = gr.remove_rule(shaft, "groove_section")
+no_groove = gr.Grammar(shaft.vocabulary,
+                       tuple(r for r in shaft.rules if r.name != "groove_section"),
+                       shaft.axiom)
 print(f"without groove_section, depth 2 yields "
       f"{len(gr.generate(no_groove, 2, 10_000))} designs "
       f"(was {len(gr.generate(shaft, 2, 10_000))})")

@@ -36,8 +36,11 @@ with each automorphism found below it; it is the partition a rebuild
 from scratch would give, so the same branches are skipped.
 
 :func:`generate` does less work per child than rewriting and
-certifying it from scratch, with the same output.  A child is
-vocabulary-checked only on the nodes the rewrite touched, because its
+certifying it from scratch, with the same output.  A design indexes its
+nodes by label and its edges by ``(source, target, label)`` once, for
+every rule matched into it.  :func:`apply` keeps each node it leaves
+unchanged, anchored ones included, as the parent's own object, and a
+child is vocabulary-checked only on its other nodes, because its
 parent is valid and nothing else can have changed: a violation still
 gets the message of the full check.  A child identical to one built
 earlier at the same depth (commuting rewrites from different parents)
@@ -50,6 +53,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, product
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Sequence, Union
 
 from .domains import (
@@ -77,8 +82,18 @@ class DanglingEdgeError(ValueError):
 # ---------------------------------------------------------------------------
 # Designs
 
-# ``json.dumps(..., sort_keys=True)`` without building an encoder per call
+# ``json.dumps(..., sort_keys=True)`` for what ``_json_text`` does not write
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _json_text(value: object) -> str:
+    """``json.dumps(value, sort_keys=True)``; a str or an int is written
+    without ``JSONEncoder.encode``, which builds a C encoder per call."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return _KEY_ENCODER.encode(value)
 
 
 @dataclass(frozen=True)
@@ -97,7 +112,8 @@ class GraphNode:
     def colour_key(self) -> str:
         """JSON text of the label and attributes: the node's initial colour
         in :func:`canonical_form` and its entry in the certificate."""
-        return _KEY_ENCODER.encode([self.label, [[k, v] for k, v in self.attrs]])
+        pairs = ", ".join(f"[{_json_text(k)}, {_json_text(v)}]" for k, v in self.attrs)
+        return f"[{_json_text(self.label)}, [{pairs}]]"
 
     def attr_map(self) -> dict[str, Scalar]:
         return dict(self.attrs)
@@ -124,13 +140,28 @@ class Design:
     edges: tuple[GraphEdge, ...] = ()
 
     def __post_init__(self):
-        ids = [n.id for n in self.nodes]
-        if len(ids) != len(set(ids)):
+        if len({n.id for n in self.nodes}) != len(self.nodes):
             raise ValueError("node ids must be unique")
 
     @cached_property
     def _by_id(self) -> dict[str, GraphNode]:
         return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def _by_label(self) -> dict[str, list[GraphNode]]:
+        """The nodes of each label, in design order."""
+        by_label: dict[str, list[GraphNode]] = {}
+        for node in self.nodes:
+            by_label.setdefault(node.label, []).append(node)
+        return by_label
+
+    @cached_property
+    def _instances(self) -> dict[tuple[str, str, str], list[int]]:
+        """Edge indices per ``(source, target, label)``, ascending."""
+        instances: dict[tuple[str, str, str], list[int]] = {}
+        for idx, edge in enumerate(self.edges):
+            instances.setdefault((edge.source, edge.target, edge.label), []).append(idx)
+        return instances
 
     def node(self, node_id: str) -> GraphNode:
         return self._by_id[node_id]
@@ -306,9 +337,6 @@ class Rule:
     def anchor_map(self) -> dict[str, str]:
         return dict(self.anchors)
 
-    def anchored_rhs_ids(self) -> set[str]:
-        return {rhs for _, rhs in self.anchors}
-
 
 @dataclass(frozen=True)
 class Match:
@@ -446,7 +474,10 @@ def find_matches(rule: Rule, design: Design,
 
     Matching is injective homomorphism: unrelated context around the
     match is ignored.  Order follows lhs-node assignment order, then
-    matched edge indices, so results are stable run to run.
+    matched edge indices, so results are stable run to run.  Candidates
+    come from the design's index of nodes by label (in design order) and
+    edge instances from its index by ``(source, target, label)``, both
+    built once per design and shared by every rule matched into it.
     """
     if vocab is not None:
         vocab.require_valid(design, "design")
@@ -457,12 +488,8 @@ def find_matches(rule: Rule, design: Design,
     lhs_nodes = rule.lhs.nodes
     lhs_edges = rule.lhs.edges
     matches: list[Match] = []
-
-    # Design edge instances grouped per (source, target, label).
-    instances: dict[tuple[str, str, str], list[int]] = {}
-    for idx, edge in enumerate(design.edges):
-        instances.setdefault((edge.source, edge.target, edge.label), []).append(idx)
-
+    instances = design._instances
+    by_label = design._by_label
     assignment: dict[str, str] = {}
     used: set[str] = set()
 
@@ -490,11 +517,12 @@ def find_matches(rule: Rule, design: Design,
         return all(len(instances.get(t, [])) >= k for t, k in needed.items())
 
     def emit_edge_choices() -> None:
+        if not lhs_edges:
+            matches.append(Match(tuple((n.id, assignment[n.id]) for n in lhs_nodes)))
+            return
         groups = edge_groups()
         if groups is None:
             return
-        from itertools import combinations, product
-
         per_group = [list(combinations(avail, len(positions))) for positions, avail in groups]
         for picks in product(*per_group):
             slot: dict[int, int] = {}
@@ -513,12 +541,12 @@ def find_matches(rule: Rule, design: Design,
             emit_edge_choices()
             return
         pattern = lhs_nodes[i]
-        for node in design.nodes:
+        for node in by_label.get(pattern.label, ()):
             if node.id in used or not _node_matches(pattern, node):
                 continue
             assignment[pattern.id] = node.id
             used.add(node.id)
-            if count_ok():
+            if not lhs_edges or count_ok():
                 extend(i + 1)
             used.remove(node.id)
             del assignment[pattern.id]
@@ -527,18 +555,19 @@ def find_matches(rule: Rule, design: Design,
     return matches
 
 
-def _verify_match(rule: Rule, design: Design, match: Match) -> None:
+def _verify_match(rule: Rule, design: Design, match: Match) -> dict[str, str]:
+    """The match's node map, once the match is known to embed."""
     node_map = match.node_map()
     if set(node_map) != {n.id for n in rule.lhs.nodes}:
         raise StaleMatchError("match does not cover the rule's LHS nodes")
     if len(set(node_map.values())) != len(node_map):
         raise StaleMatchError("match is not injective")
-    node_ids = design.node_ids()
     for pattern in rule.lhs.nodes:
         target = node_map[pattern.id]
-        if target not in node_ids:
+        node = design._by_id.get(target)
+        if node is None:
             raise StaleMatchError(f"matched node {target!r} is gone")
-        if not _node_matches(pattern, design.node(target)):
+        if not _node_matches(pattern, node):
             raise StaleMatchError(f"node {target!r} no longer satisfies the pattern")
     if len(match.edges) != len(rule.lhs.edges):
         raise StaleMatchError("match does not cover the rule's LHS edges")
@@ -552,6 +581,7 @@ def _verify_match(rule: Rule, design: Design, match: Match) -> None:
                     pattern_edge.label)
         if (actual.source, actual.target, actual.label) != expected:
             raise StaleMatchError(f"edge {idx} no longer matches the pattern")
+    return node_map
 
 
 def _fresh_ids(existing: set[str], count: int) -> list[str]:
@@ -564,6 +594,16 @@ def _fresh_ids(existing: set[str], count: int) -> list[str]:
             existing.add(candidate)
         k += 1
     return out
+
+
+def _same_attrs(new: tuple, old: tuple) -> bool:
+    """``new == old`` in each value's type and JSON text too: ``1``, ``1.0``
+    and ``True`` are equal in Python, as are ``0.0`` and ``-0.0``, and
+    ``[1]`` and ``[True]``, but none of them in a design."""
+    return new == old and all(
+        type(a) is type(b) and (type(a) in (str, int, bool, type(None))
+                                or type(a) is float and repr(a) == repr(b))
+        for (_, a), (_, b) in zip(new, old))
 
 
 def _eval_expr(expr: AttrExpr, design: Design, node_map: dict[str, str]) -> Scalar:
@@ -579,24 +619,34 @@ def apply(rule: Rule, design: Design, match: Match,
     Raises :class:`StaleMatchError` if the match no longer embeds, and
     :class:`DanglingEdgeError` if an unmatched edge touches a node the
     rule removes.
+
+    A node the rule does not match is the parent's own object in the
+    result, and so is an anchored node the rewrite leaves as it was (same
+    label, and each attribute a value of the same type and JSON text);
+    every other node of the result is a new object.
     """
-    _verify_match(rule, design, match)
-    node_map = match.node_map()
+    node_map = _verify_match(rule, design, match)
     anchor = rule.anchor_map()
 
     removed = {node_map[n.id] for n in rule.lhs.nodes if n.id not in anchor}
     matched_edges = set(match.edges)
 
-    for idx, edge in enumerate(design.edges):
-        if idx in matched_edges:
-            continue
-        if edge.source in removed or edge.target in removed:
-            raise DanglingEdgeError(
-                f"edge {edge.source!r}->{edge.target!r} ({edge.label!r}) would dangle"
-            )
+    if removed:
+        for idx, edge in enumerate(design.edges):
+            if idx in matched_edges:
+                continue
+            if edge.source in removed or edge.target in removed:
+                raise DanglingEdgeError(
+                    f"edge {edge.source!r}->{edge.target!r} ({edge.label!r}) would dangle"
+                )
 
     rhs_by_id = {n.id: n for n in rule.rhs.nodes}
-    inverse_anchor = {rhs: lhs for lhs, rhs in anchor.items()}
+    # rhs id -> design id; new nodes get the first unused "n<k>" ids
+    placed = {rhs: node_map[lhs] for lhs, rhs in anchor.items()}
+    new_rhs = [n for n in rule.rhs.nodes if n.id not in placed]
+    if new_rhs:
+        fresh = _fresh_ids(design._by_id.keys() - removed, len(new_rhs))
+        placed.update(zip([n.id for n in new_rhs], fresh))
 
     # Anchored survivors: attribute updates (and possible relabel) in place.
     updates: dict[str, GraphNode] = {}
@@ -607,35 +657,18 @@ def apply(rule: Rule, design: Design, match: Match,
         attrs = current.attr_map()
         for attr, expr in rhs_node.attrs:
             attrs[attr] = _eval_expr(expr, design, node_map)
-        updates[design_id] = GraphNode.make(design_id, rhs_node.label, attrs)
+        items = tuple(sorted(attrs.items()))
+        if rhs_node.label == current.label and _same_attrs(items, current.attrs):
+            updates[design_id] = current
+        else:
+            updates[design_id] = GraphNode(design_id, rhs_node.label, items)
 
-    new_rhs_ids = [n.id for n in rule.rhs.nodes if n.id not in inverse_anchor]
-    existing_ids = (design.node_ids() - removed) | set(updates)
-    fresh = dict(zip(new_rhs_ids, _fresh_ids(set(existing_ids), len(new_rhs_ids))))
-
-    def rhs_to_design_id(rhs_id: str) -> str:
-        if rhs_id in inverse_anchor:
-            return node_map[inverse_anchor[rhs_id]]
-        return fresh[rhs_id]
-
-    nodes: list[GraphNode] = []
-    for node in design.nodes:
-        if node.id in removed:
-            continue
-        nodes.append(updates.get(node.id, node))
-    for rhs_id in new_rhs_ids:
-        rhs_node = rhs_by_id[rhs_id]
+    nodes = [updates.get(node.id, node) for node in design.nodes if node.id not in removed]
+    for rhs_node in new_rhs:
         attrs = {attr: _eval_expr(expr, design, node_map) for attr, expr in rhs_node.attrs}
-        nodes.append(GraphNode.make(fresh[rhs_id], rhs_node.label, attrs))
-
-    edges: list[GraphEdge] = [
-        edge for idx, edge in enumerate(design.edges) if idx not in matched_edges
-    ]
-    for edge in rule.rhs.edges:
-        edges.append(
-            GraphEdge(rhs_to_design_id(edge.source), rhs_to_design_id(edge.target),
-                      edge.label)
-        )
+        nodes.append(GraphNode.make(placed[rhs_node.id], rhs_node.label, attrs))
+    edges = [edge for idx, edge in enumerate(design.edges) if idx not in matched_edges]
+    edges += [GraphEdge(placed[e.source], placed[e.target], e.label) for e in rule.rhs.edges]
 
     result = Design(tuple(nodes), tuple(edges))
     if vocab is not None:
@@ -718,7 +751,7 @@ def canonical_form(design: Design) -> bytes:
     edges = [(index[e.source], index[e.target], e.label) for e in design.edges]
     labels = sorted({label for _, _, label in edges})
     label_rank = {label: r * n for r, label in enumerate(labels)}
-    encoded = {label: json.dumps(label) for label in labels}
+    encoded = {label: _json_text(label) for label in labels}
     out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s, t, label in edges:
@@ -905,7 +938,8 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
     would check it, with the same verdict and message, but only on the
     nodes the rewrite touched: the child's nodes that are not the very
     objects of the parent (compared by identity, since fresh ids may
-    reuse a removed node's id).  The parent is valid (the axiom is
+    reuse a removed node's id; an anchored node that :func:`apply`
+    leaves unchanged is the parent's object).  The parent is valid (the axiom is
     checked by :class:`Grammar`, every kept child here), unmatched edges
     keep their labels, the dangling-edge check keeps their endpoints,
     and :func:`check_rule` has checked the right side's edges and
@@ -945,9 +979,10 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
                     except DanglingEdgeError:
                         continue
                     exact = (tuple([(n.id, n.colour_key) for n in child.nodes]), child.edges)
-                    if exact in built:
-                        continue
+                    size = len(built)  # one hash of the key, not two
                     built.add(exact)
+                    if len(built) == size:
+                        continue
                     touched = [n for n in child.nodes if parent._by_id.get(n.id) is not n]
                     if vocab.check_design(Design(tuple(touched))):
                         vocab.require_valid(child, f"result of rule {rule.name!r}")
@@ -983,58 +1018,6 @@ def replay(grammar: Grammar, derivation: Derivation) -> Design:
     for step in derivation.steps:
         design = apply(grammar.rule(step.rule), design, step.match, grammar.vocabulary)
     return design
-
-
-# ---------------------------------------------------------------------------
-# Grammar modification
-
-@dataclass(frozen=True)
-class AddRule:
-    rule: Rule
-    index: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class RemoveRule:
-    name: str
-
-
-@dataclass(frozen=True)
-class ReplaceAxiom:
-    axiom: Design
-
-
-GrammarEdit = Union[AddRule, RemoveRule, ReplaceAxiom]
-
-
-def add_rule(grammar: Grammar, rule: Rule, index: Optional[int] = None) -> Grammar:
-    if any(r.name == rule.name for r in grammar.rules):
-        raise ValueError(f"rule {rule.name!r} already present")
-    rules = list(grammar.rules)
-    rules.insert(len(rules) if index is None else index, rule)
-    return Grammar(grammar.vocabulary, tuple(rules), grammar.axiom)
-
-
-def remove_rule(grammar: Grammar, name: str) -> Grammar:
-    if not any(r.name == name for r in grammar.rules):
-        raise KeyError(f"unknown rule: {name!r}")
-    return Grammar(
-        grammar.vocabulary,
-        tuple(r for r in grammar.rules if r.name != name),
-        grammar.axiom,
-    )
-
-
-def replace_axiom(grammar: Grammar, axiom: Design) -> Grammar:
-    return Grammar(grammar.vocabulary, grammar.rules, axiom)
-
-
-def modify(grammar: Grammar, edit: GrammarEdit) -> Grammar:
-    if isinstance(edit, AddRule):
-        return add_rule(grammar, edit.rule, edit.index)
-    if isinstance(edit, RemoveRule):
-        return remove_rule(grammar, edit.name)
-    return replace_axiom(grammar, edit.axiom)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@
 * ``NaN``, ``Infinity``, ``-Infinity`` and numbers that overflow a float,
   such as ``1e999``, are rejected: none is JSON (RFC 8259), and a value
   read from them could not be written back as JSON.
+* So is an integer longer than the interpreter's limit for integer string
+  conversion (``sys.get_int_max_str_digits()``, 4300 digits by default).
 
 The decoder is built once, at import, because ``json.loads`` with keyword
 arguments builds a new one per call.  :class:`SchemaError` and the
@@ -18,6 +20,7 @@ importing one another.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from json import JSONDecodeError, JSONDecoder
 from typing import NoReturn
@@ -62,6 +65,11 @@ def load_document(data: bytes | str) -> object:
         return _DECODER.decode(data)
     except JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}", f"line {exc.lineno}") from exc
+    except SchemaError:
+        raise
+    except ValueError as exc:  # the only other one: an integer too long to convert
+        raise SchemaError(f"not valid JSON: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def fraction_from_json(value: object, location: str) -> Fraction:

@@ -33,6 +33,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations, product
 from typing import Collection, Optional, Sequence
 
@@ -117,12 +118,20 @@ class Topology:
             return self.inputs.index(ref)
         raise ValueError(f"slot {slot_index}: unknown ref {ref!r}")
 
+    @cached_property
+    def _sources(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self._resolve(ref, j) for ref in slot.refs)
+                     for j, slot in enumerate(self.slots))
+
+    @cached_property
+    def _outputs(self) -> tuple[int, ...]:
+        return tuple(int(_SLOT_REF.match(ref).group(1)) for ref in self.outputs)
+
     def source_indices(self) -> list[tuple[int, ...]]:
-        return [tuple(self._resolve(ref, j) for ref in slot.refs)
-                for j, slot in enumerate(self.slots)]
+        return list(self._sources)
 
     def output_slots(self) -> tuple[int, ...]:
-        return tuple(int(_SLOT_REF.match(ref).group(1)) for ref in self.outputs)
+        return self._outputs
 
     def _reachable_slots(self) -> set[int]:
         n = len(self.inputs)
@@ -249,10 +258,10 @@ def evaluate(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
     if not all(type(b) is int and b in (0, 1) for b in bits):
         raise ValueError("input bits must be 0 or 1")
     values = list(bits)
-    for gate, sources in zip(circuit.gates, topo.source_indices()):
+    for gate, sources in zip(circuit.gates, topo._sources):
         values.append(_gate_value(gate, [values[s] for s in sources]))
     n = len(topo.inputs)
-    return tuple(values[n + j] for j in topo.output_slots())
+    return tuple(values[n + j] for j in topo._outputs)
 
 
 def _gate_vector(gate: GateType, operands: Sequence[int], full: int) -> int:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own algorithms: isomorphism is
 decided by trying node bijections, canonical forms are computed by an
 individualisation search that never prunes, derivation spaces are
-enumerated depth-first without canonical forms, generation checks every
+enumerated depth-first without canonical forms, matching scans every
+design node for each pattern node and groups edge instances per call,
+generation checks every
 child against the whole vocabulary and skips no repeat, circuit
 satisfiability is decided by enumerating every gate chain directly,
 topology search is the enumerate-then-assign loop that preceded the fused
@@ -18,7 +20,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterator, Mapping, Optional, Sequence
 
 from designbench import grammar as gr
@@ -189,6 +191,102 @@ def enumerate_designs(grammar: gr.Grammar, max_depth: int) -> list[gr.Design]:
 
     expand(grammar.axiom, 0)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Matching by scanning every node
+#
+# The library's ``find_matches`` before the per-design label and edge
+# indices, kept verbatim: each pattern node scans all design nodes, and
+# each call groups the design's edge instances anew.
+
+def _node_matches(pattern: gr.PatternNode, node: gr.GraphNode) -> bool:
+    if pattern.label != node.label:
+        return False
+    attrs = node.attr_map()
+    for pred in pattern.predicates:
+        if pred.attr not in attrs or not pred.holds(attrs[pred.attr]):
+            return False
+    return True
+
+
+def find_matches(rule: gr.Rule, design: gr.Design,
+                 vocab: Optional[gr.Vocabulary] = None) -> list[gr.Match]:
+    if vocab is not None:
+        vocab.require_valid(design, "design")
+        problems = gr.check_rule(vocab, rule)
+        if problems:
+            raise gr.VocabularyError(f"rule {rule.name!r}: " + "; ".join(problems))
+
+    lhs_nodes = rule.lhs.nodes
+    lhs_edges = rule.lhs.edges
+    matches: list[gr.Match] = []
+
+    # Design edge instances grouped per (source, target, label).
+    instances: dict[tuple[str, str, str], list[int]] = {}
+    for idx, edge in enumerate(design.edges):
+        instances.setdefault((edge.source, edge.target, edge.label), []).append(idx)
+
+    assignment: dict[str, str] = {}
+    used: set[str] = set()
+
+    def edge_groups() -> Optional[list[tuple[list[int], list[int]]]]:
+        """Group lhs edge positions by mapped design triple; None if short."""
+        groups: dict[tuple[str, str, str], list[int]] = {}
+        for pos, edge in enumerate(lhs_edges):
+            triple = (assignment[edge.source], assignment[edge.target], edge.label)
+            groups.setdefault(triple, []).append(pos)
+        out = []
+        for triple, positions in groups.items():
+            avail = instances.get(triple, [])
+            if len(avail) < len(positions):
+                return None
+            out.append((positions, avail))
+        out.sort(key=lambda pair: pair[0][0])
+        return out
+
+    def count_ok() -> bool:
+        needed: dict[tuple[str, str, str], int] = {}
+        for edge in lhs_edges:
+            if edge.source in assignment and edge.target in assignment:
+                triple = (assignment[edge.source], assignment[edge.target], edge.label)
+                needed[triple] = needed.get(triple, 0) + 1
+        return all(len(instances.get(t, [])) >= k for t, k in needed.items())
+
+    def emit_edge_choices() -> None:
+        groups = edge_groups()
+        if groups is None:
+            return
+        per_group = [list(combinations(avail, len(positions))) for positions, avail in groups]
+        for picks in product(*per_group):
+            slot: dict[int, int] = {}
+            for (positions, _), chosen in zip(groups, picks):
+                for pos, inst in zip(positions, chosen):
+                    slot[pos] = inst
+            matches.append(
+                gr.Match(
+                    nodes=tuple((n.id, assignment[n.id]) for n in lhs_nodes),
+                    edges=tuple(slot[i] for i in range(len(lhs_edges))),
+                )
+            )
+
+    def extend(i: int) -> None:
+        if i == len(lhs_nodes):
+            emit_edge_choices()
+            return
+        pattern = lhs_nodes[i]
+        for node in design.nodes:
+            if node.id in used or not _node_matches(pattern, node):
+                continue
+            assignment[pattern.id] = node.id
+            used.add(node.id)
+            if count_ok():
+                extend(i + 1)
+            used.remove(node.id)
+            del assignment[pattern.id]
+
+    extend(0)
+    return matches
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ Whatever the mutant, the run must end in exit code 0, 1 or 2; an
 exception escaping ``cli.run`` fails the test.  Search sizes are capped
 (``--max-depth 2``, ``--max-gates 3``) and the examples are a fixed
 sequence, so the test is bounded and repeatable.
+
+Numeric-literal mutants put a literal that ``json.dumps`` cannot write
+(an integer too long to convert, or a float that overflows) in place of
+one value; every reader must reject it at ingress with exit code 2.
 """
 
 import contextlib
@@ -113,5 +117,36 @@ def test_mutated_input_exits_cleanly(workdir, role, fixture, argv, fmt):
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.run(args)
         assert code in (0, 1, 2)
+
+    check()
+
+
+HUGE_LITERALS = {"huge integer": "7" * 5000, "huge exponent": "-1e99999"}
+_PLACEHOLDER = "NUMERIC-LITERAL-MUTANT"
+
+
+@pytest.mark.parametrize("literal", HUGE_LITERALS.values(), ids=list(HUGE_LITERALS))
+@pytest.mark.parametrize("role,fixture,argv", ROLES, ids=[role[0] for role in ROLES])
+def test_numeric_literal_mutant_exits_2(workdir, role, fixture, argv, literal):
+    doc = _MATRIX if fixture is None else load_fixture_json(fixture)
+    path = workdir / f"{role}-literal.json"
+    args = [str(path) if a == MUTANT else str(a) for a in argv]
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(list(_paths(doc))))
+    def check(where):
+        mutant = _PLACEHOLDER
+        if where:
+            mutant = copy.deepcopy(doc)
+            owner = mutant
+            for key in where[:-1]:
+                owner = owner[key]
+            owner[where[-1]] = _PLACEHOLDER
+        path.write_text(json.dumps(mutant).replace(f'"{_PLACEHOLDER}"', literal))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run(args)
+        assert code == 2, err.getvalue()
+        assert "not valid JSON" in err.getvalue()
 
     check()

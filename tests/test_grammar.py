@@ -228,6 +228,53 @@ class TestApply:
         new_node = next(n for n in grown.nodes if n.id != "a")
         assert new_node.get("v") == 41
 
+    def test_anchored_node_without_updates_is_the_parents_object(self, gearbox):
+        rule = gearbox.rule("add_gear_pair")
+        design = gr.replay(gearbox, gr.Derivation((gr.DerivationStep(
+            "add_gear_pair", gr.find_matches(rule, gearbox.axiom)[0]),)))
+        match = gr.find_matches(rule, design)[0]
+        child = gr.apply(rule, design, match, gearbox.vocabulary)
+        for _, design_id in match.nodes:
+            assert child.node(design_id) is design.node(design_id)
+        # every other node of the parent is kept as it was, too
+        for node in design.nodes:
+            assert child.node(node.id) is node
+
+    @staticmethod
+    def set_cell(old, new):
+        rule = gr.Rule("set", lhs=gr.PatternGraph((gr.PatternNode("x", "cell"),)),
+                       rhs=gr.RhsGraph((gr.RhsNode.make("x", "cell", {"v": new}),)),
+                       anchors=(("x", "x"),))
+        design = gr.Design((gr.GraphNode.make("a", "cell", {"v": old, "w": "s"}),))
+        return design, gr.apply(rule, design, gr.find_matches(rule, design)[0])
+
+    @pytest.mark.parametrize("old, new", [
+        (1, 1), ("s", "s"), (True, True), (None, None), (2.5, 2.5), (0.0, 0.0),
+    ])
+    def test_update_to_the_same_value_keeps_the_node(self, old, new):
+        design, child = self.set_cell(old, new)
+        assert child.node("a") is design.node("a")
+
+    @pytest.mark.parametrize("old, new", [
+        (1, 1.0), (1, True), (1.0, 1), (True, 1), (0, False), (0.0, -0.0), (1, 2),
+        ([1], [True]), ({"k": 1}, {"k": 1}),
+    ])
+    def test_update_to_another_type_or_text_gives_a_new_node(self, old, new):
+        design, child = self.set_cell(old, new)
+        node = child.node("a")
+        assert node is not design.node("a")
+        assert node == gr.GraphNode.make("a", "cell", {"v": new, "w": "s"})
+        assert type(node.get("v")) is type(new)
+        assert node.colour_key == json.dumps(["cell", [["v", new], ["w", "s"]]])
+
+    def test_relabelled_anchor_gives_a_new_node(self):
+        rule = gr.Rule("relabel", lhs=gr.PatternGraph((gr.PatternNode("x", "cell"),)),
+                       rhs=gr.RhsGraph((gr.RhsNode.make("x", "other"),)),
+                       anchors=(("x", "x"),))
+        design = gr.Design((gr.GraphNode.make("a", "cell", {"v": 1}),))
+        child = gr.apply(rule, design, gr.find_matches(rule, design)[0])
+        assert child.node("a") == gr.GraphNode.make("a", "other", {"v": 1})
+
 
 class TestCanonicalForm:
     def test_renamed_designs_share_canonical_form(self, shaft):
@@ -431,6 +478,61 @@ class TestCanonicalFormPruning:
             assert gr.canonical_form(design) == oracles.canonical_form(design)
 
 
+class TestColourKey:
+    @pytest.mark.parametrize("value", [
+        "plain", "s\u00e9 \u2603 \U0001f600", 'quote " back \\ \n\t\x00', "",
+        0, -7, 10**40, 0.5, -0.0, 1e300, 2.5e-8, float("nan"), float("inf"),
+        True, False, None,
+    ])
+    def test_equals_json_dumps(self, value):
+        node = gr.GraphNode.make("n", "l\u00e4bel", {"k": value, "\u00fc": 1, "a": "x"})
+        assert node.colour_key == \
+            json.dumps([node.label, [[k, v] for k, v in node.attrs]], sort_keys=True)
+
+    def test_node_without_attributes(self):
+        assert gr.GraphNode.make("n", "end").colour_key == '["end", []]'
+
+
+# Rules over the labels and edge labels of ``multigraphs``: one and
+# several pattern nodes, predicates, parallel pattern edges and a loop.
+_A, _B = gr.PatternNode("x", "a"), gr.PatternNode("y", "b")
+MATCH_RULES = [
+    gr.Rule(name, gr.PatternGraph(nodes, edges), gr.RhsGraph(()))
+    for name, nodes, edges in [
+        ("one_a", (_A,), ()),
+        ("a_with_x_1", (gr.PatternNode("x", "a", (gr.AttrPredicate("x", "eq", 1),)),), ()),
+        ("a_to_b", (_A, _B), (gr.PatternEdge("x", "y", "p"),)),
+        ("two_a", (_A, gr.PatternNode("y", "a")), ()),
+        ("double_a_to_a", (_A, gr.PatternNode("y", "a")),
+         (gr.PatternEdge("x", "y", "p"), gr.PatternEdge("x", "y", "p"))),
+        ("loop", (_B,), (gr.PatternEdge("y", "y", "q"),)),
+        ("path", (_A, _B, gr.PatternNode("z", "a")),
+         (gr.PatternEdge("x", "y", "p"), gr.PatternEdge("y", "z", "q"),
+          gr.PatternEdge("x", "y", "q"))),
+    ]
+]
+
+
+class TestMatchIndexAgainstOracle:
+    """``find_matches`` reads the per-design label and edge indices; the
+    oracle scans every node and groups the edges on each call."""
+
+    @pytest.mark.parametrize("name", ["shaft", "gearbox"])
+    def test_every_design_up_to_depth_four(self, request, name):
+        grammar = request.getfixturevalue(name)
+        designs = [g.design for g in gr.generate(grammar, 4, 10_000).designs]
+        assert len(designs) > 50
+        for design in designs:
+            for rule in grammar.rules:
+                assert gr.find_matches(rule, design) == oracles.find_matches(rule, design)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_random_designs(self, design):
+        for rule in MATCH_RULES:
+            assert gr.find_matches(rule, design) == oracles.find_matches(rule, design)
+
+
 class TestGenerate:
     def test_zero_rules_yields_axiom(self, shaft):
         bare = gr.Grammar(shaft.vocabulary, (), shaft.axiom)
@@ -548,7 +650,7 @@ class TestGenerateAgainstFullCheck:
                 rhs=gr.RhsGraph((gr.RhsNode.make("e", "section"),)),
                 anchors=(("e", "e"),),
             )
-        return gr.add_rule(shaft, rule)
+        return gr.Grammar(shaft.vocabulary, (*shaft.rules, rule), shaft.axiom)
 
     @pytest.mark.parametrize("name, message", [
         ("copy_shape_to_diameter",
@@ -599,49 +701,6 @@ class TestGenerateAgainstFullCheck:
         calls.update(require_valid=0, canonical_form=0)
         oracles.generate_full_check(grammar, 5, 1000)
         assert calls == {"require_valid": oracle_forms - 1, "canonical_form": oracle_forms}
-
-
-class TestModify:
-    def test_remove_then_readd_restores_generation(self, shaft):
-        index = [r.name for r in shaft.rules].index("widen_section")
-        rule = shaft.rule("widen_section")
-        edited = gr.add_rule(gr.remove_rule(shaft, "widen_section"), rule, index)
-        assert gr.generate(edited, 2, 10_000).canonical_forms() == \
-            gr.generate(shaft, 2, 10_000).canonical_forms()
-
-    def test_never_matching_rule_changes_nothing(self, shaft):
-        noop = gr.Rule(
-            "impossible",
-            lhs=gr.PatternGraph((gr.PatternNode(
-                "s", "section",
-                (gr.AttrPredicate("diameter", "gt", 99),),
-            ),)),
-            rhs=gr.RhsGraph((gr.RhsNode.make("s", "section"),)),
-            anchors=(("s", "s"),),
-        )
-        grown = gr.modify(shaft, gr.AddRule(noop))
-        assert gr.generate(grown, 2, 10_000).canonical_forms() == \
-            gr.generate(shaft, 2, 10_000).canonical_forms()
-
-    def test_removing_all_rules_leaves_axiom(self, shaft):
-        bare = shaft
-        for rule in shaft.rules:
-            bare = gr.modify(bare, gr.RemoveRule(rule.name))
-        assert len(gr.generate(bare, 3, 100)) == 1
-
-    def test_unknown_rule_name_rejected(self, shaft):
-        with pytest.raises(KeyError):
-            gr.remove_rule(shaft, "no_such_rule")
-
-    def test_replace_axiom_validates_against_vocabulary(self, shaft):
-        bad = gr.Design((gr.GraphNode.make("x", "mystery"),))
-        with pytest.raises(gr.VocabularyError):
-            gr.modify(shaft, gr.ReplaceAxiom(bad))
-
-    def test_original_grammar_untouched(self, shaft):
-        before = len(shaft.rules)
-        gr.remove_rule(shaft, "finish_shaft")
-        assert len(shaft.rules) == before
 
 
 class TestVocabulary:

@@ -37,6 +37,10 @@ BROKEN = [
     ("float overflow", '{"x": [1e999]}', "$: not valid JSON: 1e999 is not a finite number"),
     ("negative float overflow", "-1.5e400",
      "$: not valid JSON: -1.5e400 is not a finite number"),
+    ("integer too long to convert", '{"x": [' + "7" * 4301 + "]}",
+     "$: not valid JSON: an integer has more than 4300 digits"),
+    ("negative integer too long to convert", "-" + "7" * 5000,
+     "$: not valid JSON: an integer has more than 4300 digits"),
 ]
 
 
@@ -52,6 +56,7 @@ def test_ingress_message_is_pinned(reader, name, document, message, encode):
 def test_finite_floats_and_large_integers_are_read():
     assert jsonio.load_document(b'[0.1, -2.5e-3, 1e308, 12345678901234567890]') == \
         [0.1, -0.0025, 1e308, 12345678901234567890]
+    assert jsonio.load_document("7" * 4300) == int("7" * 4300)
 
 
 def test_schema_error_is_one_class():

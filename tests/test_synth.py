@@ -62,6 +62,20 @@ class TestEvaluate:
             synth.evaluate(subtractor_circuit, bits)
 
 
+    def test_wiring_is_resolved_from_the_refs(self, subtractor_topology):
+        topo = subtractor_topology
+        n = len(topo.inputs)
+        expected = [tuple(n + int(ref[1:]) if ref.startswith("s") and ref[1:].isdigit()
+                          else topo.inputs.index(ref) for ref in slot.refs)
+                    for slot in topo.slots]
+        assert topo.source_indices()[:3] == [(0, 1), (n, 2), (0,)]
+        assert topo.source_indices() == expected
+        assert topo.output_slots() == (1, 6)
+        # each call returns its own list, so a caller's edit stays its own
+        topo.source_indices().clear()
+        assert topo.source_indices() == expected
+
+
 class TestSynthesizeAssignment:
     def test_standard_subtractor_assignment(self, subtractor_circuit):
         names = [g.name for g in subtractor_circuit.gates]

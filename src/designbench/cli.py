@@ -114,17 +114,18 @@ def _fraction_doc(value: Fraction) -> dict:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+def _require_valid(path: str, report: funcstruct.ValidationReport) -> None:
+    if not report.ok:
+        messages = "; ".join(v.message for v in report.violations)
+        raise _InputError(f"{path}: invalid structure: {messages}")
+
+
 def _cmd_metrics(args) -> int:
     problem = _load(args.structure, funcstruct.parse_structure)
     if isinstance(problem, funcstruct.FunctionStructure):
-        report = funcstruct.validate(problem)
+        _require_valid(args.structure, funcstruct.validate(problem))
     else:
-        report = funcstruct.validate_blackbox(problem)
-    if not report.ok:
-        raise _InputError(
-            f"{args.structure}: invalid structure: "
-            + "; ".join(v.message for v in report.violations)
-        )
+        _require_valid(args.structure, funcstruct.validate_blackbox(problem))
     pi = funcstruct.interdependency_index(problem)
     decomposable = funcstruct.is_decomposable(problem)
     busy = sum(1 for d in problem.degrees.values() if d > 2) if decomposable else 0
@@ -208,6 +209,7 @@ def _cmd_cbr_retrieve(args) -> int:
     query = _load(args.query, funcstruct.parse_structure)
     if not isinstance(query, funcstruct.FunctionStructure):
         raise _InputError(f"{args.query}: the query must be a function structure")
+    _require_valid(args.query, funcstruct.validate(query))
     spec = casebase.SimilaritySpec()
     if args.simspec:
         spec = _load(args.simspec, casebase.parse_similarity_spec)

@@ -9,7 +9,10 @@ The interdependency index of a structure is the fraction of function
 vertices whose total degree exceeds two.  Flows to and from boundary
 terminals count toward a vertex's degree, but terminals themselves are
 never counted in the denominator.  All arithmetic is exact
-(:class:`fractions.Fraction`).
+(:class:`fractions.Fraction`).  :func:`validate` checks a structure in
+one pass over its graph with ids numbered once, finding cycles by Kahn's
+in-degree count (CACM 1962); its report keeps the order of the
+string-keyed check it replaced (``check_structure`` in the test oracles).
 """
 
 from __future__ import annotations
@@ -101,18 +104,6 @@ class FunctionStructure:
     terminals: tuple[BoundaryTerminal, ...] = ()
     flows: tuple[Flow, ...] = ()
 
-    def vertex_ids(self) -> set[str]:
-        return {v.id for v in self.vertices}
-
-    def terminal_ids(self) -> set[str]:
-        return {t.id for t in self.terminals}
-
-    def vertex(self, vertex_id: str) -> FunctionVertex:
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v
-        raise KeyError(f"unknown vertex id: {vertex_id!r}")
-
     def __getstate__(self) -> dict:
         # Pickle and copy only the fields: the cached values are rebuilt on
         # demand, and their read-only mapping proxies cannot be pickled.
@@ -177,128 +168,124 @@ def is_decomposable(problem: DesignProblem) -> bool:
 def validate(fs: FunctionStructure) -> ValidationReport:
     """Check every structural invariant; violations are data, not errors.
 
-    The report is computed once per structure and kept on it.
+    The report is computed once per structure, in O(V+F), and kept on it.
     """
     return fs._report
 
 
 def _check(fs: FunctionStructure) -> ValidationReport:
-    out: list[Violation] = []
+    """Every violation of ``fs``, in one pass over an interned graph.
 
-    seen: set[str] = set()
+    Ids are numbered once: vertices (``0 .. nv-1``), then terminals, then
+    unknown endpoints as flows name them.  ``kinds`` codes the kind of the
+    last terminal with each id (0 none, 1 input, 2 output, 3 other), so a
+    ``None`` kind still marks a terminal.  The order is the old check's:
+    ids and terminals, each flow's faults in list order, at most one cycle
+    (a yes/no fact, so any cycle search agrees), then off-path vertices.
+    """
+    out: list[Violation] = []
+    index: dict[str, int] = {}
     for v in fs.vertices:
-        if v.id in seen:
+        if v.id in index:
             out.append(Violation("duplicate-id", f"duplicate id {v.id!r}"))
-        seen.add(v.id)
+        else:
+            index[v.id] = len(index)
+    nv = len(index)
+    kinds = bytearray(nv)
+    inputs, outputs = [], []
     for t in fs.terminals:
-        if t.id in seen:
+        num = index.get(t.id)
+        if num is None:
+            num = index[t.id] = len(index)
+            kinds.append(0)
+        else:
             out.append(Violation("duplicate-id", f"duplicate id {t.id!r}"))
-        seen.add(t.id)
-        if t.kind not in (INPUT, OUTPUT):
-            out.append(
-                Violation("bad-terminal-kind", f"terminal {t.id!r} has kind {t.kind!r}")
-            )
+        if t.kind == INPUT:
+            kinds[num] = 1
+            inputs.append(num)
+        elif t.kind == OUTPUT:
+            kinds[num] = 2
+            outputs.append(num)
+        else:
+            kinds[num] = 3
+            out.append(Violation("bad-terminal-kind", f"terminal {t.id!r} has kind {t.kind!r}"))
         if not t.label:
             out.append(Violation("empty-label", f"terminal {t.id!r} has empty label"))
 
     if not fs.vertices:
         out.append(Violation("no-vertices", "structure has no function vertices"))
 
-    vertex_ids = fs.vertex_ids()
-    term_by_id = {t.id: t for t in fs.terminals}
-
+    known = len(index)
+    indegree = [0] * nv  # within the function vertices
+    succ: list[list[int]] = [[] for _ in index]
+    pred: list[list[int]] = [[] for _ in index]
+    number = index.get
     for i, f in enumerate(fs.flows):
-        for endpoint in (f.source, f.target):
-            if endpoint not in vertex_ids and endpoint not in term_by_id:
-                out.append(
-                    Violation("unknown-endpoint", f"flows[{i}] references {endpoint!r}")
-                )
-        if f.source in term_by_id and f.target in term_by_id:
-            out.append(
-                Violation(
-                    "terminal-terminal-flow",
-                    f"flows[{i}] connects two terminals ({f.source!r} -> {f.target!r})",
-                )
-            )
-        if f.target in term_by_id and term_by_id[f.target].kind == INPUT:
-            out.append(
-                Violation(
-                    "input-terminal-inflow",
-                    f"flows[{i}] enters input terminal {f.target!r}",
-                )
-            )
-        if f.source in term_by_id and term_by_id[f.source].kind == OUTPUT:
-            out.append(
-                Violation(
-                    "output-terminal-outflow",
-                    f"flows[{i}] leaves output terminal {f.source!r}",
-                )
-            )
+        a, b = number(f.source), number(f.target)
+        if a is None or b is None:
+            a = index.setdefault(f.source, len(index))
+            b = index.setdefault(f.target, len(index))
+            grow = len(index) - len(succ)
+            succ += [[] for _ in range(grow)]
+            pred += [[] for _ in range(grow)]
+            kinds += bytes(grow)
+        succ[a].append(b)
+        pred[b].append(a)
+        if a < nv and b < nv:
+            indegree[b] += 1
+        if a >= known:
+            out.append(Violation("unknown-endpoint", f"flows[{i}] references {f.source!r}"))
+        if b >= known:
+            out.append(Violation("unknown-endpoint", f"flows[{i}] references {f.target!r}"))
+        ka, kb = kinds[a], kinds[b]
+        if ka or kb:
+            if ka and kb:
+                out.append(Violation("terminal-terminal-flow", f"flows[{i}] connects two "
+                                     f"terminals ({f.source!r} -> {f.target!r})"))
+            if kb == 1:
+                out.append(Violation("input-terminal-inflow",
+                                     f"flows[{i}] enters input terminal {f.target!r}"))
+            if ka == 2:
+                out.append(Violation("output-terminal-outflow",
+                                     f"flows[{i}] leaves output terminal {f.source!r}"))
         if not f.label:
             out.append(Violation("empty-label", f"flows[{i}] has empty label"))
 
-    # Cycle check on the subgraph induced by function vertices.
-    succ: dict[str, list[str]] = {v: [] for v in vertex_ids}
-    for f in fs.flows:
-        if f.source in vertex_ids and f.target in vertex_ids:
-            succ[f.source].append(f.target)
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-
-    def has_cycle(start: str) -> bool:
-        stack = [(start, iter(succ[start]))]
-        state[start] = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt) == 0:
-                    return True
-                if nxt not in state:
-                    state[nxt] = 0
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 1
-                stack.pop()
-        return False
-
-    for v in vertex_ids:
-        if v not in state and has_cycle(v):
-            out.append(Violation("cycle", "flows between function vertices form a cycle"))
-            break
+    # Kahn: a cycle keeps some function vertex from reaching in-degree 0.
+    ready = [a for a in range(nv) if not indegree[a]]
+    removed = 0
+    while ready:
+        removed += 1
+        for b in succ[ready.pop()]:
+            if b < nv:
+                indegree[b] -= 1
+                if not indegree[b]:
+                    ready.append(b)
+    if removed < nv:
+        out.append(Violation("cycle", "flows between function vertices form a cycle"))
 
     # Every vertex must lie on some input-terminal -> output-terminal path.
-    inputs = {t.id for t in fs.terminals if t.kind == INPUT}
-    outputs = {t.id for t in fs.terminals if t.kind == OUTPUT}
-    fwd: dict[str, set[str]] = {}
-    back: dict[str, set[str]] = {}
-    for f in fs.flows:
-        fwd.setdefault(f.source, set()).add(f.target)
-        back.setdefault(f.target, set()).add(f.source)
-
-    def reachable(seeds: set[str], adjacency: dict[str, set[str]]) -> set[str]:
-        seen_r = set(seeds)
-        stack = list(seeds)
-        while stack:
-            for nxt in adjacency.get(stack.pop(), ()):
-                if nxt not in seen_r:
-                    seen_r.add(nxt)
-                    stack.append(nxt)
-        return seen_r
-
-    from_inputs = reachable(inputs, fwd)
-    to_outputs = reachable(outputs, back)
-    for v in fs.vertices:
-        if v.id not in from_inputs or v.id not in to_outputs:
-            out.append(
-                Violation(
-                    "off-path-vertex",
-                    f"vertex {v.id!r} is not on any input->output path",
-                )
-            )
+    from_inputs = _reachable(inputs, succ)
+    to_outputs = _reachable(outputs, pred)
+    if 0 in from_inputs[:nv] or 0 in to_outputs[:nv]:
+        for v in fs.vertices:
+            if not (from_inputs[index[v.id]] and to_outputs[index[v.id]]):
+                out.append(Violation("off-path-vertex",
+                                     f"vertex {v.id!r} is not on any input->output path"))
 
     return ValidationReport(tuple(out))
+
+
+def _reachable(seeds: list[int], adjacency: list[list[int]]) -> bytearray:
+    """A mark per number: 1 for the seeds and everything they reach."""
+    marked = bytearray(len(adjacency))
+    stack = list(seeds)
+    while stack:
+        a = stack.pop()
+        if not marked[a]:
+            marked[a] = 1
+            stack += adjacency[a]
+    return marked
 
 
 def validate_blackbox(box: BlackBox) -> ValidationReport:
@@ -384,6 +371,9 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
         if not isinstance(doc.get(key), list):
             raise SchemaError("expected an array", f"{location}.{key}")
 
+    # Fill each record field by field as the frozen-dataclass ``__init__``
+    # does, without the cost of calling it: the objects are the same.
+    new, setf = object.__new__, object.__setattr__
     seen_ids: set[str] = set()
     vertices = []
     for i, v in enumerate(doc["vertices"]):
@@ -398,7 +388,9 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
         label = v.get("label")
         if not isinstance(label, str):
             raise _located("expected a string", location, "vertices", i, "label")
-        vertices.append(FunctionVertex(vid, label))
+        vertices.append(vertex := new(FunctionVertex))
+        setf(vertex, "id", vid)
+        setf(vertex, "label", label)
 
     terminals = []
     for i, t in enumerate(doc["terminals"]):
@@ -418,7 +410,10 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
         label = t.get("label")
         if not isinstance(label, str):
             raise _located("expected a string", location, "terminals", i, "label")
-        terminals.append(BoundaryTerminal(tid, kind_t, label))
+        terminals.append(terminal := new(BoundaryTerminal))
+        setf(terminal, "id", tid)
+        setf(terminal, "kind", kind_t)
+        setf(terminal, "label", label)
 
     flows = []
     for i, f in enumerate(doc["flows"]):
@@ -431,7 +426,10 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
             raise _located("expected a string", location, "flows", i, "target")
         if not isinstance(label, str):
             raise _located("expected a string", location, "flows", i, "label")
-        flows.append(Flow(source, target, label))
+        flows.append(flow := new(Flow))
+        setf(flow, "source", source)
+        setf(flow, "target", target)
+        setf(flow, "label", label)
 
     return FunctionStructure(tuple(vertices), tuple(terminals), tuple(flows))
 

@@ -11,7 +11,8 @@ satisfiability is decided by enumerating every gate chain directly,
 topology search is the enumerate-then-assign loop that preceded the fused
 walk, the fewest-gates bound is the level-by-level search that preceded
 the per-child test, the interdependency index is counted by scanning the
-flow list once per vertex, and case similarity and reuse are the
+flow list once per vertex, structures are validated over string-keyed
+sets with a depth-first cycle search, and case similarity and reuse are the
 term-by-term ``Fraction`` versions that preceded the integer kernel and
 the tokenise-once reuse.
 """
@@ -30,7 +31,14 @@ from designbench.casebase import (
     DraftSolution,
     SimilaritySpec,
 )
-from designbench.funcstruct import FunctionStructure, interdependency_index
+from designbench.funcstruct import (
+    INPUT,
+    OUTPUT,
+    FunctionStructure,
+    ValidationReport,
+    Violation,
+    interdependency_index,
+)
 from designbench.synth import (
     Circuit,
     Requirement,
@@ -670,6 +678,131 @@ def flow_scan_pi(structure) -> Fraction:
         if sum((f.source == v.id) + (f.target == v.id) for f in structure.flows) > 2
     )
     return Fraction(busy, len(structure.vertices))
+
+
+# ---------------------------------------------------------------------------
+# Structure validation (verbatim from funcstruct before the interned
+# one-pass check, with the deleted ``vertex_ids()`` written out)
+
+def check_structure(fs: FunctionStructure) -> ValidationReport:
+    """The report of ``funcstruct.validate``, by string-keyed sets and maps,
+    a per-vertex iterator DFS for the cycle and dict-of-set reachability."""
+    out: list[Violation] = []
+
+    seen: set[str] = set()
+    for v in fs.vertices:
+        if v.id in seen:
+            out.append(Violation("duplicate-id", f"duplicate id {v.id!r}"))
+        seen.add(v.id)
+    for t in fs.terminals:
+        if t.id in seen:
+            out.append(Violation("duplicate-id", f"duplicate id {t.id!r}"))
+        seen.add(t.id)
+        if t.kind not in (INPUT, OUTPUT):
+            out.append(
+                Violation("bad-terminal-kind", f"terminal {t.id!r} has kind {t.kind!r}")
+            )
+        if not t.label:
+            out.append(Violation("empty-label", f"terminal {t.id!r} has empty label"))
+
+    if not fs.vertices:
+        out.append(Violation("no-vertices", "structure has no function vertices"))
+
+    vertex_ids = {v.id for v in fs.vertices}
+    term_by_id = {t.id: t for t in fs.terminals}
+
+    for i, f in enumerate(fs.flows):
+        for endpoint in (f.source, f.target):
+            if endpoint not in vertex_ids and endpoint not in term_by_id:
+                out.append(
+                    Violation("unknown-endpoint", f"flows[{i}] references {endpoint!r}")
+                )
+        if f.source in term_by_id and f.target in term_by_id:
+            out.append(
+                Violation(
+                    "terminal-terminal-flow",
+                    f"flows[{i}] connects two terminals ({f.source!r} -> {f.target!r})",
+                )
+            )
+        if f.target in term_by_id and term_by_id[f.target].kind == INPUT:
+            out.append(
+                Violation(
+                    "input-terminal-inflow",
+                    f"flows[{i}] enters input terminal {f.target!r}",
+                )
+            )
+        if f.source in term_by_id and term_by_id[f.source].kind == OUTPUT:
+            out.append(
+                Violation(
+                    "output-terminal-outflow",
+                    f"flows[{i}] leaves output terminal {f.source!r}",
+                )
+            )
+        if not f.label:
+            out.append(Violation("empty-label", f"flows[{i}] has empty label"))
+
+    # Cycle check on the subgraph induced by function vertices.
+    succ: dict[str, list[str]] = {v: [] for v in vertex_ids}
+    for f in fs.flows:
+        if f.source in vertex_ids and f.target in vertex_ids:
+            succ[f.source].append(f.target)
+    state: dict[str, int] = {}  # 0 visiting, 1 done
+
+    def has_cycle(start: str) -> bool:
+        stack = [(start, iter(succ[start]))]
+        state[start] = 0
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if state.get(nxt) == 0:
+                    return True
+                if nxt not in state:
+                    state[nxt] = 0
+                    stack.append((nxt, iter(succ[nxt])))
+                    advanced = True
+                    break
+            if not advanced:
+                state[node] = 1
+                stack.pop()
+        return False
+
+    for v in vertex_ids:
+        if v not in state and has_cycle(v):
+            out.append(Violation("cycle", "flows between function vertices form a cycle"))
+            break
+
+    # Every vertex must lie on some input-terminal -> output-terminal path.
+    inputs = {t.id for t in fs.terminals if t.kind == INPUT}
+    outputs = {t.id for t in fs.terminals if t.kind == OUTPUT}
+    fwd: dict[str, set[str]] = {}
+    back: dict[str, set[str]] = {}
+    for f in fs.flows:
+        fwd.setdefault(f.source, set()).add(f.target)
+        back.setdefault(f.target, set()).add(f.source)
+
+    def reachable(seeds: set[str], adjacency: dict[str, set[str]]) -> set[str]:
+        seen_r = set(seeds)
+        stack = list(seeds)
+        while stack:
+            for nxt in adjacency.get(stack.pop(), ()):
+                if nxt not in seen_r:
+                    seen_r.add(nxt)
+                    stack.append(nxt)
+        return seen_r
+
+    from_inputs = reachable(inputs, fwd)
+    to_outputs = reachable(outputs, back)
+    for v in fs.vertices:
+        if v.id not in from_inputs or v.id not in to_outputs:
+            out.append(
+                Violation(
+                    "off-path-vertex",
+                    f"vertex {v.id!r} is not on any input->output path",
+                )
+            )
+
+    return ValidationReport(tuple(out))
 
 
 # ---------------------------------------------------------------------------

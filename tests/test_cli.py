@@ -199,6 +199,26 @@ class TestCbrRetrieve:
         assert code == 2
         assert "empty" in err
 
+    def test_invalid_query_is_located_input_error(self, tmp_path, capsys):
+        # A self-loop: the query parses but does not validate.  The error
+        # names the query file, as ``metrics`` does for the same file.
+        loop = tmp_path / "loop.fs.json"
+        loop.write_text(json.dumps({
+            "kind": "structure",
+            "vertices": [{"id": "v", "label": "spin"}],
+            "terminals": [{"id": "in", "kind": "input", "label": "e"},
+                          {"id": "out", "kind": "output", "label": "e"}],
+            "flows": [{"source": "in", "target": "v", "label": "e"},
+                      {"source": "v", "target": "v", "label": "e"},
+                      {"source": "v", "target": "out", "label": "e"}],
+        }))
+        expected = f"error: {loop}: invalid structure: flows between function vertices form a cycle\n"
+        code, out, err = run_cli(capsys, "cbr-retrieve",
+                                 FIXTURES / "winder_cases.cases.json", loop)
+        assert (code, out, err) == (2, "", expected)
+        code, out, err = run_cli(capsys, "metrics", loop)
+        assert (code, out, err) == (2, "", expected)
+
     @pytest.mark.parametrize("components", [True, 1, None, "ab", {"name": "x"}],
                              ids=["bool", "int", "null", "string", "object"])
     def test_non_array_components_is_input_error(self, tmp_path, capsys, components):

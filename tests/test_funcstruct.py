@@ -1,16 +1,19 @@
 import copy
+import dataclasses
+import importlib.util
 import json
 import pickle
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from designbench import casebase as cb
 from designbench import funcstruct as fs
 from conftest import load_fixture_bytes, random_structure, relabel_structure
-from oracles import flow_scan_pi
+from oracles import check_structure, flow_scan_pi
 
 
 def chain(n: int) -> fs.FunctionStructure:
@@ -65,6 +68,212 @@ class TestValidate:
             s.vertices, s.terminals, s.flows + (fs.Flow("v0", "in0", "material"),)
         )
         assert "input-terminal-inflow" in fs.validate(bad).codes()
+
+
+def _load_bench_gen():
+    """``bench/gen.py`` (the benchmark's seeded generators), loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def hostile_structure(rng: random.Random) -> fs.FunctionStructure:
+    """A random structure, mostly invalid: ids drawn from a small pool, so
+    they repeat within and across vertices and terminals; terminal kinds
+    that include ``None``, ``1`` and ``"weird"``; empty labels; flows
+    between any two names of the pool or unknown names, self-loops and
+    parallel flows included."""
+    pool = [f"n{k}" for k in range(rng.randint(1, 8))]
+    vertices = tuple(fs.FunctionVertex(rng.choice(pool), rng.choice(("", "x", "y")))
+                     for _ in range(rng.randint(0, 6)))
+    terminals = tuple(
+        fs.BoundaryTerminal(rng.choice(pool),
+                            rng.choice(("input", "output", "input", "output", None, 1, "weird")),
+                            rng.choice(("", "e")))
+        for _ in range(rng.randint(0, 4))
+    )
+    names = pool + ["ghost", "other"]
+    flows = tuple(fs.Flow(rng.choice(names), rng.choice(names), rng.choice(("", "m", "s")))
+                  for _ in range(rng.randint(0, 12)))
+    return fs.FunctionStructure(vertices, terminals, flows)
+
+
+class TestValidateAgainstOracle:
+    """``validate`` gives the report of the string-keyed check it replaced:
+    the same violations, messages and order."""
+
+    @staticmethod
+    def same(s: fs.FunctionStructure) -> fs.ValidationReport:
+        report = fs.validate(s)
+        assert report == check_structure(s)
+        return report
+
+    def test_random_hostile_structures(self):
+        rng = random.Random(1203)
+        seen: set[str] = set()
+        for _ in range(5000):
+            seen |= self.same(hostile_structure(rng)).codes()
+        assert seen == {"duplicate-id", "bad-terminal-kind", "empty-label", "no-vertices",
+                        "unknown-endpoint", "terminal-terminal-flow", "input-terminal-inflow",
+                        "output-terminal-outflow", "cycle", "off-path-vertex"}
+
+    def test_id_both_vertex_and_terminal(self):
+        # "x" is a vertex and an output terminal; the later terminal "x"
+        # (an input) sets the kind its flows are checked against.
+        s = fs.FunctionStructure(
+            (fs.FunctionVertex("x", "a"), fs.FunctionVertex("y", "b"), fs.FunctionVertex("y", "c")),
+            (fs.BoundaryTerminal("x", "output", "e"), fs.BoundaryTerminal("i", "input", "e"),
+             fs.BoundaryTerminal("x", "input", "e")),
+            (fs.Flow("i", "x", "e"), fs.Flow("x", "y", "e"), fs.Flow("y", "x", "e")),
+        )
+        assert [(v.code, v.message) for v in self.same(s).violations] == [
+            ("duplicate-id", "duplicate id 'y'"),
+            ("duplicate-id", "duplicate id 'x'"),
+            ("duplicate-id", "duplicate id 'x'"),
+            ("terminal-terminal-flow", "flows[0] connects two terminals ('i' -> 'x')"),
+            ("input-terminal-inflow", "flows[0] enters input terminal 'x'"),
+            ("input-terminal-inflow", "flows[2] enters input terminal 'x'"),
+            ("cycle", "flows between function vertices form a cycle"),
+        ]
+
+    @pytest.mark.parametrize("kind", [None, 1, "weird"])
+    def test_terminal_of_unknown_kind_is_still_a_terminal(self, kind):
+        s = fs.FunctionStructure(
+            (fs.FunctionVertex("v", "a"),),
+            (fs.BoundaryTerminal("i", "input", "e"), fs.BoundaryTerminal("t", kind, "e"),
+             fs.BoundaryTerminal("o", "output", "e")),
+            (fs.Flow("i", "v", "e"), fs.Flow("v", "o", "e"), fs.Flow("t", "o", "e"),
+             fs.Flow("i", "t", "e"), fs.Flow("v", "t", "e")),
+        )
+        assert [(v.code, v.message) for v in self.same(s).violations] == [
+            ("bad-terminal-kind", f"terminal 't' has kind {kind!r}"),
+            ("terminal-terminal-flow", "flows[2] connects two terminals ('t' -> 'o')"),
+            ("terminal-terminal-flow", "flows[3] connects two terminals ('i' -> 't')"),
+        ]
+
+    def test_unknown_endpoint_named_by_several_flows(self):
+        s = fs.FunctionStructure(
+            chain(2).vertices, chain(2).terminals,
+            chain(2).flows + (fs.Flow("v0", "ghost", "m"), fs.Flow("ghost", "ghost", "m"),
+                              fs.Flow("ghost", "v1", "m")),
+        )
+        assert [v.message for v in self.same(s).violations] == [
+            "flows[3] references 'ghost'",
+            "flows[4] references 'ghost'",
+            "flows[4] references 'ghost'",
+            "flows[5] references 'ghost'",
+        ]
+
+    def test_self_loops_parallel_and_terminal_flows(self):
+        s = chain(3)
+        looped = fs.FunctionStructure(
+            s.vertices, s.terminals,
+            s.flows + (fs.Flow("v1", "v1", "m"), fs.Flow("v0", "v1", "m"),
+                       fs.Flow("in0", "out0", "m"), fs.Flow("out0", "in0", "m")),
+        )
+        assert self.same(looped).codes() == {"cycle", "terminal-terminal-flow",
+                                             "input-terminal-inflow", "output-terminal-outflow"}
+        parallel = fs.FunctionStructure(s.vertices, s.terminals, s.flows + s.flows)
+        assert self.same(parallel).ok
+
+    def test_empty_labels_and_no_vertices(self):
+        s = fs.FunctionStructure(
+            (), (fs.BoundaryTerminal("i", "input", ""), fs.BoundaryTerminal("o", "output", "e")),
+            (fs.Flow("i", "o", ""),),
+        )
+        assert [v.message for v in self.same(s).violations] == [
+            "terminal 'i' has empty label",
+            "structure has no function vertices",
+            "flows[0] connects two terminals ('i' -> 'o')",
+            "flows[0] has empty label",
+        ]
+        assert self.same(fs.FunctionStructure(())).codes() == {"no-vertices"}
+
+    def test_bench_size_shapes(self):
+        gen = _load_bench_gen()
+        rng = random.Random(0)
+        for size, shape in ((800, "chain"), (1200, "dag"), (1600, "chain"), (2000, "chain")):
+            doc = gen.chain(rng, size) if shape == "chain" else gen.random_dag(rng, size, window=8)
+            s = fs.problem_from_dict(doc)
+            assert self.same(s).ok
+            # A reversed copy of a vertex-to-vertex flow closes a cycle; a
+            # vertex with no way out is off path.
+            inner = next(f for f in s.flows if f.source in s.degrees and f.target in s.degrees)
+            broken = fs.FunctionStructure(
+                s.vertices + (fs.FunctionVertex("dead", "x"),), s.terminals,
+                s.flows + (fs.Flow(inner.target, inner.source, "m"),
+                           fs.Flow(s.vertices[1].id, "dead", "m")),
+            )
+            assert self.same(broken).codes() == {"cycle", "off-path-vertex"}
+
+    def test_long_ring_has_one_cycle_and_no_recursion(self):
+        s = chain(20_000)
+        ring = fs.FunctionStructure(s.vertices, s.terminals,
+                                    s.flows + (fs.Flow("v19999", "v0", "material"),))
+        assert self.same(ring).violations == (
+            fs.Violation("cycle", "flows between function vertices form a cycle"),
+        )
+
+
+class TestRecords:
+    """Records read from a document are the records the constructors build."""
+
+    DOC = {
+        "kind": "structure",
+        "vertices": [{"id": "a", "label": "wind wire"}],
+        "terminals": [{"id": "i", "kind": "input", "label": "wire"},
+                      {"id": "o", "kind": "output", "label": "wire"}],
+        "flows": [{"source": "i", "target": "a", "label": "wire"},
+                  {"source": "a", "target": "o", "label": "wire"}],
+    }
+
+    def pairs(self):
+        parsed = fs.problem_from_dict(self.DOC)
+        built = fs.FunctionStructure(
+            (fs.FunctionVertex("a", "wind wire"),),
+            (fs.BoundaryTerminal("i", "input", "wire"), fs.BoundaryTerminal("o", "output", "wire")),
+            (fs.Flow("i", "a", "wire"), fs.Flow("a", "o", "wire")),
+        )
+        assert parsed == built and hash(parsed) == hash(built)
+        return list(zip((*parsed.vertices, *parsed.terminals, *parsed.flows),
+                        (*built.vertices, *built.terminals, *built.flows)))
+
+    def test_equal_hash_repr_and_fields(self):
+        for parsed, built in self.pairs():
+            assert type(parsed) is type(built)
+            assert parsed == built and hash(parsed) == hash(built)
+            assert repr(parsed) == repr(built)
+            assert list(vars(parsed).items()) == list(vars(built).items())
+            assert dataclasses.astuple(parsed) == dataclasses.astuple(built)
+
+    def test_pickle_and_deepcopy(self):
+        for parsed, built in self.pairs():
+            for twin in (pickle.loads(pickle.dumps(parsed)), copy.deepcopy(parsed), copy.copy(parsed)):
+                assert type(twin) is type(built)
+                assert twin == built and hash(twin) == hash(built)
+
+    def test_frozen(self):
+        for parsed, _ in self.pairs():
+            field = dataclasses.fields(parsed)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(parsed, field, "changed")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del parsed.label
+
+    def test_records_of_different_types_never_equal(self):
+        parsed = fs.problem_from_dict({
+            "kind": "structure",
+            "vertices": [{"id": "a", "label": "b"}],
+            "terminals": [{"id": "t", "kind": "input", "label": "b"}],
+            "flows": [{"source": "t", "target": "input", "label": "b"}],
+        })
+        vertex, terminal, flow = parsed.vertices[0], parsed.terminals[0], parsed.flows[0]
+        assert flow != terminal and terminal != flow
+        assert flow != ("t", "input", "b") and vertex != ("a", "b")
+        assert vertex != fs.Flow("a", "b", "")
+        assert len({flow, terminal, vertex}) == 3
 
 
 class TestDegree:
@@ -192,7 +401,7 @@ class TestInterdependencyIndex:
             rng.shuffle(flows)
             s = fs.FunctionStructure(base.vertices, base.terminals, tuple(flows))
             parallel += len(flows) - len({(f.source, f.target) for f in flows})
-            ends = base.terminal_ids()
+            ends = {t.id for t in base.terminals}
             terminal += sum(1 for f in flows if f.source in ends or f.target in ends)
             expected = flow_scan_pi(s)
             assert fs.interdependency_index(s) == expected

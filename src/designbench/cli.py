@@ -9,7 +9,14 @@ identical inputs give byte-identical reports, equal byte for byte to
 The argument parser is built on the first ``run`` and reused.  JSON is
 written by a small recursive emitter over the C string encoder, because
 ``indent`` sends ``json.dumps`` to its pure-Python encoder, which costs
-more than most requests.
+more than most requests.  ``grammar-generate --format json`` builds no
+document at all: it writes the text straight from the designs.  A child
+design holds its parent's untouched nodes and edges as the very same
+objects, and every node and edge sits at one indentation, so each object
+is formatted once per request and its text reused wherever it appears.
+The texts are keyed by object identity, not equality: nodes that differ
+only in an attribute valued ``1``, ``1.0`` or ``True`` are equal but
+write three different texts.
 
 When the reader of standard output goes away early (``designbench ... |
 head -1``), ``main`` exits 1 without a traceback: it catches the
@@ -107,6 +114,47 @@ def _emit_json(doc: object) -> None:
     print(_indented_json(doc))
 
 
+def _json_list(texts: list[str], newline: str) -> str:
+    if not texts:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _node_json(node: grammar.GraphNode) -> str:
+    pieces = ['{\n            "attrs": ']
+    _append_json(dict(node.attrs), "", "\n            ", pieces)
+    pieces.append(f',\n            "id": {encode_basestring_ascii(node.id)}'
+                  f',\n            "label": {encode_basestring_ascii(node.label)}\n          }}')
+    return "".join(pieces)
+
+
+def _edge_json(edge: grammar.GraphEdge) -> str:
+    return (f'{{\n            "label": {encode_basestring_ascii(edge.label)}'
+            f',\n            "source": {encode_basestring_ascii(edge.source)}'
+            f',\n            "target": {encode_basestring_ascii(edge.target)}\n          }}')
+
+
+def _generation_json(result: grammar.GenerationResult) -> str:
+    """``_indented_json`` of ``{"count": ..., "designs": [{"depth": ...,
+    "derivation": [rule names], "design": design_to_dict(...)}, ...]}``."""
+    texts: dict[int, str] = {}  # by id(); ``result`` keeps each object alive
+
+    def entries(items: tuple, write) -> str:
+        return _json_list([texts.get(id(item)) or texts.setdefault(id(item), write(item))
+                           for item in items], "\n        ")
+
+    designs = [
+        f'{{\n      "depth": {int.__repr__(g.depth)},\n      "derivation": '
+        + _json_list([encode_basestring_ascii(s.rule) for s in g.derivation.steps], "\n      ")
+        + ',\n      "design": {\n        "edges": ' + entries(g.design.edges, _edge_json)
+        + ',\n        "nodes": ' + entries(g.design.nodes, _node_json) + "\n      }\n    }"
+        for g in result.designs
+    ]
+    return (f'{{\n  "count": {len(result)},\n  "designs": '
+            + _json_list(designs, "\n  ") + "\n}")
+
+
 def _fraction_doc(value: Fraction) -> dict:
     return {"fraction": str(value), "decimal": float(value)}
 
@@ -181,20 +229,11 @@ def _cmd_grammar_generate(args) -> int:
         result = grammar.generate(gram, args.max_depth, args.max_designs)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    except RecursionError as exc:
+        raise _InputError(f"{args.grammar}: too large to generate from "
+                          "(recursion limit reached)") from exc
     if args.format == "json":
-        _emit_json(
-            {
-                "count": len(result),
-                "designs": [
-                    {
-                        "design": grammar.design_to_dict(g.design),
-                        "depth": g.depth,
-                        "derivation": [s.rule for s in g.derivation.steps],
-                    }
-                    for g in result.designs
-                ],
-            }
-        )
+        print(_generation_json(result))
         return 0
     print(f"{len(result)} designs (depth <= {args.max_depth})")
     for i, g in enumerate(result.designs):

@@ -150,6 +150,48 @@ class TestGrammarGenerate:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: $: not valid JSON: {literal} is not a finite number\n"
 
+    def test_pattern_too_large_to_match_is_input_error(self, tmp_path, capsys):
+        # find_matches extends a partial embedding one pattern node per call
+        nodes = [{"id": f"n{i}", "label": "a"} for i in range(1050)]
+        path = tmp_path / "wide.grammar.json"
+        path.write_text(json.dumps({
+            "vocabulary": {"node_labels": {"a": {}}, "edge_labels": []},
+            "axiom": {"nodes": nodes, "edges": []},
+            "rules": [{"name": "all", "lhs": {"nodes": nodes, "edges": []},
+                       "rhs": {"nodes": nodes, "edges": []},
+                       "anchors": {n["id"]: n["id"] for n in nodes}}],
+        }))
+        code, out, err = run_cli(capsys, "grammar-generate", path, "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: too large to generate from (recursion limit reached)\n"
+
+    def test_axiom_too_symmetric_to_certify_is_input_error(self, tmp_path, capsys):
+        # canonical_form individualises one of n disjoint a -> b pairs per
+        # level; the limit is lowered so that 200 pairs reach it at once
+        pairs = 200
+        path = tmp_path / "pairs.grammar.json"
+        path.write_text(json.dumps({
+            "vocabulary": {"node_labels": {"a": {}, "b": {}}, "edge_labels": ["e"]},
+            "axiom": {
+                "nodes": [{"id": f"{label}{i}", "label": label}
+                          for i in range(pairs) for label in "ab"],
+                "edges": [{"source": f"a{i}", "target": f"b{i}", "label": "e"}
+                          for i in range(pairs)],
+            },
+            "rules": [],
+        }))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + pairs // 2)
+        try:
+            code, out, err = run_cli(capsys, "grammar-generate", path)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: too large to generate from (recursion limit reached)\n"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_reader_closing_early_exits_one_without_traceback(self, fmt):
         # 140 kB of text (470 kB of JSON) outgrow the pipe buffer, so the

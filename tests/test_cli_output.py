@@ -5,7 +5,9 @@
   stdout, of stderr and, for ``--fs-out``, of the written file.  Fixture
   paths are relative to the repository root, so a message naming a file
   does not depend on where the checkout lives.
-* The JSON emitter against ``json.dumps(v, indent=2, sort_keys=True)``.
+* The JSON emitter against ``json.dumps(v, indent=2, sort_keys=True)``,
+  and so is the ``grammar-generate`` writer, over the document the CLI
+  once built from ``grammar.design_to_dict``.
 * argparse usage errors, each parsed twice by the one shared parser.
 """
 
@@ -15,7 +17,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from designbench import cli
+from designbench import cli, grammar
 from conftest import FIXTURES
 
 ROOT = FIXTURES.parent
@@ -233,3 +235,82 @@ def test_emitter_equals_indented_json_dumps(value):
 def test_emitter_rejects_non_json_values():
     with pytest.raises(TypeError):
         cli._indented_json({"x": object()})
+
+
+def _generation_doc(result: grammar.GenerationResult) -> dict:
+    return {
+        "count": len(result),
+        "designs": [
+            {
+                "design": grammar.design_to_dict(g.design),
+                "depth": g.depth,
+                "derivation": [s.rule for s in g.derivation.steps],
+            }
+            for g in result.designs
+        ],
+    }
+
+
+def _assert_writer_matches(result: grammar.GenerationResult) -> None:
+    expected = json.dumps(_generation_doc(result), indent=2, sort_keys=True)
+    assert cli._generation_json(result) == expected
+
+
+@pytest.mark.parametrize("depth", range(1, 6))
+@pytest.mark.parametrize("name", ["shaft", "gearbox"])
+def test_generation_writer_on_fixture_grammars(name, depth):
+    gram = grammar.parse_grammar((FIXTURES / f"{name}.grammar.json").read_bytes())
+    _assert_writer_matches(grammar.generate(gram, depth, 1000))
+
+
+_NAMES = st.text() | st.text(st.characters(max_codepoint=0x1F))
+_NODES = st.builds(grammar.GraphNode, _NAMES, _NAMES,
+                   st.lists(st.tuples(st.text(), _VALUES), max_size=3).map(tuple))
+_EDGES = st.builds(grammar.GraphEdge, _NAMES, _NAMES, _NAMES)
+
+
+@st.composite
+def _results(draw) -> grammar.GenerationResult:
+    # designs draw from one pool of node and edge objects, so that they
+    # share objects as a parent and its children do
+    nodes = draw(st.lists(_NODES, max_size=6))
+    edges = draw(st.lists(_EDGES, max_size=6))
+    designs = []
+    for _ in range(draw(st.integers(0, 4))):
+        design = grammar.Design(
+            tuple(draw(st.lists(st.sampled_from(nodes), unique_by=lambda n: n.id)
+                       if nodes else st.just([]))),
+            tuple(draw(st.lists(st.sampled_from(edges)) if edges else st.just([]))),
+        )
+        steps = tuple(grammar.DerivationStep(rule, grammar.Match(()))
+                      for rule in draw(st.lists(_NAMES, max_size=3)))
+        designs.append(grammar.GeneratedDesign(design, grammar.Derivation(steps), b"",
+                                               draw(st.integers())))
+    return grammar.GenerationResult(tuple(designs))
+
+
+_BARE = grammar.GraphNode(  # no attributes; id and label need escapes
+    "\"\\\n\u00e9\U0001f600", "\x00\x1f")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_results())
+@example(grammar.GenerationResult(()))
+@example(grammar.GenerationResult((
+    grammar.GeneratedDesign(grammar.Design(()), grammar.Derivation(), b"", 0),
+    grammar.GeneratedDesign(
+        grammar.Design((_BARE,), (grammar.GraphEdge(_BARE.id, _BARE.id, "\t"),)),
+        grammar.Derivation((grammar.DerivationStep("r\u2028", grammar.Match(())),)), b"", 1),
+)))
+def test_generation_writer_equals_indented_json_dumps(result):
+    _assert_writer_matches(result)
+
+
+def test_generation_writer_keys_objects_by_identity():
+    # equal nodes whose attribute values 1, 1.0 and True write differently
+    nodes = [grammar.GraphNode("x", "a", (("k", value),)) for value in (1, 1.0, True)]
+    assert nodes[0] == nodes[1] == nodes[2]
+    _assert_writer_matches(grammar.GenerationResult(tuple(
+        grammar.GeneratedDesign(grammar.Design((node,)), grammar.Derivation(), b"", 0)
+        for node in nodes
+    )))

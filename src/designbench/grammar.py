@@ -17,10 +17,15 @@ Designs are deduplicated and ordered by :func:`canonical_form`, an exact
 isomorphism-respecting certificate: colour refinement plus an
 individualisation search whose certificate is the smallest over the
 leaves of the search tree.  Without pruning that tree grows
-factorially in the number of interchangeable nodes, so the search
-skips a branch when an automorphism that fixes every vertex
-individualised above it maps it onto a branch already searched
-(McKay & Piperno, "Practical graph isomorphism, II", 2014).
+factorially in the number of interchangeable nodes.  A design built
+from interchangeable parts needs no search: when no connected component
+of the vertices in non-singleton cells holds one colour twice, every
+branch at every level is equivalent, so the first path down the tree
+reaches the certificate every leaf shares (component recursion, as in
+Traces and bliss).  Otherwise the search skips a branch when an
+automorphism that fixes every vertex individualised above it maps it
+onto a branch already searched (McKay & Piperno, "Practical graph
+isomorphism, II", 2014).
 Automorphisms come from structural twins, whose transposition
 preserves the edge multiset, and from two leaves with equal
 certificates.  An automorphism maps the subtree below one branch onto
@@ -744,6 +749,19 @@ def canonical_form(design: Design) -> bytes:
     [...]}`` for the vertex order, among the leaves of the search tree,
     whose text is smallest.  Nodes appear as their ``colour_key``, edges
     as ``[source position, target position, label]`` in sorted order.
+
+    A refined colouring is *component-discrete* when no component of the
+    graph on its non-singleton vertices (edges taken either way) holds
+    one colour twice.  Then two vertices of one colour lie in components
+    with the same colours, and swapping those components colour by
+    colour while fixing every other vertex is an automorphism: a stable
+    colouring gives both vertices equal edge counts for each label and
+    neighbour colour, and singletons, the individualised vertices among
+    them, stay fixed.  So each cell is one orbit, and refinement only
+    splits cells and components, so this holds at every node below.
+    Every leaf then has the first leaf's certificate, and only the
+    first path is followed, until no edge joins two non-singleton
+    vertices: these are then twins, and the colour order is the leaf.
     """
     nodes = design.nodes
     n = len(nodes)
@@ -775,11 +793,51 @@ def canonical_form(design: Design) -> bytes:
             "]}",
         )).encode("utf-8")
 
+    def find(forest: list[int], x: int) -> int:
+        while forest[x] != x:
+            forest[x] = forest[forest[x]]
+            x = forest[x]
+        return x
+
+    def union(forest: list[int], x: int, y: int) -> None:
+        x, y = find(forest, x), find(forest, y)
+        if x != y:
+            forest[max(x, y)] = min(x, y)
+
+    def cell_sizes(colouring: list[int], count: int) -> list[int]:
+        size = [0] * count
+        for c in colouring:
+            size[c] += 1
+        return size
+
+    if count == n:
+        return certificate(sorted(range(n), key=colours.__getitem__))
+
+    # A component-discrete colouring (see the docstring) is certified
+    # along the first path of the search, one individualisation per level.
+    size = cell_sizes(colours, count)
+    forest = list(range(n))
+    joined = [(s, t) for s, t, _ in edges if size[colours[s]] > 1 and size[colours[t]] > 1]
+    for s, t in joined:
+        union(forest, s, t)
+    placed = {(find(forest, v), c) for v, c in enumerate(colours) if size[c] > 1}
+    if len(placed) == sum(k for k in size if k > 1):
+        colouring = colours
+        while joined:
+            cell = next(c for c, k in enumerate(size) if k > 1)
+            branched = [c + 1 if c >= cell else c for c in colouring]
+            branched[colouring.index(cell)] = cell
+            colouring, count = _refine(branched, count + 1, out_adj, in_adj)
+            size = cell_sizes(colouring, count)
+            joined = [(s, t) for s, t in joined
+                      if size[colouring[s]] > 1 and size[colouring[t]] > 1]
+        return certificate(sorted(range(n), key=colouring.__getitem__))
+
     # When each cell is a single vertex or one class of twins, each
     # permutation inside the cells is an automorphism.  Every leaf puts each
     # cell's vertices on that cell's positions, so it is such an image of
     # the colour order and has its certificate.
-    twins = _twin_classes(colours, out_adj, in_adj) if count < n else []
+    twins = _twin_classes(colours, out_adj, in_adj)
     if count == len(twins) + n - sum(map(len, twins)):
         return certificate(sorted(range(n), key=colours.__getitem__))
 
@@ -805,17 +863,6 @@ def canonical_form(design: Design) -> bytes:
     finished: list[list[int]] = []
     first: Optional[tuple[bytes, list[int]]] = None
     best: Optional[tuple[bytes, list[int]]] = None
-
-    def find(forest: list[int], x: int) -> int:
-        while forest[x] != x:
-            forest[x] = forest[forest[x]]
-            x = forest[x]
-        return x
-
-    def union(forest: list[int], x: int, y: int) -> None:
-        x, y = find(forest, x), find(forest, y)
-        if x != y:
-            forest[max(x, y)] = min(x, y)
 
     def merge(forest: list[int], gamma: list[int]) -> None:
         for v, w in enumerate(gamma):
@@ -879,9 +926,7 @@ def canonical_form(design: Design) -> bytes:
         """Explore below a node; returns a shallower level to unwind to."""
         if count == n:
             return leaf(colouring)
-        size = [0] * count
-        for c in colouring:
-            size[c] += 1
+        size = cell_sizes(colouring, count)
         cell = min(c for c in range(count) if size[c] > 1)
         level = len(path)
         enter()

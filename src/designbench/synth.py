@@ -9,12 +9,15 @@ Two search problems are solved at desk scale:
   increasing gate count and return the first satisfiable circuit.
 
 Truth vectors are packed into integers, one bit per row.  Topology
-generation first computes the exact fewest number of gates the table
-needs, breadth first over sets of computed truth vectors (Knuth's
-minimum-cost computation, TAOCP 4A 7.1.2), testing each set as it is
-made and never storing the last level.  A count above the bound is UNSAT
-without enumerating a topology; otherwise the search starts at that
-count, since no smaller one can succeed.
+generation first bounds the number of gates the table needs from below,
+breadth first over sets of computed truth vectors (Knuth's minimum-cost
+computation, TAOCP 4A 7.1.2), testing each set as it is made and never
+storing the last level.  The bound is the exact fewest number of gates
+while every stored level stays within ``_BOUND_STATES`` sets; once one
+outgrows it, the count proven so far is returned, which is only a lower
+bound.  A table that needs more than the allowed gates is UNSAT without
+enumerating a topology; otherwise the search starts at the bound, since
+no smaller count can succeed.
 
 Topologies and gate assignments are then searched together, in one
 depth-first walk over canonical slot sequences that shares each slot

@@ -165,32 +165,53 @@ class TestGrammarGenerate:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: too large to generate from (recursion limit reached)\n"
 
-    def test_axiom_too_symmetric_to_certify_is_input_error(self, tmp_path, capsys):
-        # canonical_form individualises one of n disjoint a -> b pairs per
-        # level; the limit is lowered so that 200 pairs reach it at once
-        pairs = 200
-        path = tmp_path / "pairs.grammar.json"
+    @staticmethod
+    def write_copies(path, labels, links, copies):
+        """A grammar without rules whose axiom is ``copies`` disjoint copies
+        of one small graph: node ``j`` of each copy is labelled
+        ``labels[j]``, and ``links`` lists its ``(j, k)`` edges."""
         path.write_text(json.dumps({
-            "vocabulary": {"node_labels": {"a": {}, "b": {}}, "edge_labels": ["e"]},
+            "vocabulary": {"node_labels": {label: {} for label in labels},
+                           "edge_labels": ["e"]},
             "axiom": {
-                "nodes": [{"id": f"{label}{i}", "label": label}
-                          for i in range(pairs) for label in "ab"],
-                "edges": [{"source": f"a{i}", "target": f"b{i}", "label": "e"}
-                          for i in range(pairs)],
+                "nodes": [{"id": f"n{i}_{j}", "label": label}
+                          for i in range(copies) for j, label in enumerate(labels)],
+                "edges": [{"source": f"n{i}_{j}", "target": f"n{i}_{k}", "label": "e"}
+                          for i in range(copies) for j, k in links],
             },
             "rules": [],
         }))
+
+    @staticmethod
+    def run_under_lowered_limit(capsys, path, copies):
+        # the limit leaves room for half as many frames as there are copies
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + pairs // 2)
+        sys.setrecursionlimit(depth + copies // 2)
         try:
-            code, out, err = run_cli(capsys, "grammar-generate", path)
+            return run_cli(capsys, "grammar-generate", path)
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_axiom_too_symmetric_to_certify_is_input_error(self, tmp_path, capsys):
+        # canonical_form's search individualises one of n disjoint directed
+        # 3-cycles per level; the limit is lowered so that 200 reach it
+        path = tmp_path / "cycles.grammar.json"
+        self.write_copies(path, "aaa", [(0, 1), (1, 2), (2, 0)], 200)
+        code, out, err = self.run_under_lowered_limit(capsys, path, 200)
         assert (code, out) == (2, "")
         assert err == f"error: {path}: too large to generate from (recursion limit reached)\n"
+
+    def test_interchangeable_pairs_certify_under_the_same_limit(self, tmp_path, capsys):
+        # each disjoint a -> b pair holds each colour once, so canonical_form
+        # follows one search path without recursing
+        path = tmp_path / "pairs.grammar.json"
+        self.write_copies(path, "ab", [(0, 1)], 200)
+        code, out, err = self.run_under_lowered_limit(capsys, path, 200)
+        assert (code, err) == (0, "")
+        assert out.startswith("1 design")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_reader_closing_early_exits_one_without_traceback(self, fmt):

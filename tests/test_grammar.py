@@ -412,6 +412,61 @@ def partitions(total, largest):
             yield (part, *rest)
 
 
+def hung_design(kinds, inner, copies, hubs=0, hang=(), extra=()):
+    """``copies`` disjoint copies of one component: node ``j`` of each copy
+    has kind ``kinds[j]`` and ``inner`` lists its ``(j, k, label)`` edges.
+    ``hubs`` nodes of distinct kinds are shared: ``hang`` lists the
+    ``(j, hub, label, outward)`` edges joining every copy to them, and
+    ``extra`` the ``(kind, hub, label, outward)`` nodes hung on them alone."""
+    nodes = [gr.GraphNode.make(f"h{i}", "h", {"i": i}) for i in range(hubs)]
+    edges = []
+
+    def join(node_id, hub, label, outward):
+        ends = (node_id, f"h{hub}") if outward else (f"h{hub}", node_id)
+        edges.append(gr.GraphEdge(*ends, label))
+
+    for c in range(copies):
+        nodes += [gr.GraphNode.make(f"c{c}_{j}", *kind) for j, kind in enumerate(kinds)]
+        edges += [gr.GraphEdge(f"c{c}_{j}", f"c{c}_{k}", label) for j, k, label in inner]
+        for j, hub, label, outward in hang:
+            join(f"c{c}_{j}", hub, label, outward)
+    for i, (kind, hub, label, outward) in enumerate(extra):
+        nodes.append(gr.GraphNode.make(f"x{i}", *kind))
+        join(f"x{i}", hub, label, outward)
+    return gr.Design(tuple(nodes), tuple(edges))
+
+
+@st.composite
+def interchangeable_copies(draw):
+    """Two to four copies of a component whose nodes differ in kind, hung
+    on shared hubs, plus extra nodes hung on the hubs alone: no component
+    of the non-singleton cells holds one colour twice."""
+    picks = draw(st.lists(st.integers(0, len(NODE_KINDS) - 1), min_size=1, max_size=3,
+                          unique=True))
+    size, hubs = len(picks), draw(st.integers(1, 2))
+    label = st.sampled_from(["p", "q"])
+    inner = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1),
+                                    label), max_size=2 * size))
+    hang = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, hubs - 1),
+                                   label, st.booleans()), min_size=1, max_size=3))
+    extra = draw(st.lists(st.tuples(st.sampled_from(NODE_KINDS), st.integers(0, hubs - 1),
+                                    label, st.booleans()), max_size=2))
+    # the unpruned oracle visits up to (copies!)^size leaves
+    copies = draw(st.integers(2, 4 if size < 3 else 3))
+    return hung_design([NODE_KINDS[i] for i in picks], inner, copies, hubs, hang, extra)
+
+
+def counted(monkeypatch, *names):
+    """Count the calls of the named ``grammar`` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, name=name, real=getattr(gr, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(gr, name, wrapper)
+    return calls
+
+
 class TestCanonicalFormPruning:
     """The pruned search against the unpruned oracle, and its budgets."""
 
@@ -476,6 +531,36 @@ class TestCanonicalFormPruning:
     def test_small_symmetric_designs_equal_the_oracle(self):
         for design in (star(6), gear_pairs(3)):
             assert gr.canonical_form(design) == oracles.canonical_form(design)
+
+    @settings(max_examples=150, deadline=None)
+    @given(interchangeable_copies(), st.randoms(use_true_random=False))
+    def test_component_discrete_designs_skip_the_search(self, design, rng):
+        # the twin classes are computed only on the way to the search
+        with pytest.MonkeyPatch.context() as patch:
+            calls = counted(patch, "_twin_classes")
+            form = gr.canonical_form(design)
+            again = gr.canonical_form(shuffled(design, rng))
+        assert calls == {"_twin_classes": 0}
+        assert form == again == oracles.canonical_form(design)
+
+    A, B = ("a", {}), ("b", {})
+
+    @pytest.mark.parametrize("design", [
+        hung_design([A, A], [(0, 1, "p"), (1, 0, "p")], 1, 1, [(0, 0, "q", True),
+                                                             (1, 0, "q", True)]),
+        hung_design([A, A], [(0, 1, "p"), (1, 0, "p")], 3, 1, [(0, 0, "q", True),
+                                                             (1, 0, "q", True)]),
+        cycle_union([3, 3], undirected=False),
+        cycle_union([3, 2, 2], undirected=False),
+        hung_design([A, B, A, B], [(0, 1, "p"), (1, 2, "p"), (2, 3, "p"), (3, 0, "p")], 2),
+    ], ids=["adjacent-twins", "adjacent-twins-3", "directed-cycles-3-3",
+            "directed-cycles-3-2-2", "colour-twice-2"])
+    def test_other_symmetric_designs_take_the_search_path(self, monkeypatch, design):
+        calls = counted(monkeypatch, "_twin_classes")
+        form = gr.canonical_form(design)
+        assert calls == {"_twin_classes": 1}
+        assert form == oracles.canonical_form(design)
+        assert gr.canonical_form(shuffled(design, random.Random(11))) == form
 
 
 class TestColourKey:
@@ -673,34 +758,34 @@ class TestGenerateAgainstFullCheck:
                 run(grammar, 4, 1000)
             assert str(caught.value) == message, run
 
-    @pytest.mark.parametrize("name, checks, forms, oracle_forms", [
-        ("shaft", 0, 401, 1082),
-        ("gearbox", 0, 469, 549),
+    @pytest.mark.parametrize("name, checks, forms, refines, oracle_forms", [
+        ("shaft", 0, 401, 401, 1082),
+        ("gearbox", 0, 469, 845, 549),
     ])
     def test_work_counters_are_pinned(self, request, monkeypatch, name, checks, forms,
-                                      oracle_forms):
+                                      refines, oracle_forms):
         # Without the axiom check (done by Grammar), the oracle checks and
         # certifies every child; generate checks none of these valid ones
-        # in full and certifies no exact repeat.
+        # in full and certifies no exact repeat.  No design needs the twin
+        # classes: shaft designs refine to discrete colourings, and gearbox
+        # ones to component-discrete colourings.
         grammar = request.getfixturevalue(name)
-        calls = {"require_valid": 0, "canonical_form": 0}
-        require_valid, canonical_form = gr.Vocabulary.require_valid, gr.canonical_form
+        calls = counted(monkeypatch, "canonical_form", "_refine", "_twin_classes")
+        calls["require_valid"] = 0
+        require_valid = gr.Vocabulary.require_valid
 
         def counted_require_valid(self, design, context):
             calls["require_valid"] += 1
             return require_valid(self, design, context)
 
-        def counted_canonical_form(design):
-            calls["canonical_form"] += 1
-            return canonical_form(design)
-
         monkeypatch.setattr(gr.Vocabulary, "require_valid", counted_require_valid)
-        monkeypatch.setattr(gr, "canonical_form", counted_canonical_form)
         gr.generate(grammar, 5, 1000)
-        assert calls == {"require_valid": checks, "canonical_form": forms}
-        calls.update(require_valid=0, canonical_form=0)
+        assert calls == {"require_valid": checks, "canonical_form": forms,
+                         "_refine": refines, "_twin_classes": 0}
+        calls.update(dict.fromkeys(calls, 0))
         oracles.generate_full_check(grammar, 5, 1000)
-        assert calls == {"require_valid": oracle_forms - 1, "canonical_form": oracle_forms}
+        assert (calls["require_valid"], calls["canonical_form"]) == \
+            (oracle_forms - 1, oracle_forms)
 
 
 class TestVocabulary:

@@ -41,9 +41,18 @@ with each automorphism found below it; it is the partition a rebuild
 from scratch would give, so the same branches are skipped.
 
 :func:`generate` does less work per child than rewriting and
-certifying it from scratch, with the same output.  A design indexes its
-nodes by label and its edges by ``(source, target, label)`` once, for
-every rule matched into it.  :func:`apply` keeps each node it leaves
+certifying it from scratch, with the same output.  A rule derives, once
+on first use, everything its matching and rewriting read of it: the
+anchor map, the LHS ids and those whose nodes the rewrite removes, the
+edge counts each level of the search must find, the RHS node of each
+anchor (and whether it leaves its node as it is) and the new RHS nodes,
+and, for a new node whose attributes are all literals, its sorted
+attributes and colour key.  A design indexes its nodes by label and its
+edges by ``(source, target, label)`` once, for every rule matched into
+it.  Per child only what depends on the match is built: the node map,
+the fresh ids, the anchored nodes the rewrite changes, the new nodes
+and edges, and filtered node and edge lists only when the rewrite
+removes or changes something in them.  :func:`apply` keeps each node it leaves
 unchanged, anchored ones included, as the parent's own object, and a
 child is vocabulary-checked only on its other nodes, because its
 parent is valid and nothing else can have changed: a violation still
@@ -57,10 +66,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Container, Mapping, Optional, Sequence, Union
 
 from .domains import (
     Domain,
@@ -82,6 +91,30 @@ class StaleMatchError(ValueError):
 
 class DanglingEdgeError(ValueError):
     """An edge outside the match would lose an endpoint."""
+
+
+class _cached:
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on every first access: the value is stored in the instance's
+    ``__dict__``, where it shadows this descriptor from then on."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
+# A frozen dataclass record is filled field by field, as its ``__init__``
+# would fill it, where the cost of calling ``__init__`` shows.
+_new, _set = object.__new__, object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +146,7 @@ class GraphNode:
         items = tuple(sorted((attrs or {}).items()))
         return cls(node_id, label, items)
 
-    @cached_property
+    @_cached
     def colour_key(self) -> str:
         """JSON text of the label and attributes: the node's initial colour
         in :func:`canonical_form` and its entry in the certificate."""
@@ -148,11 +181,11 @@ class Design:
         if len({n.id for n in self.nodes}) != len(self.nodes):
             raise ValueError("node ids must be unique")
 
-    @cached_property
+    @_cached
     def _by_id(self) -> dict[str, GraphNode]:
         return {n.id: n for n in self.nodes}
 
-    @cached_property
+    @_cached
     def _by_label(self) -> dict[str, list[GraphNode]]:
         """The nodes of each label, in design order."""
         by_label: dict[str, list[GraphNode]] = {}
@@ -160,7 +193,7 @@ class Design:
             by_label.setdefault(node.label, []).append(node)
         return by_label
 
-    @cached_property
+    @_cached
     def _instances(self) -> dict[tuple[str, str, str], list[int]]:
         """Edge indices per ``(source, target, label)``, ascending."""
         instances: dict[tuple[str, str, str], list[int]] = {}
@@ -194,7 +227,7 @@ class Vocabulary:
         )
         return cls(packed, tuple(edge_labels))
 
-    @cached_property
+    @_cached
     def _schemas(self) -> dict[str, dict[str, Domain]]:
         schemas: dict[str, dict[str, Domain]] = {}
         for name, schema in self.node_labels:
@@ -209,8 +242,20 @@ class Vocabulary:
 
     def check_design(self, design: Design) -> list[str]:
         """Conformance problems; empty list means the design is valid."""
+        problems = self._node_problems(design.nodes)
+        node_ids = design.node_ids()
+        for i, edge in enumerate(design.edges):
+            if edge.label not in self.edge_labels:
+                problems.append(f"edge [{i}]: unknown label {edge.label!r}")
+            for endpoint in (edge.source, edge.target):
+                if endpoint not in node_ids:
+                    problems.append(f"edge [{i}]: unknown endpoint {endpoint!r}")
+        return problems
+
+    def _node_problems(self, nodes: Sequence[GraphNode]) -> list[str]:
+        """The node half of :meth:`check_design`."""
         problems = []
-        for node in design.nodes:
+        for node in nodes:
             schema = self._schemas.get(node.label)
             if schema is None:
                 problems.append(f"node {node.id!r}: unknown label {node.label!r}")
@@ -226,13 +271,6 @@ class Vocabulary:
             for attr in attrs:
                 if attr not in schema:
                     problems.append(f"node {node.id!r}: undeclared attribute {attr!r}")
-        node_ids = design.node_ids()
-        for i, edge in enumerate(design.edges):
-            if edge.label not in self.edge_labels:
-                problems.append(f"edge [{i}]: unknown label {edge.label!r}")
-            for endpoint in (edge.source, edge.target):
-                if endpoint not in node_ids:
-                    problems.append(f"edge [{i}]: unknown endpoint {endpoint!r}")
         return problems
 
     def require_valid(self, design: Design, context: str) -> None:
@@ -341,6 +379,98 @@ class Rule:
 
     def anchor_map(self) -> dict[str, str]:
         return dict(self.anchors)
+
+    # What matching and rewriting read of the rule, derived on first use
+    # and kept for every later match and application.
+
+    @_cached
+    def _anchor(self) -> dict[str, str]:
+        return dict(self.anchors)
+
+    @_cached
+    def _lhs_ids(self) -> frozenset[str]:
+        return frozenset(n.id for n in self.lhs.nodes)
+
+    @_cached
+    def _lhs_order(self) -> tuple[str, ...]:
+        return tuple(n.id for n in self.lhs.nodes)
+
+    @_cached
+    def _lhs_edges(self) -> tuple[tuple[str, str, str], ...]:
+        return tuple((e.source, e.target, e.label) for e in self.lhs.edges)
+
+    @_cached
+    def _search_plan(self) -> tuple[tuple[PatternNode, tuple], ...]:
+        """Per LHS node in order: the node, and the LHS edges that join it
+        to a node assigned before it (or to itself), as ``((source, target,
+        label), count)`` per distinct triple.  Two LHS edges land on one
+        design triple iff their own triples are equal, since a match is
+        injective, so each level checks only the edge counts it adds."""
+        plan = []
+        assigned: set[str] = set()
+        for node in self.lhs.nodes:
+            assigned.add(node.id)
+            needed: dict[tuple[str, str, str], int] = {}
+            for triple in self._lhs_edges:
+                source, target, _ = triple
+                if node.id in (source, target) and source in assigned and target in assigned:
+                    needed[triple] = needed.get(triple, 0) + 1
+            plan.append((node, tuple(needed.items())))
+        return tuple(plan)
+
+    @_cached
+    def _edge_groups(self) -> tuple[tuple[tuple[int, ...], tuple[str, str, str]], ...]:
+        """LHS edge positions per distinct triple, in order of first position."""
+        groups: dict[tuple[str, str, str], list[int]] = {}
+        for pos, triple in enumerate(self._lhs_edges):
+            groups.setdefault(triple, []).append(pos)
+        return tuple((tuple(positions), triple) for triple, positions in groups.items())
+
+    @_cached
+    def _removed(self) -> tuple[str, ...]:
+        """The LHS node ids no anchor keeps: the rewrite removes their nodes."""
+        return tuple(n.id for n in self.lhs.nodes if n.id not in self._anchor)
+
+    @_cached
+    def _anchored(self) -> tuple[tuple[str, RhsNode, bool], ...]:
+        """``(lhs id, rhs node, kept)`` per anchor; ``kept`` when the RHS
+        node sets no attribute and has the label its pattern node matched,
+        so that the rewrite leaves a matched node in key order as it is."""
+        rhs_by_id = {n.id: n for n in self.rhs.nodes}
+        lhs_label = {n.id: n.label for n in self.lhs.nodes}
+        out = []
+        for lhs_id, rhs_id in self._anchor.items():
+            rhs_node = rhs_by_id[rhs_id]
+            out.append((lhs_id, rhs_node,
+                        not rhs_node.attrs and rhs_node.label == lhs_label[lhs_id]))
+        return tuple(out)
+
+    @_cached
+    def _new_nodes(self) -> tuple[tuple[RhsNode, Optional[dict[str, object]]], ...]:
+        """The RHS nodes no anchor places, in RHS order, each with the
+        fields of the node it makes when every attribute is a literal."""
+        out = []
+        for rhs_node in self.rhs.nodes:
+            if rhs_node.id in self._anchor.values():
+                continue
+            fields: Optional[dict[str, object]] = None
+            if not any(isinstance(expr, CopyAttr) for _, expr in rhs_node.attrs):
+                node = GraphNode.make("", rhs_node.label, dict(rhs_node.attrs))
+                fields = {"label": node.label, "attrs": node.attrs}
+                try:
+                    fields["colour_key"] = node.colour_key
+                except (TypeError, ValueError):
+                    pass  # raised again where a design's key is read
+            out.append((rhs_node, fields))
+        return tuple(out)
+
+    @_cached
+    def _new_ids(self) -> tuple[str, ...]:
+        return tuple(rhs_node.id for rhs_node, _ in self._new_nodes)
+
+    @_cached
+    def _rhs_edges(self) -> tuple[tuple[str, str, str], ...]:
+        return tuple((e.source, e.target, e.label) for e in self.rhs.edges)
 
 
 @dataclass(frozen=True)
@@ -463,9 +593,11 @@ def check_rule(vocab: Vocabulary, rule: Rule) -> list[str]:
 # ---------------------------------------------------------------------------
 # Matching
 
-def _node_matches(pattern: PatternNode, node: GraphNode) -> bool:
-    if pattern.label != node.label:
-        return False
+def _satisfies(pattern: PatternNode, node: GraphNode) -> bool:
+    """Whether ``node`` meets the pattern's predicates; the caller has
+    matched the labels."""
+    if not pattern.predicates:
+        return True
     attrs = node.attr_map()
     for pred in pattern.predicates:
         if pred.attr not in attrs or not pred.holds(attrs[pred.attr]):
@@ -483,6 +615,8 @@ def find_matches(rule: Rule, design: Design,
     come from the design's index of nodes by label (in design order) and
     edge instances from its index by ``(source, target, label)``, both
     built once per design and shared by every rule matched into it.
+    Each level of the search checks only the edge counts of the LHS
+    edges it completes, from the rule's search plan.
     """
     if vocab is not None:
         vocab.require_valid(design, "design")
@@ -490,68 +624,45 @@ def find_matches(rule: Rule, design: Design,
         if problems:
             raise VocabularyError(f"rule {rule.name!r}: " + "; ".join(problems))
 
-    lhs_nodes = rule.lhs.nodes
-    lhs_edges = rule.lhs.edges
+    plan = rule._search_plan
+    lhs_ids = rule._lhs_order
+    groups = rule._edge_groups
     matches: list[Match] = []
     instances = design._instances
     by_label = design._by_label
     assignment: dict[str, str] = {}
     used: set[str] = set()
 
-    def edge_groups() -> Optional[list[tuple[list[int], list[int]]]]:
-        """Group lhs edge positions by mapped design triple; None if short."""
-        groups: dict[tuple[str, str, str], list[int]] = {}
-        for pos, edge in enumerate(lhs_edges):
-            triple = (assignment[edge.source], assignment[edge.target], edge.label)
-            groups.setdefault(triple, []).append(pos)
-        out = []
-        for triple, positions in groups.items():
-            avail = instances.get(triple, [])
-            if len(avail) < len(positions):
-                return None
-            out.append((positions, avail))
-        out.sort(key=lambda pair: pair[0][0])
-        return out
-
-    def count_ok() -> bool:
-        needed: dict[tuple[str, str, str], int] = {}
-        for edge in lhs_edges:
-            if edge.source in assignment and edge.target in assignment:
-                triple = (assignment[edge.source], assignment[edge.target], edge.label)
-                needed[triple] = needed.get(triple, 0) + 1
-        return all(len(instances.get(t, [])) >= k for t, k in needed.items())
-
     def emit_edge_choices() -> None:
-        if not lhs_edges:
-            matches.append(Match(tuple((n.id, assignment[n.id]) for n in lhs_nodes)))
+        nodes = tuple([(i, assignment[i]) for i in lhs_ids])
+        if not groups:
+            matches.append(Match(nodes))
             return
-        groups = edge_groups()
-        if groups is None:
-            return
-        per_group = [list(combinations(avail, len(positions))) for positions, avail in groups]
+        # every level checked the counts of the groups it completed
+        per_group = [list(combinations(instances[assignment[s], assignment[t], label],
+                                       len(positions)))
+                     for positions, (s, t, label) in groups]
         for picks in product(*per_group):
             slot: dict[int, int] = {}
             for (positions, _), chosen in zip(groups, picks):
                 for pos, inst in zip(positions, chosen):
                     slot[pos] = inst
-            matches.append(
-                Match(
-                    nodes=tuple((n.id, assignment[n.id]) for n in lhs_nodes),
-                    edges=tuple(slot[i] for i in range(len(lhs_edges))),
-                )
-            )
+            matches.append(Match(nodes, tuple(slot[i] for i in range(len(slot)))))
 
     def extend(i: int) -> None:
-        if i == len(lhs_nodes):
+        if i == len(plan):
             emit_edge_choices()
             return
-        pattern = lhs_nodes[i]
+        pattern, needed = plan[i]
         for node in by_label.get(pattern.label, ()):
-            if node.id in used or not _node_matches(pattern, node):
+            if node.id in used or not _satisfies(pattern, node):
                 continue
             assignment[pattern.id] = node.id
             used.add(node.id)
-            if not lhs_edges or count_ok():
+            for (s, t, label), count in needed:
+                if len(instances.get((assignment[s], assignment[t], label), ())) < count:
+                    break
+            else:
                 extend(i + 1)
             used.remove(node.id)
             del assignment[pattern.id]
@@ -562,41 +673,44 @@ def find_matches(rule: Rule, design: Design,
 
 def _verify_match(rule: Rule, design: Design, match: Match) -> dict[str, str]:
     """The match's node map, once the match is known to embed."""
-    node_map = match.node_map()
-    if set(node_map) != {n.id for n in rule.lhs.nodes}:
+    node_map = dict(match.nodes)
+    if node_map.keys() != rule._lhs_ids:
         raise StaleMatchError("match does not cover the rule's LHS nodes")
     if len(set(node_map.values())) != len(node_map):
         raise StaleMatchError("match is not injective")
+    by_id = design._by_id
     for pattern in rule.lhs.nodes:
         target = node_map[pattern.id]
-        node = design._by_id.get(target)
+        node = by_id.get(target)
         if node is None:
             raise StaleMatchError(f"matched node {target!r} is gone")
-        if not _node_matches(pattern, node):
+        if node.label != pattern.label or not _satisfies(pattern, node):
             raise StaleMatchError(f"node {target!r} no longer satisfies the pattern")
-    if len(match.edges) != len(rule.lhs.edges):
+    lhs_edges = rule._lhs_edges
+    if len(match.edges) != len(lhs_edges):
         raise StaleMatchError("match does not cover the rule's LHS edges")
-    if len(set(match.edges)) != len(match.edges):
-        raise StaleMatchError("match reuses a design edge")
-    for pattern_edge, idx in zip(rule.lhs.edges, match.edges):
-        if not 0 <= idx < len(design.edges):
-            raise StaleMatchError(f"matched edge index {idx} is gone")
-        actual = design.edges[idx]
-        expected = (node_map[pattern_edge.source], node_map[pattern_edge.target],
-                    pattern_edge.label)
-        if (actual.source, actual.target, actual.label) != expected:
-            raise StaleMatchError(f"edge {idx} no longer matches the pattern")
+    if lhs_edges:
+        if len(set(match.edges)) != len(match.edges):
+            raise StaleMatchError("match reuses a design edge")
+        edges = design.edges
+        for (source, target, label), idx in zip(lhs_edges, match.edges):
+            if not 0 <= idx < len(edges):
+                raise StaleMatchError(f"matched edge index {idx} is gone")
+            actual = edges[idx]
+            if (actual.source, actual.target, actual.label) != \
+                    (node_map[source], node_map[target], label):
+                raise StaleMatchError(f"edge {idx} no longer matches the pattern")
     return node_map
 
 
-def _fresh_ids(existing: set[str], count: int) -> list[str]:
+def _fresh_ids(taken: Container[str], removed: Container[str], count: int) -> list[str]:
+    """The first ``count`` ids ``n0``, ``n1``, ... that no node keeps."""
     out: list[str] = []
     k = 0
     while len(out) < count:
         candidate = f"n{k}"
-        if candidate not in existing:
+        if candidate not in taken or candidate in removed:
             out.append(candidate)
-            existing.add(candidate)
         k += 1
     return out
 
@@ -631,10 +745,10 @@ def apply(rule: Rule, design: Design, match: Match,
     every other node of the result is a new object.
     """
     node_map = _verify_match(rule, design, match)
-    anchor = rule.anchor_map()
+    by_id = design._by_id
 
-    removed = {node_map[n.id] for n in rule.lhs.nodes if n.id not in anchor}
-    matched_edges = set(match.edges)
+    removed = {node_map[lhs_id] for lhs_id in rule._removed} if rule._removed else ()
+    matched_edges = set(match.edges) if match.edges else ()
 
     if removed:
         for idx, edge in enumerate(design.edges):
@@ -645,37 +759,61 @@ def apply(rule: Rule, design: Design, match: Match,
                     f"edge {edge.source!r}->{edge.target!r} ({edge.label!r}) would dangle"
                 )
 
-    rhs_by_id = {n.id: n for n in rule.rhs.nodes}
     # rhs id -> design id; new nodes get the first unused "n<k>" ids
-    placed = {rhs: node_map[lhs] for lhs, rhs in anchor.items()}
-    new_rhs = [n for n in rule.rhs.nodes if n.id not in placed]
-    if new_rhs:
-        fresh = _fresh_ids(design._by_id.keys() - removed, len(new_rhs))
-        placed.update(zip([n.id for n in new_rhs], fresh))
+    anchor = rule._anchor
+    placed = dict(zip(anchor.values(), map(node_map.__getitem__, anchor)))
+    new_nodes = rule._new_nodes
+    if new_nodes:
+        placed.update(zip(rule._new_ids, _fresh_ids(by_id, removed, len(new_nodes))))
 
     # Anchored survivors: attribute updates (and possible relabel) in place.
     updates: dict[str, GraphNode] = {}
-    for lhs_id, rhs_id in anchor.items():
+    for lhs_id, rhs_node, kept in rule._anchored:
         design_id = node_map[lhs_id]
-        current = design.node(design_id)
-        rhs_node = rhs_by_id[rhs_id]
-        attrs = current.attr_map()
+        current = by_id[design_id]
+        attrs = current.attrs
+        if kept and (len(attrs) < 2 or all(a < b for (a, _), (b, _) in zip(attrs, attrs[1:]))):
+            continue
+        values = dict(attrs)
         for attr, expr in rhs_node.attrs:
-            attrs[attr] = _eval_expr(expr, design, node_map)
-        items = tuple(sorted(attrs.items()))
-        if rhs_node.label == current.label and _same_attrs(items, current.attrs):
-            updates[design_id] = current
-        else:
+            values[attr] = _eval_expr(expr, design, node_map)
+        items = tuple(sorted(values.items()))
+        if rhs_node.label != current.label or not _same_attrs(items, attrs):
             updates[design_id] = GraphNode(design_id, rhs_node.label, items)
 
-    nodes = [updates.get(node.id, node) for node in design.nodes if node.id not in removed]
-    for rhs_node in new_rhs:
-        attrs = {attr: _eval_expr(expr, design, node_map) for attr, expr in rhs_node.attrs}
-        nodes.append(GraphNode.make(placed[rhs_node.id], rhs_node.label, attrs))
-    edges = [edge for idx, edge in enumerate(design.edges) if idx not in matched_edges]
-    edges += [GraphEdge(placed[e.source], placed[e.target], e.label) for e in rule.rhs.edges]
+    if removed or updates:
+        nodes = [updates.get(node.id, node) for node in design.nodes if node.id not in removed]
+    else:
+        nodes = list(design.nodes)
+    for rhs_node, fields in new_nodes:
+        if fields is None:
+            attrs = {attr: _eval_expr(expr, design, node_map) for attr, expr in rhs_node.attrs}
+            nodes.append(GraphNode.make(placed[rhs_node.id], rhs_node.label, attrs))
+        else:
+            node = _new(GraphNode)
+            fill = node.__dict__
+            fill["id"] = placed[rhs_node.id]
+            fill.update(fields)
+            nodes.append(node)
+    if matched_edges:
+        edges = [edge for idx, edge in enumerate(design.edges) if idx not in matched_edges]
+    else:
+        edges = list(design.edges)
+    for source, target, label in rule._rhs_edges:
+        edge = _new(GraphEdge)
+        _set(edge, "source", placed[source])
+        _set(edge, "target", placed[target])
+        _set(edge, "label", label)
+        edges.append(edge)
 
-    result = Design(tuple(nodes), tuple(edges))
+    if len(placed) < len(anchor) + len(new_nodes):
+        # two new RHS nodes share an id, and so their node in the result
+        result = Design(tuple(nodes), tuple(edges))
+    else:
+        # surviving ids are the parent's, and the fresh ones are unused
+        result = _new(Design)
+        _set(result, "nodes", tuple(nodes))
+        _set(result, "edges", tuple(edges))
     if vocab is not None:
         vocab.require_valid(result, f"result of rule {rule.name!r}")
     return result
@@ -684,36 +822,40 @@ def apply(rule: Rule, design: Design, match: Match,
 # ---------------------------------------------------------------------------
 # Canonical form
 
-def _refine(colours: list[int], count: int, out_adj: list[list[tuple[int, int]]],
-            in_adj: list[list[tuple[int, int]]]) -> tuple[list[int], int]:
+def _refine(colours: list[int], count: int,
+            edges: list[tuple[int, int, int]]) -> tuple[list[int], int]:
     """Colour refinement to the coarsest stable colouring and its size.
 
-    ``colours`` are dense ranks ``0..count-1``; adjacency entries are
-    ``(label_rank * n, neighbour)``, so ``label_rank * n + colour`` orders
-    like the pair ``(label, colour)``.  Each round ranks the signatures
+    ``colours`` are dense ranks ``0..count-1``; ``edges`` are ``(source,
+    target, label_rank * n)``, so ``label_rank * n + colour`` orders like
+    the pair ``(label, colour)``.  Each round ranks the signatures
     ``(colour, sorted out-neighbours, sorted in-neighbours)`` by value,
     so colours depend on colour values only, never on vertex order.  A
-    vertex alone in its colour is ranked by that colour alone, which
-    orders it the same way.  A round that splits no cell changes no
-    colour, so refinement stops there or once the colouring is discrete.
+    signature is one flat tuple, the two sorted lists split by ``-1``,
+    below every entry: it compares as the nested one does.  A vertex
+    alone in its colour is ranked by that colour alone, which orders it
+    the same way.  A round that splits no cell changes no colour, so
+    refinement stops there or once the colouring is discrete.
     """
     n = len(colours)
     current = colours
     while count < n:
+        outs: list[list[int]] = [[] for _ in current]
+        ins: list[list[int]] = [[] for _ in current]
+        for s, t, lbl in edges:
+            outs[s].append(lbl + current[t])
+            ins[t].append(lbl + current[s])
         size = [0] * count
         for c in current:
             size[c] += 1
-        signatures = [
-            (c,) if size[c] == 1 else
-            (c, tuple(sorted([lbl + current[j] for lbl, j in out_adj[v]])),
-             tuple(sorted([lbl + current[j] for lbl, j in in_adj[v]])))
-            for v, c in enumerate(current)
-        ]
-        ranks = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
-        if len(ranks) == count:
+        signatures = [(c,) if size[c] == 1 else (c, *sorted(o), -1, *sorted(i))
+                      for c, o, i in zip(current, outs, ins)]
+        distinct = sorted(set(signatures))
+        if len(distinct) == count:
             break
-        current = [ranks[sig] for sig in signatures]
-        count = len(ranks)
+        ranks = dict(zip(distinct, range(len(distinct))))
+        current = list(map(ranks.__getitem__, signatures))
+        count = len(distinct)
     return current, count
 
 
@@ -741,6 +883,43 @@ def _twin_classes(colours: list[int], out_adj: list[list[tuple[int, int]]],
     return [cls for group in classes.values() for cls in group if len(cls) > 1]
 
 
+_ID, _LABEL, _COLOUR_KEY = attrgetter("id"), attrgetter("label"), attrgetter("colour_key")
+
+
+def _certificate(order: list[int], edges: list[tuple[int, int, int]],
+                 label_text: dict[int, str], keys: list[str]) -> bytes:
+    """The certificate of one vertex order (see :func:`canonical_form`)."""
+    position = sorted(range(len(order)), key=order.__getitem__)
+    edge_part = sorted([(position[s], position[t], lbl) for s, t, lbl in edges])
+    return "".join((
+        '{"edges": [',
+        ", ".join([f"[{a}, {b}, {label_text[lbl]}]" for a, b, lbl in edge_part]),
+        '], "nodes": [',
+        ", ".join([keys[v] for v in order]),
+        "]}",
+    )).encode("utf-8")
+
+
+def _find(forest: list[int], x: int) -> int:
+    while forest[x] != x:
+        forest[x] = forest[forest[x]]
+        x = forest[x]
+    return x
+
+
+def _union(forest: list[int], x: int, y: int) -> None:
+    x, y = _find(forest, x), _find(forest, y)
+    if x != y:
+        forest[max(x, y)] = min(x, y)
+
+
+def _cell_sizes(colouring: list[int], count: int) -> list[int]:
+    size = [0] * count
+    for c in colouring:
+        size[c] += 1
+    return size
+
+
 def canonical_form(design: Design) -> bytes:
     """A byte string equal for two designs iff they are isomorphic
     (respecting node labels, attributes, edge labels and multiplicity).
@@ -765,70 +944,39 @@ def canonical_form(design: Design) -> bytes:
     """
     nodes = design.nodes
     n = len(nodes)
-    index = {node.id: i for i, node in enumerate(nodes)}
-    edges = [(index[e.source], index[e.target], e.label) for e in design.edges]
-    labels = sorted({label for _, _, label in edges})
-    label_rank = {label: r * n for r, label in enumerate(labels)}
-    encoded = {label: _json_text(label) for label in labels}
-    out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for s, t, label in edges:
-        out_adj[s].append((label_rank[label], t))
-        in_adj[t].append((label_rank[label], s))
-
-    keys = [node.colour_key for node in nodes]
-    key_rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    colours, count = _refine([key_rank[k] for k in keys], len(key_rank), out_adj, in_adj)
+    index = dict(zip(map(_ID, nodes), range(n)))
+    labels = sorted(set(map(_LABEL, design.edges)))
+    # each label as its rank times n, and that rank's JSON text
+    label_rank = dict(zip(labels, range(0, n * len(labels), max(n, 1))))
+    label_text = dict(zip(label_rank.values(), map(_json_text, labels)))
+    edges = [(index[e.source], index[e.target], label_rank[e.label]) for e in design.edges]
+    keys = list(map(_COLOUR_KEY, nodes))
+    distinct = sorted(set(keys))
+    colours, count = _refine(list(map(dict(zip(distinct, range(n))).__getitem__, keys)),
+                             len(distinct), edges)
 
     def certificate(order: list[int]) -> bytes:
-        position = [0] * n
-        for p, v in enumerate(order):
-            position[v] = p
-        edge_part = sorted((position[s], position[t], label) for s, t, label in edges)
-        return "".join((
-            '{"edges": [',
-            ", ".join(f"[{a}, {b}, {encoded[label]}]" for a, b, label in edge_part),
-            '], "nodes": [',
-            ", ".join(keys[v] for v in order),
-            "]}",
-        )).encode("utf-8")
-
-    def find(forest: list[int], x: int) -> int:
-        while forest[x] != x:
-            forest[x] = forest[forest[x]]
-            x = forest[x]
-        return x
-
-    def union(forest: list[int], x: int, y: int) -> None:
-        x, y = find(forest, x), find(forest, y)
-        if x != y:
-            forest[max(x, y)] = min(x, y)
-
-    def cell_sizes(colouring: list[int], count: int) -> list[int]:
-        size = [0] * count
-        for c in colouring:
-            size[c] += 1
-        return size
+        return _certificate(order, edges, label_text, keys)
 
     if count == n:
         return certificate(sorted(range(n), key=colours.__getitem__))
 
     # A component-discrete colouring (see the docstring) is certified
     # along the first path of the search, one individualisation per level.
-    size = cell_sizes(colours, count)
+    size = _cell_sizes(colours, count)
     forest = list(range(n))
     joined = [(s, t) for s, t, _ in edges if size[colours[s]] > 1 and size[colours[t]] > 1]
     for s, t in joined:
-        union(forest, s, t)
-    placed = {(find(forest, v), c) for v, c in enumerate(colours) if size[c] > 1}
+        _union(forest, s, t)
+    placed = {(_find(forest, v), c) for v, c in enumerate(colours) if size[c] > 1}
     if len(placed) == sum(k for k in size if k > 1):
         colouring = colours
         while joined:
             cell = next(c for c, k in enumerate(size) if k > 1)
             branched = [c + 1 if c >= cell else c for c in colouring]
             branched[colouring.index(cell)] = cell
-            colouring, count = _refine(branched, count + 1, out_adj, in_adj)
-            size = cell_sizes(colouring, count)
+            colouring, count = _refine(branched, count + 1, edges)
+            size = _cell_sizes(colouring, count)
             joined = [(s, t) for s, t in joined
                       if size[colouring[s]] > 1 and size[colouring[t]] > 1]
         return certificate(sorted(range(n), key=colouring.__getitem__))
@@ -837,6 +985,11 @@ def canonical_form(design: Design) -> bytes:
     # permutation inside the cells is an automorphism.  Every leaf puts each
     # cell's vertices on that cell's positions, so it is such an image of
     # the colour order and has its certificate.
+    out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, t, lbl in edges:
+        out_adj[s].append((lbl, t))
+        in_adj[t].append((lbl, s))
     twins = _twin_classes(colours, out_adj, in_adj)
     if count == len(twins) + n - sum(map(len, twins)):
         return certificate(sorted(range(n), key=colours.__getitem__))
@@ -867,7 +1020,7 @@ def canonical_form(design: Design) -> bytes:
     def merge(forest: list[int], gamma: list[int]) -> None:
         for v, w in enumerate(gamma):
             if v != w:
-                union(forest, v, w)
+                _union(forest, v, w)
 
     def enter() -> None:
         """Push the forest and the finished list of the node at level
@@ -877,7 +1030,7 @@ def canonical_form(design: Design) -> bytes:
         for cls in twins:
             free = [v for v in cls if v not in fixed]
             for u, v in zip(free, free[1:]):
-                union(forest, u, v)
+                _union(forest, u, v)
         for gamma in automorphisms:
             if all(gamma[v] == v for v in path):
                 merge(forest, gamma)
@@ -890,8 +1043,8 @@ def canonical_form(design: Design) -> bytes:
 
     def redundant(level: int, v: int) -> bool:
         forest = forests[level]
-        root = find(forest, v)
-        return any(find(forest, w) == root for w in finished[level])
+        root = _find(forest, v)
+        return any(_find(forest, w) == root for w in finished[level])
 
     def leaf(colouring: list[int]) -> Optional[int]:
         """Record a leaf; on an automorphism, the shallowest level whose
@@ -926,7 +1079,7 @@ def canonical_form(design: Design) -> bytes:
         """Explore below a node; returns a shallower level to unwind to."""
         if count == n:
             return leaf(colouring)
-        size = cell_sizes(colouring, count)
+        size = _cell_sizes(colouring, count)
         cell = min(c for c in range(count) if size[c] > 1)
         level = len(path)
         enter()
@@ -936,7 +1089,7 @@ def canonical_form(design: Design) -> bytes:
             branched = [c + 1 if c >= cell else c for c in colouring]
             branched[v] = cell
             path.append(v)
-            unwind = search(*_refine(branched, count + 1, out_adj, in_adj))
+            unwind = search(*_refine(branched, count + 1, edges))
             path.pop()
             if unwind is not None and unwind < level:
                 leave()
@@ -1017,19 +1170,21 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
         built: set[tuple] = set()
         for entry in frontier:
             parent = entry.design
+            kept = parent._by_id
             for rule in grammar.rules:
                 for match in find_matches(rule, parent):
                     try:
                         child = apply(rule, parent, match)
                     except DanglingEdgeError:
                         continue
-                    exact = (tuple([(n.id, n.colour_key) for n in child.nodes]), child.edges)
+                    exact = (tuple([n.id for n in child.nodes]),
+                             tuple([n.colour_key for n in child.nodes]), child.edges)
                     size = len(built)  # one hash of the key, not two
                     built.add(exact)
                     if len(built) == size:
                         continue
-                    touched = [n for n in child.nodes if parent._by_id.get(n.id) is not n]
-                    if vocab.check_design(Design(tuple(touched))):
+                    touched = [n for n in child.nodes if kept.get(n.id) is not n]
+                    if vocab._node_problems(touched):
                         vocab.require_valid(child, f"result of rule {rule.name!r}")
                     key = canonical_form(child)
                     if key in seen:
@@ -1232,16 +1387,23 @@ def design_to_dict(design: Design) -> dict:
     }
 
 
+def _dot_string(text: str) -> str:
+    """A DOT quoted string: a newline in ``text`` becomes the escape ``\\n``,
+    which Graphviz shows as a line break, and other characters stay as
+    they are, since DOT reads UTF-8 and decodes no ``\\uXXXX``."""
+    return json.dumps(text, ensure_ascii=False)
+
+
 def design_to_dot(design: Design, name: str = "design") -> str:
-    lines = [f"digraph {json.dumps(name)} {{"]
+    lines = [f"digraph {_dot_string(name)} {{"]
     for node in design.nodes:
         attr_text = ", ".join(f"{k}={v!r}" for k, v in node.attrs)
-        label = node.label if not attr_text else f"{node.label}\\n{attr_text}"
-        lines.append(f"  {json.dumps(node.id)} [label={json.dumps(label)}];")
+        label = node.label if not attr_text else f"{node.label}\n{attr_text}"
+        lines.append(f"  {_dot_string(node.id)} [label={_dot_string(label)}];")
     for edge in design.edges:
         lines.append(
-            f"  {json.dumps(edge.source)} -> {json.dumps(edge.target)}"
-            f" [label={json.dumps(edge.label)}];"
+            f"  {_dot_string(edge.source)} -> {_dot_string(edge.target)}"
+            f" [label={_dot_string(edge.label)}];"
         )
     lines.append("}")
     return "\n".join(lines)

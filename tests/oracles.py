@@ -5,6 +5,7 @@ decided by trying node bijections, canonical forms are computed by an
 individualisation search that never prunes, derivation spaces are
 enumerated depth-first without canonical forms, matching scans every
 design node for each pattern node and groups edge instances per call,
+rewriting derives everything it needs from the rule at every call,
 generation checks every
 child against the whole vocabulary and skips no repeat, circuit
 satisfiability is decided by enumerating every gate chain directly,
@@ -295,6 +296,136 @@ def find_matches(rule: gr.Rule, design: gr.Design,
 
     extend(0)
     return matches
+
+
+# ---------------------------------------------------------------------------
+# Rewriting that derives everything from the rule at each application
+#
+# The library's ``apply`` before each rule's anchor map, removed ids, RHS
+# index and new-node attributes were computed once per rule, kept
+# verbatim with its helpers: every call rebuilds them, rebuilds each
+# anchored node's attribute dict, filters copies of the node and edge
+# lists, and builds the result through ``Design``'s checking constructor.
+
+def _verify_match(rule: gr.Rule, design: gr.Design, match: gr.Match) -> dict[str, str]:
+    """The match's node map, once the match is known to embed."""
+    node_map = match.node_map()
+    if set(node_map) != {n.id for n in rule.lhs.nodes}:
+        raise gr.StaleMatchError("match does not cover the rule's LHS nodes")
+    if len(set(node_map.values())) != len(node_map):
+        raise gr.StaleMatchError("match is not injective")
+    for pattern in rule.lhs.nodes:
+        target = node_map[pattern.id]
+        node = design._by_id.get(target)
+        if node is None:
+            raise gr.StaleMatchError(f"matched node {target!r} is gone")
+        if not _node_matches(pattern, node):
+            raise gr.StaleMatchError(f"node {target!r} no longer satisfies the pattern")
+    if len(match.edges) != len(rule.lhs.edges):
+        raise gr.StaleMatchError("match does not cover the rule's LHS edges")
+    if len(set(match.edges)) != len(match.edges):
+        raise gr.StaleMatchError("match reuses a design edge")
+    for pattern_edge, idx in zip(rule.lhs.edges, match.edges):
+        if not 0 <= idx < len(design.edges):
+            raise gr.StaleMatchError(f"matched edge index {idx} is gone")
+        actual = design.edges[idx]
+        expected = (node_map[pattern_edge.source], node_map[pattern_edge.target],
+                    pattern_edge.label)
+        if (actual.source, actual.target, actual.label) != expected:
+            raise gr.StaleMatchError(f"edge {idx} no longer matches the pattern")
+    return node_map
+
+
+def _fresh_ids(existing: set[str], count: int) -> list[str]:
+    out: list[str] = []
+    k = 0
+    while len(out) < count:
+        candidate = f"n{k}"
+        if candidate not in existing:
+            out.append(candidate)
+            existing.add(candidate)
+        k += 1
+    return out
+
+
+def _same_attrs(new: tuple, old: tuple) -> bool:
+    """``new == old`` in each value's type and JSON text too: ``1``, ``1.0``
+    and ``True`` are equal in Python, as are ``0.0`` and ``-0.0``, and
+    ``[1]`` and ``[True]``, but none of them in a design."""
+    return new == old and all(
+        type(a) is type(b) and (type(a) in (str, int, bool, type(None))
+                                or type(a) is float and repr(a) == repr(b))
+        for (_, a), (_, b) in zip(new, old))
+
+
+def _eval_expr(expr: gr.AttrExpr, design: gr.Design, node_map: dict[str, str]) -> gr.Scalar:
+    if isinstance(expr, gr.CopyAttr):
+        return design.node(node_map[expr.node]).get(expr.attr)
+    return expr
+
+
+def apply(rule: gr.Rule, design: gr.Design, match: gr.Match,
+          vocab: Optional[gr.Vocabulary] = None) -> gr.Design:
+    """Rewrite ``design`` at ``match``.
+
+    Raises :class:`StaleMatchError` if the match no longer embeds, and
+    :class:`DanglingEdgeError` if an unmatched edge touches a node the
+    rule removes.
+
+    A node the rule does not match is the parent's own object in the
+    result, and so is an anchored node the rewrite leaves as it was (same
+    label, and each attribute a value of the same type and JSON text);
+    every other node of the result is a new object.
+    """
+    node_map = _verify_match(rule, design, match)
+    anchor = rule.anchor_map()
+
+    removed = {node_map[n.id] for n in rule.lhs.nodes if n.id not in anchor}
+    matched_edges = set(match.edges)
+
+    if removed:
+        for idx, edge in enumerate(design.edges):
+            if idx in matched_edges:
+                continue
+            if edge.source in removed or edge.target in removed:
+                raise gr.DanglingEdgeError(
+                    f"edge {edge.source!r}->{edge.target!r} ({edge.label!r}) would dangle"
+                )
+
+    rhs_by_id = {n.id: n for n in rule.rhs.nodes}
+    # rhs id -> design id; new nodes get the first unused "n<k>" ids
+    placed = {rhs: node_map[lhs] for lhs, rhs in anchor.items()}
+    new_rhs = [n for n in rule.rhs.nodes if n.id not in placed]
+    if new_rhs:
+        fresh = _fresh_ids(design._by_id.keys() - removed, len(new_rhs))
+        placed.update(zip([n.id for n in new_rhs], fresh))
+
+    # Anchored survivors: attribute updates (and possible relabel) in place.
+    updates: dict[str, gr.GraphNode] = {}
+    for lhs_id, rhs_id in anchor.items():
+        design_id = node_map[lhs_id]
+        current = design.node(design_id)
+        rhs_node = rhs_by_id[rhs_id]
+        attrs = current.attr_map()
+        for attr, expr in rhs_node.attrs:
+            attrs[attr] = _eval_expr(expr, design, node_map)
+        items = tuple(sorted(attrs.items()))
+        if rhs_node.label == current.label and _same_attrs(items, current.attrs):
+            updates[design_id] = current
+        else:
+            updates[design_id] = gr.GraphNode(design_id, rhs_node.label, items)
+
+    nodes = [updates.get(node.id, node) for node in design.nodes if node.id not in removed]
+    for rhs_node in new_rhs:
+        attrs = {attr: _eval_expr(expr, design, node_map) for attr, expr in rhs_node.attrs}
+        nodes.append(gr.GraphNode.make(placed[rhs_node.id], rhs_node.label, attrs))
+    edges = [edge for idx, edge in enumerate(design.edges) if idx not in matched_edges]
+    edges += [gr.GraphEdge(placed[e.source], placed[e.target], e.label) for e in rule.rhs.edges]
+
+    result = gr.Design(tuple(nodes), tuple(edges))
+    if vocab is not None:
+        vocab.require_valid(result, f"result of rule {rule.name!r}")
+    return result
 
 
 # ---------------------------------------------------------------------------

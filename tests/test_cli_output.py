@@ -66,15 +66,15 @@ GOLDEN = {
     "novelty fixtures/signal_transmission.kb.json fixtures/radio.design.json --format json":
         (0, "b216b068b9f4f788", "e3b0c44298fc1c14"),
     "grammar-generate fixtures/gearbox.grammar.json --format text":
-        (0, "8e5b30cfbd5d604d", "e3b0c44298fc1c14"),
+        (0, "97aa707d24f4f791", "e3b0c44298fc1c14"),
     "grammar-generate fixtures/gearbox.grammar.json --format json":
         (0, "09ffd7e548fb2671", "e3b0c44298fc1c14"),
     "grammar-generate fixtures/shaft.grammar.json --format text":
-        (0, "cda05df4da390852", "e3b0c44298fc1c14"),
+        (0, "1e5cb361bdb83aa2", "e3b0c44298fc1c14"),
     "grammar-generate fixtures/shaft.grammar.json --format json":
         (0, "2e0db5b2493ca741", "e3b0c44298fc1c14"),
     "grammar-generate fixtures/gearbox.grammar.json --max-depth 4 --format text":
-        (0, "4aba9ea7acdfe6bf", "e3b0c44298fc1c14"),
+        (0, "a90d93e2e4e74c88", "e3b0c44298fc1c14"),
     "grammar-generate fixtures/gearbox.grammar.json --max-depth 4 --format json":
         (0, "05c7c3d827d0975c", "e3b0c44298fc1c14"),
     "cbr-retrieve fixtures/winder_cases.cases.json fixtures/bridge.fs.json --format text":

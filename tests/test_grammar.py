@@ -267,6 +267,17 @@ class TestApply:
         assert type(node.get("v")) is type(new)
         assert node.colour_key == json.dumps(["cell", [["v", new], ["w", "s"]]])
 
+    def test_removed_nodes_id_goes_to_the_first_new_node(self):
+        rule = gr.Rule("swap", lhs=gr.PatternGraph((gr.PatternNode("x", "cell"),)),
+                       rhs=gr.RhsGraph((gr.RhsNode.make("y", "cell", {"v": 2}),
+                                        gr.RhsNode.make("z", "cell", {"v": 3}))))
+        design = gr.Design((gr.GraphNode.make("n0", "cell", {"v": 1}),
+                            gr.GraphNode.make("n1", "cell", {"v": 1})))
+        match = gr.find_matches(rule, design)[0]
+        child = gr.apply(rule, design, match)
+        assert [n.id for n in child.nodes] == ["n1", "n0", "n2"]
+        assert child == oracles.apply(rule, design, match)
+
     def test_relabelled_anchor_gives_a_new_node(self):
         rule = gr.Rule("relabel", lhs=gr.PatternGraph((gr.PatternNode("x", "cell"),)),
                        rhs=gr.RhsGraph((gr.RhsNode.make("x", "other"),)),
@@ -274,6 +285,146 @@ class TestApply:
         design = gr.Design((gr.GraphNode.make("a", "cell", {"v": 1}),))
         child = gr.apply(rule, design, gr.find_matches(rule, design)[0])
         assert child.node("a") == gr.GraphNode.make("a", "other", {"v": 1})
+
+
+# Small grammars over two node kinds for what the bundled grammars never
+# do: remove a node (and meet dangling edges), match LHS edges, relabel,
+# copy attributes, test ``in`` and ``lt`` predicates.  Mostly valid under
+# REWRITE_VOCAB, so that generation runs; a relabel or a copied value may
+# still break the vocabulary, and then both sides must raise alike.
+REWRITE_VOCAB = gr.Vocabulary.make(
+    {"a": {"v": SetDomain((0, 1, 2))},
+     "b": {"v": SetDomain((0, 1, 2)), "w": SetDomain(("x", "y"))}},
+    ["p", "q"])
+REWRITE_PREDICATES = {
+    "a": [gr.AttrPredicate("v", "lt", 2), gr.AttrPredicate("v", "in", (0, 2)),
+          gr.AttrPredicate("v", "ne", 1)],
+    "b": [gr.AttrPredicate("v", "lt", 1), gr.AttrPredicate("w", "in", ("x",)),
+          gr.AttrPredicate("v", "eq", 2)],
+}
+
+
+@st.composite
+def rewrite_attrs(draw, label, lhs_labels, required):
+    """RHS attributes for a node of ``label``: literals of the domain or
+    copies of ``v`` (or ``w`` of a ``b`` node) from an LHS node."""
+    names = ["v", "w"] if label == "b" else ["v"]
+    chosen = names if required else draw(st.lists(st.sampled_from(names), unique=True))
+    attrs = {}
+    for name in chosen:
+        literals = [0, 1, 2] if name == "v" else ["x", "y"]
+        copies = [gr.CopyAttr(lhs_id, name) for lhs_id, lhs_label in lhs_labels.items()
+                  if name == "v" or lhs_label == "b"]
+        attrs[name] = draw(st.sampled_from(literals + copies))
+    return attrs
+
+
+@st.composite
+def rewrite_rules(draw, design, name="r"):
+    """A rule whose LHS is mostly a piece of ``design``: some of its nodes,
+    with predicates, and some of the edges among them."""
+    picked = draw(st.lists(st.sampled_from(design.nodes), min_size=1, max_size=3, unique=True))
+    lhs_ids = [f"x{i}" for i in range(len(picked))]
+    lhs_of = dict(zip([n.id for n in picked], lhs_ids))
+    lhs_labels = {i: node.label for i, node in zip(lhs_ids, picked)}
+    lhs_edges = [(lhs_of[e.source], lhs_of[e.target], e.label) for e in design.edges
+                 if e.source in lhs_of and e.target in lhs_of]
+    lhs_edges = draw(st.lists(st.sampled_from(lhs_edges), max_size=2)) if lhs_edges else []
+    lhs_edges += draw(st.lists(st.tuples(
+        st.sampled_from(lhs_ids), st.sampled_from(lhs_ids), st.sampled_from("pq")), max_size=1))
+    lhs = gr.PatternGraph(
+        tuple(gr.PatternNode(i, label, tuple(draw(st.lists(
+            st.sampled_from(REWRITE_PREDICATES[label]), max_size=1))))
+            for i, label in lhs_labels.items()),
+        tuple(gr.PatternEdge(*edge) for edge in lhs_edges))
+    rhs_nodes, anchors = [], []
+    for lhs_id in draw(st.lists(st.sampled_from(lhs_ids), unique=True)):
+        rhs_id = draw(st.sampled_from([lhs_id, f"r{lhs_id}"]))
+        label = draw(st.sampled_from([lhs_labels[lhs_id], "a", "b"]))
+        rhs_nodes.append(gr.RhsNode.make(
+            rhs_id, label, draw(rewrite_attrs(label, lhs_labels, required=False))))
+        anchors.append((lhs_id, rhs_id))
+    for k in range(draw(st.integers(0, 2))):
+        label = draw(st.sampled_from("ab"))
+        rhs_nodes.append(gr.RhsNode.make(
+            f"y{k}", label, draw(rewrite_attrs(label, lhs_labels, required=True))))
+    rhs_nodes = draw(st.permutations(rhs_nodes))
+    rhs_ids = [n.id for n in rhs_nodes]
+    rhs_edges = draw(st.lists(st.tuples(
+        st.sampled_from(rhs_ids), st.sampled_from(rhs_ids), st.sampled_from("pq")),
+        max_size=3)) if rhs_ids else []
+    return gr.Rule(name, lhs, gr.RhsGraph(tuple(rhs_nodes),
+                                          tuple(gr.PatternEdge(*e) for e in rhs_edges)),
+                   tuple(sorted(anchors)))
+
+
+@st.composite
+def rewrite_designs(draw):
+    """Valid designs whose ids include fresh-looking ``n<k>`` ones; a
+    ``b`` node may hold its attributes out of key order."""
+    ids = draw(st.lists(st.sampled_from(["n0", "n1", "n2", "n3", "d0", "d1"]),
+                        min_size=1, max_size=6, unique=True))
+    nodes = []
+    for i in ids:
+        label = draw(st.sampled_from("ab"))
+        attrs = (("v", draw(st.sampled_from([0, 1, 2]))),)
+        if label == "b":
+            attrs += (("w", draw(st.sampled_from(["x", "y"]))),)
+            if draw(st.booleans()):
+                attrs = attrs[::-1]
+        nodes.append(gr.GraphNode(i, label, attrs))
+    edges = draw(st.lists(st.tuples(
+        st.sampled_from(ids), st.sampled_from(ids), st.sampled_from("pq")), max_size=8))
+    return gr.Design(tuple(nodes), tuple(gr.GraphEdge(*e) for e in edges))
+
+
+def rewrite_outcome(run, rule, design, match, vocab):
+    """What a rewrite gives: the result, its node colours and which of its
+    nodes are the parent's own objects; or the exception's type and text."""
+    try:
+        child = run(rule, design, match, vocab)
+    except Exception as exc:  # compared, type and message, with the oracle's
+        return type(exc), str(exc)
+    return (child, [n.colour_key for n in child.nodes],
+            [design._by_id.get(n.id) is n for n in child.nodes])
+
+
+class TestRewriteAgainstOracle:
+    """``apply`` reads what its rule compiled once; the oracle is the
+    ``apply`` that derived it all at each call."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rewrite_designs(), st.data())
+    def test_apply_equals_the_oracle(self, design, data):
+        rule = data.draw(rewrite_rules(design))
+        matches = gr.find_matches(rule, design)
+        assert matches == oracles.find_matches(rule, design)
+        ids = [n.id for n in design.nodes]
+        # stale or malformed matches: any node ids, any edge indices
+        matches += data.draw(st.lists(st.builds(
+            gr.Match,
+            st.lists(st.tuples(st.sampled_from(["x0", "x1", "x2"]), st.sampled_from(ids)),
+                     max_size=3).map(tuple),
+            st.lists(st.integers(-1, len(design.edges)), max_size=2).map(tuple)),
+            max_size=2))
+        for match in matches:
+            for vocab in (None, REWRITE_VOCAB):
+                assert rewrite_outcome(gr.apply, rule, design, match, vocab) == \
+                    rewrite_outcome(oracles.apply, rule, design, match, vocab)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rewrite_designs(), st.integers(1, 3), st.data())
+    def test_generate_equals_the_full_check(self, axiom, depth, data):
+        rules = tuple(data.draw(rewrite_rules(axiom, f"r{i}"))
+                      for i in range(data.draw(st.integers(1, 2))))
+        grammar = gr.Grammar(REWRITE_VOCAB, rules, axiom)
+        outcomes = []
+        for run in (gr.generate, oracles.generate_full_check):
+            try:
+                outcomes.append(run(grammar, depth, 40))
+            except gr.VocabularyError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestCanonicalForm:
@@ -758,19 +909,21 @@ class TestGenerateAgainstFullCheck:
                 run(grammar, 4, 1000)
             assert str(caught.value) == message, run
 
-    @pytest.mark.parametrize("name, checks, forms, refines, oracle_forms", [
-        ("shaft", 0, 401, 401, 1082),
-        ("gearbox", 0, 469, 845, 549),
+    @pytest.mark.parametrize("name, checks, forms, refines, searches, rewrites, oracle_forms", [
+        ("shaft", 0, 401, 401, 755, 1081, 1082),
+        ("gearbox", 0, 469, 845, 309, 548, 549),
     ])
     def test_work_counters_are_pinned(self, request, monkeypatch, name, checks, forms,
-                                      refines, oracle_forms):
+                                      refines, searches, rewrites, oracle_forms):
         # Without the axiom check (done by Grammar), the oracle checks and
         # certifies every child; generate checks none of these valid ones
         # in full and certifies no exact repeat.  No design needs the twin
         # classes: shaft designs refine to discrete colourings, and gearbox
-        # ones to component-discrete colourings.
+        # ones to component-discrete colourings.  Both match every rule
+        # into every design they expand and rewrite at every match.
         grammar = request.getfixturevalue(name)
-        calls = counted(monkeypatch, "canonical_form", "_refine", "_twin_classes")
+        calls = counted(monkeypatch, "canonical_form", "_refine", "_twin_classes",
+                        "find_matches", "apply")
         calls["require_valid"] = 0
         require_valid = gr.Vocabulary.require_valid
 
@@ -781,11 +934,33 @@ class TestGenerateAgainstFullCheck:
         monkeypatch.setattr(gr.Vocabulary, "require_valid", counted_require_valid)
         gr.generate(grammar, 5, 1000)
         assert calls == {"require_valid": checks, "canonical_form": forms,
-                         "_refine": refines, "_twin_classes": 0}
+                         "_refine": refines, "_twin_classes": 0,
+                         "find_matches": searches, "apply": rewrites}
         calls.update(dict.fromkeys(calls, 0))
         oracles.generate_full_check(grammar, 5, 1000)
         assert (calls["require_valid"], calls["canonical_form"]) == \
             (oracle_forms - 1, oracle_forms)
+        assert (calls["find_matches"], calls["apply"]) == (searches, rewrites)
+
+
+class TestDesignToDot:
+    def test_node_label_and_attributes_are_split_by_the_dot_line_break(self, gearbox):
+        lines = gr.design_to_dot(gearbox.axiom, "axiom").splitlines()
+        assert lines[0] == 'digraph "axiom" {'
+        # one backslash before the n: Graphviz draws a line break there
+        assert lines[1] == '  "sh_in" [label="shaft\\nrole=\'input\'"];'
+
+    def test_non_ascii_text_is_written_as_is(self):
+        design = gr.Design((gr.GraphNode.make("w\u00e4lze", "zahnrad", {"z\u00e4hne": 20}),
+                            gr.GraphNode.make("b", "lager")),
+                           (gr.GraphEdge("w\u00e4lze", "b", "tr\u00e4gt"),))
+        assert gr.design_to_dot(design, "entwurf_\u00e4").splitlines() == [
+            'digraph "entwurf_\u00e4" {',
+            '  "w\u00e4lze" [label="zahnrad\\nz\u00e4hne=20"];',
+            '  "b" [label="lager"];',
+            '  "w\u00e4lze" -> "b" [label="tr\u00e4gt"];',
+            "}",
+        ]
 
 
 class TestVocabulary:

@@ -15,7 +15,8 @@ Modules:
 * :mod:`designbench.classify` - method recommendation from a problem
   profile.
 * :mod:`designbench.jsonio` - the one JSON reader every ``parse_*``
-  function goes through, and ``SchemaError``.
+  function goes through, the one JSON writer, the shared memo
+  descriptor, and ``SchemaError``.
 * :mod:`designbench.cli` - the ``designbench`` command.
 """
 

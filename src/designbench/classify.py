@@ -90,12 +90,6 @@ class MethodReport:
     def applicable(self) -> tuple[Method, ...]:
         return tuple(e.method for e in self.entries if e.verdict is Verdict.APPLICABLE)
 
-    def verdict_for(self, method: Method) -> Verdict:
-        for e in self.entries:
-            if e.method is method:
-                return e.verdict
-        raise KeyError(method)
-
 
 def default_matrix() -> tuple[MethodCapabilities, ...]:
     full, limited, none = CapabilityLevel.FULL, CapabilityLevel.LIMITED, CapabilityLevel.NONE

@@ -3,27 +3,27 @@
 Exit codes: 0 on success, 1 when the run succeeded but the domain answer
 is negative (UNSAT, no applicable method), 2 on input errors (unreadable
 files, schema violations, bad flags).  JSON output is deterministic:
-identical inputs give byte-identical reports, equal byte for byte to
-``json.dumps(doc, indent=2, sort_keys=True)``.
+identical inputs give byte-identical reports, written by
+:func:`jsonio.dumps`.
 
-The argument parser is built on the first ``run`` and reused.  JSON is
-written by a small recursive emitter over the C string encoder, because
-``indent`` sends ``json.dumps`` to its pure-Python encoder, which costs
-more than most requests.  ``grammar-generate --format json`` builds no
-document at all: it writes the text straight from the designs.  A child
-design holds its parent's untouched nodes and edges as the very same
-objects, and every node and edge sits at one indentation, so each object
-is formatted once per request and its text reused wherever it appears.
-The texts are keyed by object identity, not equality: nodes that differ
-only in an attribute valued ``1``, ``1.0`` or ``True`` are equal but
-write three different texts.
+The argument parser is built on the first ``run`` and reused.
+``grammar-generate --format json`` builds no document at all: it writes
+the text straight from the designs.  A child design holds its parent's
+untouched nodes and edges as the very same objects, and every node and
+edge sits at one indentation, so each object is formatted once per
+request and its text reused wherever it appears.  The texts are keyed by
+object identity, not equality: nodes that differ only in an attribute
+valued ``1``, ``1.0`` or ``True`` are equal but write three different
+texts.
 
 When the reader of standard output goes away early (``designbench ... |
 head -1``), ``main`` exits 1 without a traceback: it catches the
 ``BrokenPipeError`` and points standard output at ``os.devnull``, so
 that the interpreter's flush at exit cannot raise it again (the recipe
 in Python's ``signal`` documentation).  ``run`` leaves the error to its
-caller.
+caller.  ``main`` also writes a character that standard output's
+encoding cannot hold (a non-ASCII rule name or case id under
+``PYTHONIOENCODING=ascii``) as a backslash escape; JSON is ASCII already.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import casebase, classify, funcstruct, grammar, novelty, synth
-from .jsonio import SchemaError
+from .jsonio import SchemaError, append_json, dumps
 
 
 class _InputError(Exception):
@@ -63,57 +63,6 @@ def _load(path: str, parser):
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _indented_json(doc: object) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` for the finite
-    values the CLI emits (floats come from ``float(Fraction)``)."""
-    pieces: list[str] = []
-    _append_json(doc, "", "\n", pieces)
-    return "".join(pieces)
-
-
-def _append_json(value: object, head: str, newline: str, pieces: list[str]) -> None:
-    # One piece per value: ``head`` is the separator and key before it,
-    # ``newline`` the line break and indentation of its own line.
-    if isinstance(value, str):
-        pieces.append(head + encode_basestring_ascii(value))
-    elif value is None:
-        pieces.append(head + "null")
-    elif value is True:
-        pieces.append(head + "true")
-    elif value is False:
-        pieces.append(head + "false")
-    elif isinstance(value, int):
-        pieces.append(head + int.__repr__(value))
-    elif isinstance(value, float):
-        pieces.append(head + float.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            pieces.append(head + "{}")
-            return
-        inner = newline + "  "
-        head += "{" + inner
-        for key in sorted(value):
-            _append_json(value[key], head + encode_basestring_ascii(key) + ": ", inner, pieces)
-            head = "," + inner
-        pieces.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            pieces.append(head + "[]")
-            return
-        inner = newline + "  "
-        head += "[" + inner
-        for item in value:
-            _append_json(item, head, inner, pieces)
-            head = "," + inner
-        pieces.append(newline + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _emit_json(doc: object) -> None:
-    print(_indented_json(doc))
-
-
 def _json_list(texts: list[str], newline: str) -> str:
     if not texts:
         return "[]"
@@ -123,7 +72,7 @@ def _json_list(texts: list[str], newline: str) -> str:
 
 def _node_json(node: grammar.GraphNode) -> str:
     pieces = ['{\n            "attrs": ']
-    _append_json(dict(node.attrs), "", "\n            ", pieces)
+    append_json(dict(node.attrs), "", "\n            ", pieces)
     pieces.append(f',\n            "id": {encode_basestring_ascii(node.id)}'
                   f',\n            "label": {encode_basestring_ascii(node.label)}\n          }}')
     return "".join(pieces)
@@ -136,7 +85,7 @@ def _edge_json(edge: grammar.GraphEdge) -> str:
 
 
 def _generation_json(result: grammar.GenerationResult) -> str:
-    """``_indented_json`` of ``{"count": ..., "designs": [{"depth": ...,
+    """``dumps`` of ``{"count": ..., "designs": [{"depth": ...,
     "derivation": [rule names], "design": design_to_dict(...)}, ...]}``."""
     texts: dict[int, str] = {}  # by id(); ``result`` keeps each object alive
 
@@ -186,7 +135,7 @@ def _cmd_metrics(args) -> int:
         if decomposable:
             doc["vertices"] = len(problem.vertices)
             doc["busy_vertices"] = busy
-        _emit_json(doc)
+        print(dumps(doc))
         return 0
     print(f"decomposable = {'yes' if decomposable else 'no'}")
     if decomposable:
@@ -203,15 +152,13 @@ def _cmd_novelty(args) -> int:
         raise _InputError(f"{args.design}: missing 'feasible' verdict")
     report = novelty.assess(kb, design)
     if args.format == "json":
-        _emit_json(
-            {
-                "innovation": _fraction_doc(report.innovation),
-                "creativity": _fraction_doc(report.creativity),
-                "category": report.category.value,
-                "unexpected": list(report.unexpected),
-                "new": list(report.new),
-            }
-        )
+        print(dumps({
+            "innovation": _fraction_doc(report.innovation),
+            "creativity": _fraction_doc(report.creativity),
+            "category": report.category.value,
+            "unexpected": list(report.unexpected),
+            "new": list(report.new),
+        }))
         return 0
     print(f"innovation I = {report.innovation}")
     print(f"creativity C = {report.creativity}")
@@ -257,14 +204,12 @@ def _cmd_cbr_retrieve(args) -> int:
     except (casebase.EmptyCaseBaseError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
     if args.format == "json":
-        _emit_json(
-            {
-                "ranking": [
-                    {"case": cid, "score": _fraction_doc(score)}
-                    for cid, score in result.ranked
-                ]
-            }
-        )
+        print(dumps({
+            "ranking": [
+                {"case": cid, "score": _fraction_doc(score)}
+                for cid, score in result.ranked
+            ]
+        }))
         return 0
     for rank, (cid, score) in enumerate(result.ranked, start=1):
         print(f"{rank}. {cid}  score = {score} ({float(score):.4f})")
@@ -283,7 +228,7 @@ def _cmd_synth(args) -> int:
         raise _InputError(str(exc)) from exc
     if circuit is None:
         if args.format == "json":
-            _emit_json({"result": "UNSAT"})
+            print(dumps({"result": "UNSAT"}))
         else:
             print("UNSAT: no circuit within the given bounds")
         return 1
@@ -296,13 +241,11 @@ def _cmd_synth(args) -> int:
                 f"{args.fs_out}: cannot write file ({exc.strerror or exc})"
             ) from exc
     if args.format == "json":
-        _emit_json(
-            {
-                "result": "SAT",
-                "circuit": synth.circuit_to_dict(circuit),
-                "pi": _fraction_doc(funcstruct.interdependency_index(structure)),
-            }
-        )
+        print(dumps({
+            "result": "SAT",
+            "circuit": synth.circuit_to_dict(circuit),
+            "pi": _fraction_doc(funcstruct.interdependency_index(structure)),
+        }))
         return 0
     print(f"SAT: {len(circuit.gates)} gates")
     for j, (slot, gate) in enumerate(zip(circuit.topology.slots, circuit.gates)):
@@ -321,7 +264,7 @@ def _cmd_classify(args) -> int:
         matrix = _load(args.matrix, classify.parse_matrix)
     report = classify.recommend(profile, matrix)
     if args.format == "json":
-        _emit_json(classify.report_to_dict(report))
+        print(dumps(classify.report_to_dict(report)))
     else:
         for entry in report.entries:
             print(f"{entry.method.value}: {entry.verdict.value}")
@@ -403,6 +346,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    sys.stdout.reconfigure(errors="backslashreplace")
     try:
         code = run()
         sys.stdout.flush()

@@ -17,15 +17,13 @@ string-keyed check it replaced (``check_structure`` in the test oracles).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .jsonio import SchemaError, load_document
+from .jsonio import SchemaError, cached, dumps, load_document
 
 INPUT = "input"
 OUTPUT = "output"
@@ -82,9 +80,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def codes(self) -> set[str]:
-        return {v.code for v in self.violations}
-
 
 @dataclass(frozen=True)
 class FunctionStructure:
@@ -109,7 +104,7 @@ class FunctionStructure:
         # demand, and their read-only mapping proxies cannot be pickled.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @cached_property
+    @cached
     def degrees(self) -> Mapping[str, int]:
         """Read-only table of every function vertex's total degree.
 
@@ -123,21 +118,21 @@ class FunctionStructure:
                 table[f.target] += 1
         return MappingProxyType(table)
 
-    @cached_property
+    @cached
     def function_labels(self) -> Mapping[str, int]:
         """Read-only multiset of function-vertex labels (missing labels count 0)."""
         return MappingProxyType(Counter(v.label for v in self.vertices))
 
-    @cached_property
+    @cached
     def flow_labels(self) -> Mapping[str, int]:
         """Read-only multiset of flow labels (missing labels count 0)."""
         return MappingProxyType(Counter(f.label for f in self.flows))
 
-    @cached_property
+    @cached
     def _report(self) -> "ValidationReport":
         return _check(self)
 
-    @cached_property
+    @cached
     def _pi(self) -> Fraction:
         report = validate(self)
         if not report.ok:
@@ -464,6 +459,4 @@ def parse_structure(data: bytes | str) -> DesignProblem:
 def serialize_structure(problem: DesignProblem) -> bytes:
     """Serialize deterministically; ``parse_structure`` round-trips to an
     equal value."""
-    return (
-        json.dumps(problem_to_dict(problem), indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
+    return (dumps(problem_to_dict(problem)) + "\n").encode("utf-8")

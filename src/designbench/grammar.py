@@ -78,7 +78,7 @@ from .domains import (
     is_number,
     same_scalar,
 )
-from .jsonio import SchemaError, load_document
+from .jsonio import SchemaError, cached, load_document
 
 
 class VocabularyError(ValueError):
@@ -91,25 +91,6 @@ class StaleMatchError(ValueError):
 
 class DanglingEdgeError(ValueError):
     """An edge outside the match would lose an endpoint."""
-
-
-class _cached:
-    """``functools.cached_property`` without the lock that Python 3.11
-    takes on every first access: the value is stored in the instance's
-    ``__dict__``, where it shadows this descriptor from then on."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
 
 
 # A frozen dataclass record is filled field by field, as its ``__init__``
@@ -146,7 +127,7 @@ class GraphNode:
         items = tuple(sorted((attrs or {}).items()))
         return cls(node_id, label, items)
 
-    @_cached
+    @cached
     def colour_key(self) -> str:
         """JSON text of the label and attributes: the node's initial colour
         in :func:`canonical_form` and its entry in the certificate."""
@@ -181,11 +162,11 @@ class Design:
         if len({n.id for n in self.nodes}) != len(self.nodes):
             raise ValueError("node ids must be unique")
 
-    @_cached
+    @cached
     def _by_id(self) -> dict[str, GraphNode]:
         return {n.id: n for n in self.nodes}
 
-    @_cached
+    @cached
     def _by_label(self) -> dict[str, list[GraphNode]]:
         """The nodes of each label, in design order."""
         by_label: dict[str, list[GraphNode]] = {}
@@ -193,7 +174,7 @@ class Design:
             by_label.setdefault(node.label, []).append(node)
         return by_label
 
-    @_cached
+    @cached
     def _instances(self) -> dict[tuple[str, str, str], list[int]]:
         """Edge indices per ``(source, target, label)``, ascending."""
         instances: dict[tuple[str, str, str], list[int]] = {}
@@ -203,9 +184,6 @@ class Design:
 
     def node(self, node_id: str) -> GraphNode:
         return self._by_id[node_id]
-
-    def node_ids(self) -> set[str]:
-        return {n.id for n in self.nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +205,17 @@ class Vocabulary:
         )
         return cls(packed, tuple(edge_labels))
 
-    @_cached
+    @cached
     def _schemas(self) -> dict[str, dict[str, Domain]]:
         schemas: dict[str, dict[str, Domain]] = {}
         for name, schema in self.node_labels:
             schemas.setdefault(name, dict(schema))
         return schemas
 
-    def schema_of(self, label: str) -> dict[str, Domain]:
-        return dict(self._schemas[label])
-
-    def has_node_label(self, label: str) -> bool:
-        return label in self._schemas
-
     def check_design(self, design: Design) -> list[str]:
         """Conformance problems; empty list means the design is valid."""
         problems = self._node_problems(design.nodes)
-        node_ids = design.node_ids()
+        node_ids = design._by_id
         for i, edge in enumerate(design.edges):
             if edge.label not in self.edge_labels:
                 problems.append(f"edge [{i}]: unknown label {edge.label!r}")
@@ -377,29 +349,26 @@ class Rule:
             if rhs_id not in rhs_ids:
                 raise ValueError(f"rule {self.name!r}: anchor target {rhs_id!r} not in RHS")
 
-    def anchor_map(self) -> dict[str, str]:
-        return dict(self.anchors)
-
     # What matching and rewriting read of the rule, derived on first use
     # and kept for every later match and application.
 
-    @_cached
+    @cached
     def _anchor(self) -> dict[str, str]:
         return dict(self.anchors)
 
-    @_cached
+    @cached
     def _lhs_ids(self) -> frozenset[str]:
         return frozenset(n.id for n in self.lhs.nodes)
 
-    @_cached
+    @cached
     def _lhs_order(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.lhs.nodes)
 
-    @_cached
+    @cached
     def _lhs_edges(self) -> tuple[tuple[str, str, str], ...]:
         return tuple((e.source, e.target, e.label) for e in self.lhs.edges)
 
-    @_cached
+    @cached
     def _search_plan(self) -> tuple[tuple[PatternNode, tuple], ...]:
         """Per LHS node in order: the node, and the LHS edges that join it
         to a node assigned before it (or to itself), as ``((source, target,
@@ -418,7 +387,7 @@ class Rule:
             plan.append((node, tuple(needed.items())))
         return tuple(plan)
 
-    @_cached
+    @cached
     def _edge_groups(self) -> tuple[tuple[tuple[int, ...], tuple[str, str, str]], ...]:
         """LHS edge positions per distinct triple, in order of first position."""
         groups: dict[tuple[str, str, str], list[int]] = {}
@@ -426,12 +395,12 @@ class Rule:
             groups.setdefault(triple, []).append(pos)
         return tuple((tuple(positions), triple) for triple, positions in groups.items())
 
-    @_cached
+    @cached
     def _removed(self) -> tuple[str, ...]:
         """The LHS node ids no anchor keeps: the rewrite removes their nodes."""
         return tuple(n.id for n in self.lhs.nodes if n.id not in self._anchor)
 
-    @_cached
+    @cached
     def _anchored(self) -> tuple[tuple[str, RhsNode, bool], ...]:
         """``(lhs id, rhs node, kept)`` per anchor; ``kept`` when the RHS
         node sets no attribute and has the label its pattern node matched,
@@ -445,7 +414,7 @@ class Rule:
                         not rhs_node.attrs and rhs_node.label == lhs_label[lhs_id]))
         return tuple(out)
 
-    @_cached
+    @cached
     def _new_nodes(self) -> tuple[tuple[RhsNode, Optional[dict[str, object]]], ...]:
         """The RHS nodes no anchor places, in RHS order, each with the
         fields of the node it makes when every attribute is a literal."""
@@ -464,11 +433,11 @@ class Rule:
             out.append((rhs_node, fields))
         return tuple(out)
 
-    @_cached
+    @cached
     def _new_ids(self) -> tuple[str, ...]:
         return tuple(rhs_node.id for rhs_node, _ in self._new_nodes)
 
-    @_cached
+    @cached
     def _rhs_edges(self) -> tuple[tuple[str, str, str], ...]:
         return tuple((e.source, e.target, e.label) for e in self.rhs.edges)
 
@@ -483,9 +452,6 @@ class Match:
 
     nodes: tuple[tuple[str, str], ...]
     edges: tuple[int, ...] = ()
-
-    def node_map(self) -> dict[str, str]:
-        return dict(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -525,12 +491,13 @@ class Grammar:
 def check_rule(vocab: Vocabulary, rule: Rule) -> list[str]:
     """Static vocabulary conformance of a rule (labels, attrs, anchors)."""
     problems = []
+    schemas = vocab._schemas
     lhs_by_id = {n.id: n for n in rule.lhs.nodes}
     for node in rule.lhs.nodes:
-        if not vocab.has_node_label(node.label):
+        schema = schemas.get(node.label)
+        if schema is None:
             problems.append(f"LHS node {node.id!r}: unknown label {node.label!r}")
             continue
-        schema = vocab.schema_of(node.label)
         for pred in node.predicates:
             if pred.attr not in schema:
                 problems.append(f"LHS node {node.id!r}: undeclared attribute {pred.attr!r}")
@@ -545,10 +512,10 @@ def check_rule(vocab: Vocabulary, rule: Rule) -> list[str]:
 
     rhs_ids = {n.id for n in rule.rhs.nodes}
     for node in rule.rhs.nodes:
-        if not vocab.has_node_label(node.label):
+        schema = schemas.get(node.label)
+        if schema is None:
             problems.append(f"RHS node {node.id!r}: unknown label {node.label!r}")
             continue
-        schema = vocab.schema_of(node.label)
         for attr, expr in node.attrs:
             if attr not in schema:
                 problems.append(f"RHS node {node.id!r}: undeclared attribute {attr!r}")
@@ -558,8 +525,7 @@ def check_rule(vocab: Vocabulary, rule: Rule) -> list[str]:
                     problems.append(
                         f"RHS node {node.id!r}: copy references unknown LHS node {expr.node!r}"
                     )
-                elif vocab.has_node_label(source.label) \
-                        and expr.attr not in vocab.schema_of(source.label):
+                elif source.label in schemas and expr.attr not in schemas[source.label]:
                     problems.append(
                         f"RHS node {node.id!r}: copy references undeclared attribute "
                         f"{expr.attr!r} of LHS node {expr.node!r}"
@@ -575,18 +541,16 @@ def check_rule(vocab: Vocabulary, rule: Rule) -> list[str]:
             if endpoint not in rhs_ids:
                 problems.append(f"RHS edge: unknown endpoint {endpoint!r}")
 
-    anchor = rule.anchor_map()
     rhs_by_id = {n.id: n for n in rule.rhs.nodes}
-    new_nodes = rhs_ids - set(anchor.values())
+    new_nodes = rhs_ids - set(rule._anchor.values())
     for rhs_id in sorted(new_nodes):
         node = rhs_by_id[rhs_id]
-        if vocab.has_node_label(node.label):
-            given = {a for a, _ in node.attrs}
-            for attr in vocab.schema_of(node.label):
-                if attr not in given:
-                    problems.append(
-                        f"RHS node {rhs_id!r}: new node must set attribute {attr!r}"
-                    )
+        given = {a for a, _ in node.attrs}
+        for attr in schemas.get(node.label, ()):
+            if attr not in given:
+                problems.append(
+                    f"RHS node {rhs_id!r}: new node must set attribute {attr!r}"
+                )
     return problems
 
 
@@ -1120,9 +1084,6 @@ class GenerationResult:
 
     def __len__(self) -> int:
         return len(self.designs)
-
-    def canonical_forms(self) -> list[bytes]:
-        return [g.canonical for g in self.designs]
 
 
 def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationResult:

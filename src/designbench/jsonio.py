@@ -1,4 +1,6 @@
-"""The one JSON reader: every ``parse_*`` reader in the package is
+"""The one JSON reader, the one JSON writer and the one memo descriptor.
+
+Every ``parse_*`` reader in the package is
 ``<x>_from_dict(load_document(data))``, so all formats share its rules.
 
 * Bytes are decoded as UTF-8; a bad byte raises :class:`UnicodeDecodeError`,
@@ -15,6 +17,15 @@ The decoder is built once, at import, because ``json.loads`` with keyword
 arguments builds a new one per call.  :class:`SchemaError` and the
 rational parser live here too, so the engine modules share them without
 importing one another.
+
+Every JSON document the package writes is :func:`dumps` of it, equal
+byte for byte to ``json.dumps(doc, indent=2, sort_keys=True)``.  It is a
+small recursive emitter over the C string encoder, because ``indent``
+sends ``json.dumps`` to its pure-Python encoder, which costs more than
+most requests.  :func:`append_json` is its step, for a writer that joins
+pieces formatted ahead of time (``grammar-generate``'s, in ``cli``).
+
+Derived values of the frozen records are memoised with :class:`cached`.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import math
 import sys
 from fractions import Fraction
 from json import JSONDecodeError, JSONDecoder
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
 
@@ -87,3 +99,71 @@ def fraction_from_json(value: object, location: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"not a valid rational: {value!r}", location) from exc
     raise SchemaError(f"not a valid rational: {value!r}", location)
+
+
+def dumps(doc: object) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for finite values."""
+    pieces: list[str] = []
+    append_json(doc, "", "\n", pieces)
+    return "".join(pieces)
+
+
+def append_json(value: object, head: str, newline: str, pieces: list[str]) -> None:
+    """Append ``value`` as indented JSON to ``pieces``, one piece per value:
+    ``head`` is the separator and key before it, ``newline`` the line break
+    and indentation of its own line."""
+    if isinstance(value, str):
+        pieces.append(head + encode_basestring_ascii(value))
+    elif value is None:
+        pieces.append(head + "null")
+    elif value is True:
+        pieces.append(head + "true")
+    elif value is False:
+        pieces.append(head + "false")
+    elif isinstance(value, int):
+        pieces.append(head + int.__repr__(value))
+    elif isinstance(value, float):
+        pieces.append(head + float.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append(head + "{}")
+            return
+        inner = newline + "  "
+        head += "{" + inner
+        for key in sorted(value):
+            append_json(value[key], head + encode_basestring_ascii(key) + ": ", inner, pieces)
+            head = "," + inner
+        pieces.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append(head + "[]")
+            return
+        inner = newline + "  "
+        head += "[" + inner
+        for item in value:
+            append_json(item, head, inner, pieces)
+            head = "," + inner
+        pieces.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+class cached:
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on every first access: the value is stored in the instance's
+    ``__dict__``, where it shadows this descriptor from then on.  Being
+    lock-free, two threads may both compute a value; each memoised value
+    is a pure function of frozen fields, so either write stores an equal one."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value

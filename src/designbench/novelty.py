@@ -22,7 +22,7 @@ from fractions import Fraction
 import math
 from typing import Mapping, Optional
 
-from .domains import Domain, Scalar, domain_from_dict, singleton
+from .domains import _SCALARS, Domain, Scalar, domain_from_dict, singleton
 from .jsonio import SchemaError, load_document
 
 
@@ -199,7 +199,7 @@ def design_from_dict(doc: object, location: str = "$") -> DesignInstance:
     if feasible is not None and not isinstance(feasible, bool):
         raise SchemaError("'feasible' must be a boolean", f"{location}.feasible")
     for name, value in doc["assignments"].items():
-        if not isinstance(value, (type(None), bool, int, float, str)):
+        if not isinstance(value, _SCALARS):
             raise SchemaError("values must be JSON scalars",
                               f"{location}.assignments.{name}")
         if isinstance(value, float) and not math.isfinite(value):

@@ -32,16 +32,14 @@ through the scalar evaluator before it is handed back.  UNSAT is a value
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import combinations, product
 from typing import Collection, Optional, Sequence
 
 from .funcstruct import BoundaryTerminal, Flow, FunctionStructure, FunctionVertex
-from .jsonio import SchemaError, load_document
+from .jsonio import SchemaError, cached, load_document
 
 _SLOT_REF = re.compile(r"^s(\d+)$")
 
@@ -72,6 +70,11 @@ def _check_names(names: Sequence[str], kind: str) -> None:
     for name in names:
         if not name or _SLOT_REF.match(name):
             raise ValueError(f"illegal primary {kind} name {name!r}")
+
+
+def _are_bits(values: Sequence[object]) -> bool:
+    # True == 1 and 1.0 == 1 in Python, but neither is a bit
+    return all(type(b) is int and b in (0, 1) for b in values)
 
 
 @dataclass(frozen=True)
@@ -121,12 +124,12 @@ class Topology:
             return self.inputs.index(ref)
         raise ValueError(f"slot {slot_index}: unknown ref {ref!r}")
 
-    @cached_property
+    @cached
     def _sources(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(self._resolve(ref, j) for ref in slot.refs)
                      for j, slot in enumerate(self.slots))
 
-    @cached_property
+    @cached
     def _outputs(self) -> tuple[int, ...]:
         return tuple(int(_SLOT_REF.match(ref).group(1)) for ref in self.outputs)
 
@@ -172,8 +175,7 @@ class Requirement:
         for in_bits, out_bits in self.rows:
             if len(in_bits) != n or len(out_bits) != m:
                 raise ValueError("row width does not match the declared names")
-            # True == 1 and 1.0 == 1 in Python, but neither is a bit
-            if not all(type(b) is int and b in (0, 1) for b in (*in_bits, *out_bits)):
+            if not _are_bits((*in_bits, *out_bits)):
                 raise ValueError("rows must contain bits (0 or 1)")
             if in_bits in seen:
                 raise ValueError(f"duplicate row for inputs {in_bits}")
@@ -257,8 +259,7 @@ def evaluate(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(
             f"expected {len(topo.inputs)} input bits, got {len(bits)}"
         )
-    # True == 1 and 1.0 == 1 in Python, but neither is a bit
-    if not all(type(b) is int and b in (0, 1) for b in bits):
+    if not _are_bits(bits):
         raise ValueError("input bits must be 0 or 1")
     values = list(bits)
     for gate, sources in zip(circuit.gates, topo._sources):
@@ -682,8 +683,7 @@ def requirement_from_dict(doc: object, location: str = "$") -> Requirement:
         if not isinstance(row, dict) or not isinstance(row.get("in"), list) \
                 or not isinstance(row.get("out"), list):
             raise SchemaError("row needs 'in' and 'out' bit arrays", loc)
-        # JSON true/false are not bits, although True == 1 in Python
-        if not all(type(b) is int and b in (0, 1) for b in (*row["in"], *row["out"])):
+        if not _are_bits((*row["in"], *row["out"])):
             raise SchemaError("rows must contain bits (0 or 1)", loc)
         rows.append((tuple(row["in"]), tuple(row["out"])))
     try:
@@ -734,7 +734,3 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         ],
         "outputs": list(topo.outputs),
     }
-
-
-def serialize_circuit(circuit: Circuit) -> bytes:
-    return (json.dumps(circuit_to_dict(circuit), indent=2, sort_keys=True) + "\n").encode("utf-8")

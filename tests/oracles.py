@@ -309,7 +309,7 @@ def find_matches(rule: gr.Rule, design: gr.Design,
 
 def _verify_match(rule: gr.Rule, design: gr.Design, match: gr.Match) -> dict[str, str]:
     """The match's node map, once the match is known to embed."""
-    node_map = match.node_map()
+    node_map = dict(match.nodes)
     if set(node_map) != {n.id for n in rule.lhs.nodes}:
         raise gr.StaleMatchError("match does not cover the rule's LHS nodes")
     if len(set(node_map.values())) != len(node_map):
@@ -378,7 +378,7 @@ def apply(rule: gr.Rule, design: gr.Design, match: gr.Match,
     every other node of the result is a new object.
     """
     node_map = _verify_match(rule, design, match)
-    anchor = rule.anchor_map()
+    anchor = dict(rule.anchors)
 
     removed = {node_map[n.id] for n in rule.lhs.nodes if n.id not in anchor}
     matched_edges = set(match.edges)

@@ -231,7 +231,7 @@ def test_criterion_8_invariant_suite():
                 for rule in grammar.rules:
                     for match in gr.find_matches(rule, design):
                         rewritten = gr.apply(rule, design, match, grammar.vocabulary)
-                        node_ids = rewritten.node_ids()
+                        node_ids = {n.id for n in rewritten.nodes}
                         for edge in rewritten.edges:
                             assert edge.source in node_ids
                             assert edge.target in node_ids

@@ -45,9 +45,10 @@ class TestDefaultMatrix:
 class TestRecommend:
     def test_innovative_profile_splits_methods(self):
         report = classify.recommend(profile(novelty=DesignCategory.INNOVATIVE))
-        assert report.verdict_for(Method.GRAMMAR_BASED) is Verdict.APPLICABLE
-        assert report.verdict_for(Method.FUNCTIONAL_SYNTHESIS) is Verdict.APPLICABLE
-        assert report.verdict_for(Method.ANALOGY_BASED) is Verdict.LIMITED
+        verdicts = {e.method: e.verdict for e in report.entries}
+        assert verdicts[Method.GRAMMAR_BASED] is Verdict.APPLICABLE
+        assert verdicts[Method.FUNCTIONAL_SYNTHESIS] is Verdict.APPLICABLE
+        assert verdicts[Method.ANALOGY_BASED] is Verdict.LIMITED
 
     def test_creative_profile_defeats_everything(self):
         report = classify.recommend(

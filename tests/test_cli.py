@@ -17,6 +17,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env(**extra):
+    """This environment for a child interpreter that imports this checkout."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_main(*argv, **env):
+    """``designbench *argv`` in a child interpreter, with ``env`` added."""
+    return subprocess.run([sys.executable, "-m", "designbench.cli", *map(str, argv)],
+                          capture_output=True, env=child_env(**env), timeout=60)
+
+
 class TestMetrics:
     def test_prints_famous_fraction(self, capsys):
         code, out, _ = run_cli(capsys, "metrics", FIXTURES / "full_subtractor.fs.json")
@@ -217,14 +230,11 @@ class TestGrammarGenerate:
     def test_reader_closing_early_exits_one_without_traceback(self, fmt):
         # 140 kB of text (470 kB of JSON) outgrow the pipe buffer, so the
         # process is still writing when the reader closes its end
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         argv = [sys.executable, "-m", "designbench.cli", "grammar-generate",
                 str(FIXTURES / "gearbox.grammar.json"), "--max-depth", "5",
                 "--max-designs", "1000", "--format", fmt]
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=env) as proc:
+                              env=child_env()) as proc:
             first = proc.stdout.readline()
             proc.stdout.close()
             err = proc.stderr.read()
@@ -232,6 +242,16 @@ class TestGrammarGenerate:
         assert first in (b"211 designs (depth <= 5)\n", b"{\n")
         assert b"Traceback" not in err, err.decode()
         assert code == 1
+
+    def test_non_ascii_rule_name_on_an_ascii_stdout_is_escaped(self, tmp_path):
+        doc = json.loads((FIXTURES / "shaft.grammar.json").read_bytes())
+        doc["rules"][0]["name"] = "add_s\u00e9ction"
+        path = tmp_path / "shaft.grammar.json"
+        path.write_text(json.dumps(doc))
+        proc = run_main("grammar-generate", path, "--format", "text", PYTHONIOENCODING="ascii")
+        assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+        assert proc.returncode == 0
+        assert b"add_s\\xe9ction" in proc.stdout
 
 
 class TestCbrRetrieve:
@@ -243,6 +263,17 @@ class TestCbrRetrieve:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("1. fruit_peeler")
+
+    def test_non_ascii_case_id_on_an_ascii_stdout_is_escaped(self, tmp_path):
+        cases = json.loads((FIXTURES / "winder_cases.cases.json").read_bytes())
+        cases[0]["id"] = "c\u00e4se"
+        path = tmp_path / "cases.cases.json"
+        path.write_text(json.dumps(cases))
+        proc = run_main("cbr-retrieve", path, FIXTURES / "coil_winder.fs.json", "-k", "4",
+                        PYTHONIOENCODING="ascii")
+        assert b"Traceback" not in proc.stderr, proc.stderr.decode()
+        assert proc.returncode == 0
+        assert b". c\\xe4se  score = " in proc.stdout
 
     def test_explicit_simspec(self, capsys):
         code, out, _ = run_cli(capsys, "cbr-retrieve",

@@ -17,7 +17,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from designbench import cli, grammar
+from designbench import cli, grammar, jsonio
 from conftest import FIXTURES
 
 ROOT = FIXTURES.parent
@@ -229,12 +229,12 @@ _VALUES = st.recursive(
 @example([[], {}, [[]], {"": [{}]}])
 @example({"caf\u00e9 \U0001f600": ["\x00\x1f\"\\", -0.0, 1e16, 1e-7, 2**70, True, None]})
 def test_emitter_equals_indented_json_dumps(value):
-    assert cli._indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert jsonio.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_emitter_rejects_non_json_values():
     with pytest.raises(TypeError):
-        cli._indented_json({"x": object()})
+        jsonio.dumps({"x": object()})
 
 
 def _generation_doc(result: grammar.GenerationResult) -> dict:

@@ -9,9 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from designbench import casebase as cb
 from designbench import funcstruct as fs
+from designbench import jsonio, synth
 from conftest import load_fixture_bytes, random_structure, relabel_structure
 from oracles import check_structure, flow_scan_pi
 
@@ -37,7 +39,7 @@ class TestValidate:
         cyclic = fs.FunctionStructure(
             s.vertices, s.terminals, s.flows + (fs.Flow("v1", "v0", "material"),)
         )
-        assert "cycle" in fs.validate(cyclic).codes()
+        assert "cycle" in {v.code for v in fs.validate(cyclic).violations}
 
     def test_vertex_without_output_path_reported(self):
         s = chain(2)
@@ -46,28 +48,28 @@ class TestValidate:
             s.terminals,
             s.flows + (fs.Flow("v0", "v9", "material"),),
         )
-        assert "off-path-vertex" in fs.validate(dangling).codes()
+        assert "off-path-vertex" in {v.code for v in fs.validate(dangling).violations}
 
     def test_terminal_to_terminal_flow_reported(self):
         s = chain(1)
         bad = fs.FunctionStructure(
             s.vertices, s.terminals, s.flows + (fs.Flow("in0", "out0", "material"),)
         )
-        assert "terminal-terminal-flow" in fs.validate(bad).codes()
+        assert "terminal-terminal-flow" in {v.code for v in fs.validate(bad).violations}
 
     def test_duplicate_ids_reported(self):
         s = fs.FunctionStructure(
             (fs.FunctionVertex("v0", "a"), fs.FunctionVertex("v0", "b")),
             (), (),
         )
-        assert "duplicate-id" in fs.validate(s).codes()
+        assert "duplicate-id" in {v.code for v in fs.validate(s).violations}
 
     def test_input_terminal_with_inflow_reported(self):
         s = chain(1)
         bad = fs.FunctionStructure(
             s.vertices, s.terminals, s.flows + (fs.Flow("v0", "in0", "material"),)
         )
-        assert "input-terminal-inflow" in fs.validate(bad).codes()
+        assert "input-terminal-inflow" in {v.code for v in fs.validate(bad).violations}
 
 
 def _load_bench_gen():
@@ -114,7 +116,7 @@ class TestValidateAgainstOracle:
         rng = random.Random(1203)
         seen: set[str] = set()
         for _ in range(5000):
-            seen |= self.same(hostile_structure(rng)).codes()
+            seen |= {v.code for v in self.same(hostile_structure(rng)).violations}
         assert seen == {"duplicate-id", "bad-terminal-kind", "empty-label", "no-vertices",
                         "unknown-endpoint", "terminal-terminal-flow", "input-terminal-inflow",
                         "output-terminal-outflow", "cycle", "off-path-vertex"}
@@ -173,8 +175,8 @@ class TestValidateAgainstOracle:
             s.flows + (fs.Flow("v1", "v1", "m"), fs.Flow("v0", "v1", "m"),
                        fs.Flow("in0", "out0", "m"), fs.Flow("out0", "in0", "m")),
         )
-        assert self.same(looped).codes() == {"cycle", "terminal-terminal-flow",
-                                             "input-terminal-inflow", "output-terminal-outflow"}
+        assert {v.code for v in self.same(looped).violations} == {
+            "cycle", "terminal-terminal-flow", "input-terminal-inflow", "output-terminal-outflow"}
         parallel = fs.FunctionStructure(s.vertices, s.terminals, s.flows + s.flows)
         assert self.same(parallel).ok
 
@@ -189,7 +191,7 @@ class TestValidateAgainstOracle:
             "flows[0] connects two terminals ('i' -> 'o')",
             "flows[0] has empty label",
         ]
-        assert self.same(fs.FunctionStructure(())).codes() == {"no-vertices"}
+        assert {v.code for v in self.same(fs.FunctionStructure(())).violations} == {"no-vertices"}
 
     def test_bench_size_shapes(self):
         gen = _load_bench_gen()
@@ -206,7 +208,7 @@ class TestValidateAgainstOracle:
                 s.flows + (fs.Flow(inner.target, inner.source, "m"),
                            fs.Flow(s.vertices[1].id, "dead", "m")),
             )
-            assert self.same(broken).codes() == {"cycle", "off-path-vertex"}
+            assert {v.code for v in self.same(broken).violations} == {"cycle", "off-path-vertex"}
 
     def test_long_ring_has_one_cycle_and_no_recursion(self):
         s = chain(20_000)
@@ -276,6 +278,14 @@ class TestRecords:
         assert len({flow, terminal, vertex}) == 3
 
 
+_MEMOISED = [
+    (lambda: fs.parse_structure(load_fixture_bytes("coil_winder.fs.json")),
+     ("degrees", "function_labels", "flow_labels", "_report", "_pi")),
+    (lambda: synth.parse_topology(load_fixture_bytes("subtractor.topo.json")),
+     ("_sources", "_outputs")),
+]
+
+
 class TestDegree:
     def test_coffee_brew_vertex(self):
         # two flows in (boiled water, coffee powder), one out (coffee)
@@ -322,13 +332,29 @@ class TestDegree:
             s.degrees["v0"] = 5  # type: ignore[index]
         assert fs.degree(s, "v0") == 2
 
-    def test_structure_with_cached_values_pickles_and_copies(self):
-        s = fs.parse_structure(load_fixture_bytes("coil_winder.fs.json"))
-        assert fs.interdependency_index(s) == Fraction(3, 7)
-        for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
-            assert twin == s
-            assert fs.interdependency_index(twin) == Fraction(3, 7)
-            assert twin.degrees == s.degrees
+    @pytest.mark.parametrize("load, memo", _MEMOISED, ids=["structure", "topology"])
+    def test_structure_with_cached_values_pickles_and_copies(self, load, memo):
+        value = load()
+        before = {name: getattr(value, name) for name in memo}
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert twin == value
+            assert {name: getattr(twin, name) for name in memo} == before
+
+    @pytest.mark.parametrize("load, memo", _MEMOISED, ids=["structure", "topology"])
+    def test_each_memoised_value_is_computed_once(self, monkeypatch, load, memo):
+        calls, cls = [], type(load())
+        for name in memo:
+            descriptor = vars(cls)[name]
+            assert isinstance(descriptor, jsonio.cached)
+
+            def counted(instance, func=descriptor.func, name=name):
+                calls.append(name)
+                return func(instance)
+            monkeypatch.setattr(descriptor, "func", counted)
+        value = load()  # a Topology reads its wiring while it is checked
+        for name in memo:
+            assert getattr(value, name) is getattr(value, name)
+        assert sorted(calls) == sorted(memo)
 
 
 class TestInterdependencyIndex:
@@ -480,6 +506,22 @@ class TestJsonRoundTrip:
         data = load_fixture_bytes("coil_winder.fs.json")
         problem = fs.parse_structure(data)
         assert fs.serialize_structure(problem) == fs.serialize_structure(problem)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(), max_size=4), st.lists(st.text(), max_size=4), st.text())
+    @example(["caf\u00e9 \U0001f600", "\x00\x1f"], ["\"q\" \\ \u00e4", "\u2028"], "\t\\\"")
+    def test_bytes_equal_indented_json_dumps(self, ids, labels, label):
+        # the bytes ``synth --fs-out`` writes, whatever text the ids and
+        # labels hold
+        pairs = list(zip(ids, labels))
+        structure = fs.FunctionStructure(
+            tuple(fs.FunctionVertex(vid, text) for vid, text in pairs),
+            (fs.BoundaryTerminal(label, fs.INPUT, label),),
+            tuple(fs.Flow(label, vid, text) for vid, text in pairs),
+        )
+        for problem in (structure, fs.BlackBox(label, tuple(ids), tuple(labels))):
+            text = json.dumps(fs.problem_to_dict(problem), indent=2, sort_keys=True)
+            assert fs.serialize_structure(problem) == (text + "\n").encode()
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,20 @@ Two search problems are solved at desk scale:
 * topology generation: additionally search over canonical topologies by
   increasing gate count and return the first satisfiable circuit.
 
-Truth vectors are packed into integers, one bit per row.  Topology
-generation first bounds the number of gates the table needs from below,
-breadth first over sets of computed truth vectors (Knuth's minimum-cost
-computation, TAOCP 4A 7.1.2), testing each set as it is made and never
-storing the last level.  The bound is the exact fewest number of gates
-while every stored level stays within ``_BOUND_STATES`` sets; once one
-outgrows it, the count proven so far is returned, which is only a lower
-bound.  A table that needs more than the allowed gates is UNSAT without
-enumerating a topology; otherwise the search starts at the bound, since
-no smaller count can succeed.
+Truth vectors are packed into integers, one bit per row; a requirement
+packs its input and target columns once, in one pass over its rows.
+Topology generation first bounds the number of gates the table needs
+from below, breadth first over sets of computed truth vectors (Knuth's
+minimum-cost computation, TAOCP 4A 7.1.2), testing each set as it is
+made and never storing the last level.  Whether one gate reading a new
+value makes a target is a lookup for NOT, a pass over the signals for XOR
+that also collects the target's supersets and subsets, and, only if there
+are any, a pass over the new values for AND and OR.  The bound is the
+exact fewest number of gates while every stored level stays within
+``_BOUND_STATES`` sets; once one outgrows it, the count proven so far is
+returned, which is only a lower bound.  A table that needs more than
+the allowed gates is UNSAT without enumerating a topology; otherwise the
+search starts at the bound, since no smaller count can succeed.
 
 Topologies and gate assignments are then searched together, in one
 depth-first walk over canonical slot sequences that shares each slot
@@ -35,13 +39,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Collection, Optional, Sequence
 
 from .funcstruct import BoundaryTerminal, Flow, FunctionStructure, FunctionVertex
 from .jsonio import SchemaError, cached, load_document
 
-_SLOT_REF = re.compile(r"^s(\d+)$")
+#: A slot ref: "s" and the slot's index in ASCII digits, without leading zeros.
+_SLOT_REF = re.compile(r"s(0|[1-9][0-9]*)", re.ASCII)
+#: What a primary name must not match, so no name reads as a slot ref.
+_REF_LIKE = re.compile(r"^s(\d+)$")
 
 
 class GateType(Enum):
@@ -68,7 +75,7 @@ def _check_names(names: Sequence[str], kind: str) -> None:
     if len(set(names)) != len(names):
         raise ValueError(f"primary {kind} names must be unique")
     for name in names:
-        if not name or _SLOT_REF.match(name):
+        if not name or _REF_LIKE.match(name):
             raise ValueError(f"illegal primary {kind} name {name!r}")
 
 
@@ -103,7 +110,7 @@ class Topology:
         if not self.outputs:
             raise ValueError("a topology needs at least one primary output")
         for ref in self.outputs:
-            match = _SLOT_REF.match(ref)
+            match = _SLOT_REF.fullmatch(ref)
             if not match or int(match.group(1)) >= len(self.slots):
                 raise ValueError(f"output must reference a gate slot, got {ref!r}")
         unreachable = set(range(len(self.slots))) - self._reachable_slots()
@@ -112,7 +119,7 @@ class Topology:
 
     def _resolve(self, ref: str, slot_index: int) -> int:
         """Internal source index: inputs first, then slots."""
-        match = _SLOT_REF.match(ref)
+        match = _SLOT_REF.fullmatch(ref)
         if match:
             j = int(match.group(1))
             if j >= slot_index:
@@ -131,19 +138,13 @@ class Topology:
 
     @cached
     def _outputs(self) -> tuple[int, ...]:
-        return tuple(int(_SLOT_REF.match(ref).group(1)) for ref in self.outputs)
-
-    def source_indices(self) -> list[tuple[int, ...]]:
-        return list(self._sources)
-
-    def output_slots(self) -> tuple[int, ...]:
-        return self._outputs
+        return tuple(int(ref[1:]) for ref in self.outputs)
 
     def _reachable_slots(self) -> set[int]:
         n = len(self.inputs)
         seen: set[int] = set()
-        stack = list(self.output_slots())
-        sources = self.source_indices()
+        stack = list(self._outputs)
+        sources = self._sources
         while stack:
             j = stack.pop()
             if j in seen:
@@ -191,40 +192,37 @@ class Requirement:
             rows.append((in_bits, tuple(fn(*in_bits))))
         return cls(tuple(inputs), tuple(outputs), tuple(rows))
 
-    def _row_index(self, in_bits: tuple[int, ...]) -> int:
+    @cached
+    def _columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The packed input and target columns: bit ``r`` of each is its
+        value on the row whose input bits spell ``r`` in binary."""
         n = len(self.inputs)
-        return sum(bit << (n - 1 - i) for i, bit in enumerate(in_bits))
+        columns = [0] * (n + len(self.outputs))
+        for in_bits, out_bits in self.rows:
+            r = 0
+            for bit in in_bits:
+                r = r << 1 | bit
+            row = 1 << r
+            for i, bit in enumerate(in_bits + out_bits):
+                if bit:
+                    columns[i] |= row
+        return tuple(columns[:n]), tuple(columns[n:])
 
     def input_vectors(self) -> list[int]:
         """Per input, the packed column of its value over all rows."""
-        vecs = [0] * len(self.inputs)
-        for in_bits, _ in self.rows:
-            r = self._row_index(in_bits)
-            for i, bit in enumerate(in_bits):
-                vecs[i] |= bit << r
-        return vecs
+        return list(self._columns[0])
 
     def target_vectors(self) -> list[int]:
-        vecs = [0] * len(self.outputs)
-        for in_bits, out_bits in self.rows:
-            r = self._row_index(in_bits)
-            for j, bit in enumerate(out_bits):
-                vecs[j] |= bit << r
-        return vecs
+        return list(self._columns[1])
 
     def supports(self) -> list[frozenset[int]]:
-        """Per output, the set of inputs the table truly depends on."""
+        """Per output, the inputs it truly depends on: input ``i`` is one
+        iff the column differs from itself with input ``i`` flipped."""
         n = len(self.inputs)
-        targets = self.target_vectors()
-        out = []
-        for t in targets:
-            support = set()
-            for i in range(n):
-                flip = 1 << (n - 1 - i)
-                if any(((t >> r) & 1) != ((t >> (r ^ flip)) & 1) for r in range(2 ** n)):
-                    support.add(i)
-            out.append(frozenset(support))
-        return out
+        full = (1 << 2 ** n) - 1
+        inputs, targets = self._columns
+        return [frozenset(i for i, x in enumerate(inputs)
+                          if (t & x) >> (1 << (n - 1 - i)) != t & (full ^ x)) for t in targets]
 
 
 @dataclass(frozen=True)
@@ -268,19 +266,13 @@ def evaluate(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
     return tuple(values[n + j] for j in topo._outputs)
 
 
-def _gate_vector(gate: GateType, operands: Sequence[int], full: int) -> int:
-    if gate is GateType.IDENTITY:
-        return operands[0]
-    if gate is GateType.NOT:
-        return operands[0] ^ full
-    if gate is GateType.AND:
-        return operands[0] & operands[1]
-    if gate is GateType.OR:
-        return operands[0] | operands[1]
-    return operands[0] ^ operands[1]
+def _gate_vectors(a: int, b: int, unary: bool, full: int) -> tuple[int, ...]:
+    """Per gate of ``_UNARY`` on ``a``, or of ``_BINARY`` on ``a`` and ``b``,
+    its output vector."""
+    return (a, a ^ full) if unary else (a & b, a | b, a ^ b)
 
 
-def _search_assignment(slot_sources: list[tuple[int, ...]], input_vecs: list[int],
+def _search_assignment(slot_sources: Sequence[tuple[int, ...]], input_vecs: list[int],
                        checked: dict[int, list[int]], full: int) -> Optional[list[GateType]]:
     """Lexicographically-first gate assignment; slots wired to an output
     are compared against their target vector as soon as they get a gate."""
@@ -293,11 +285,10 @@ def _search_assignment(slot_sources: list[tuple[int, ...]], input_vecs: list[int
         if j == gate_count:
             return True
         sources = slot_sources[j]
-        operands = [values[s] for s in sources]
-        candidates = _UNARY if len(sources) == 1 else _BINARY
+        unary = len(sources) == 1
+        vecs = _gate_vectors(values[sources[0]], values[sources[-1]], unary, full)
         targets = checked.get(j)
-        for gate in candidates:
-            vec = _gate_vector(gate, operands, full)
+        for gate, vec in zip(_UNARY if unary else _BINARY, vecs):
             if targets is not None and any(vec != t for t in targets):
                 continue
             values[n + j] = vec
@@ -338,10 +329,10 @@ def synthesize_assignment(topology: Topology,
     full = (1 << 2 ** len(topology.inputs)) - 1
     targets = requirement.target_vectors()
     checked: dict[int, list[int]] = {}
-    for position, slot in enumerate(topology.output_slots()):
+    for position, slot in enumerate(topology._outputs):
         checked.setdefault(slot, []).append(targets[position])
 
-    gates = _search_assignment(topology.source_indices(), requirement.input_vectors(),
+    gates = _search_assignment(topology._sources, requirement.input_vectors(),
                                checked, full)
     if gates is None:
         return None
@@ -359,13 +350,8 @@ def _ref_choices(n_sources: int) -> list[tuple[int, tuple[int, ...]]]:
     Binary gates in the vocabulary are all commutative, so refs are
     unordered (sorted, repeats allowed).
     """
-    choices: list[tuple[int, tuple[int, ...]]] = []
-    for a in range(n_sources):
-        choices.append((1, (a,)))
-    for a in range(n_sources):
-        for b in range(a, n_sources):
-            choices.append((2, (a, b)))
-    return choices
+    return [(1, (a,)) for a in range(n_sources)] + \
+        [(2, refs) for refs in combinations_with_replacement(range(n_sources), 2)]
 
 
 def _closures(n_inputs: int, slots: list[tuple[int, ...]]) -> list[int]:
@@ -405,15 +391,38 @@ def _slot_sequence_to_topology(input_names: tuple[str, ...],
     return Topology(input_names, gate_slots, tuple(f"s{j}" for j in output_slots))
 
 
-def _gate_with_new(target: int, new: Collection[int], signals: frozenset[int],
+def _gate_with_new(target: int, new: Collection[int], signals: Collection[int],
                    full: int) -> bool:
     """Whether a gate reading a value ``v`` of ``new`` computes ``target``:
     NOT ``v``, or ``v`` XOR a signal, AND a superset or OR a subset.  With
-    ``new`` equal to ``signals``, whether any gate over them does."""
-    if target ^ full in new or any(s ^ target in new for s in signals):
+    ``new`` equal to ``signals``, whether any gate over them does.  A pass
+    over ``signals`` tests XOR and keeps each superset's extra bits and each
+    subset; a pass over ``new`` then finds an AND as disjoint extra bits if
+    there are supersets, and another an OR as a covering union if subsets."""
+    if target ^ full in new:
         return True
-    return any(v & s == target for v in new if v & target == target for s in signals) \
-        or any(v | s == target for v in new if v | target == target for s in signals)
+    extras, parts = [], []
+    for s in signals:
+        if s ^ target in new:
+            return True
+        if s & target == target:
+            extras.append(s ^ target)
+        if s | target == target:
+            parts.append(s)
+    if extras:
+        for v in new:
+            if v & target == target:
+                extra = v ^ target
+                for e in extras:
+                    if not extra & e:
+                        return True
+    if parts:
+        for v in new:
+            if v | target == target:
+                for s in parts:
+                    if v | s == target:
+                        return True
+    return False
 
 
 #: Slot-value sets ``_fewest_gates`` stores in one level (tens of MB).  A
@@ -486,7 +495,8 @@ def _fewest_gates(input_vecs: Sequence[int], targets: Sequence[int], full: int,
                     if rest <= new and (t in new or _gate_with_new(t, rest or new, signals, full)):
                         return held + size + 2
             if left > 1:
-                grown.update(state | {v} for v in (new if len(missing) <= left else new & missing))
+                children = new if len(missing) <= left else new & missing
+                grown.update({state | {v} for v in children})
                 if len(grown) > _BOUND_STATES:
                     return held + size + 2
         frontier = grown
@@ -539,8 +549,11 @@ def synthesize_topology(requirement: Requirement,
         sum(1 << i for i in support) for support in requirement.supports()
     ]
     completable: dict[tuple[frozenset[int], int], bool] = {}
+    wanted = frozenset(targets)
 
     def can_complete(values: tuple[int, ...], left: int) -> bool:
+        if not left:
+            return wanted.issubset(values)
         key = (frozenset(values), left)
         verdict = completable.get(key)
         if verdict is None:
@@ -553,12 +566,14 @@ def synthesize_topology(requirement: Requirement,
                refs: tuple[int, ...], left: int):
         seen: set[tuple[int, ...]] = set()
         grown = []
-        candidates = _UNARY if len(refs) == 1 else _BINARY
+        unary = len(refs) == 1
+        candidates = _UNARY if unary else _BINARY
+        first, second = refs[0], refs[-1]
         for values, gates in reached:
             signals = input_vecs + values
-            operands = [signals[r] for r in refs]
-            for gate in candidates:
-                longer = values + (_gate_vector(gate, operands, full),)
+            vecs = _gate_vectors(signals[first], signals[second], unary, full)
+            for gate, vec in zip(candidates, vecs):
+                longer = values + (vec,)
                 if longer in seen:
                     continue
                 seen.add(longer)
@@ -567,7 +582,8 @@ def synthesize_topology(requirement: Requirement,
         return grown
 
     slots: list[tuple[int, ...]] = []
-    depths: list[int] = []
+    depths = [0] * n  # per source, inputs first
+    choices = [_ref_choices(n + j) for j in range(max_gates)]
 
     def finish(reached) -> Optional[Circuit]:
         gate_count = len(slots)
@@ -601,8 +617,8 @@ def synthesize_topology(requirement: Requirement,
         j = len(slots)
         if j == gate_count:
             return finish(reached)
-        for arity, refs in _ref_choices(n + j):
-            depth = 1 + max(0 if r < n else depths[r - n] for r in refs)
+        for arity, refs in choices[j]:
+            depth = 1 + max(depths[refs[0]], depths[refs[-1]])
             key = (depth, arity, refs)
             if key < prev_key:
                 continue
@@ -651,11 +667,11 @@ def to_function_structure(circuit: Circuit,
         for name in topo.inputs
     ]
     flows = []
-    for j, sources in enumerate(topo.source_indices()):
+    for j, sources in enumerate(topo._sources):
         for src in sources:
             origin = f"in_{signal(src)}" if src < n else f"s{src - n}"
             flows.append(Flow(source=origin, target=f"s{j}", label=signal(src)))
-    for name, slot in zip(output_names, topo.output_slots()):
+    for name, slot in zip(output_names, topo._outputs):
         terminals.append(BoundaryTerminal(id=f"out_{name}", kind="output", label=name))
         flows.append(Flow(source=f"s{slot}", target=f"out_{name}", label=name))
     return FunctionStructure(vertices, tuple(terminals), tuple(flows))
@@ -702,6 +718,9 @@ def topology_from_dict(doc: object, location: str = "$") -> Topology:
     for key in ("inputs", "slots", "outputs"):
         if not isinstance(doc.get(key), list):
             raise SchemaError(f"'{key}' must be an array", f"{location}.{key}")
+    for key in ("inputs", "outputs"):
+        if not all(isinstance(x, str) for x in doc[key]):
+            raise SchemaError(f"'{key}' must contain strings", f"{location}.{key}")
     slots = []
     for i, slot in enumerate(doc["slots"]):
         loc = f"{location}.slots[{i}]"
@@ -716,7 +735,7 @@ def topology_from_dict(doc: object, location: str = "$") -> Topology:
         slots.append(GateSlot(arity, tuple(refs)))
     try:
         return Topology(tuple(doc["inputs"]), tuple(slots), tuple(doc["outputs"]))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise SchemaError(str(exc), location) from exc
 
 

@@ -10,8 +10,10 @@ generation checks every
 child against the whole vocabulary and skips no repeat, circuit
 satisfiability is decided by enumerating every gate chain directly,
 topology search is the enumerate-then-assign loop that preceded the fused
-walk, the fewest-gates bound is the level-by-level search that preceded
-the per-child test, the interdependency index is counted by scanning the
+walk over truth-table columns packed row by row, the fewest-gates bound is
+the level-by-level search that preceded the per-child test, the one-gate
+test is the ``any`` over every signal and new value that preceded the
+plain loops, the interdependency index is counted by scanning the
 flow list once per vertex, structures are validated over string-keyed
 sets with a depth-first cycle search, and case similarity and reuse are the
 term-by-term ``Fraction`` versions that preceded the integer kernel and
@@ -23,7 +25,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Collection, Iterator, Mapping, Optional, Sequence
 
 from designbench import grammar as gr
 from designbench.casebase import (
@@ -613,6 +615,49 @@ def pair_sat(n_inputs: int, targets: tuple[int, int], max_gates: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Truth-table columns row by row (verbatim from synth.Requirement before it
+# packed its columns once)
+
+def _row_index(requirement: Requirement, in_bits: tuple[int, ...]) -> int:
+    n = len(requirement.inputs)
+    return sum(bit << (n - 1 - i) for i, bit in enumerate(in_bits))
+
+
+def input_vectors(requirement: Requirement) -> list[int]:
+    """Per input, the packed column of its value over all rows."""
+    vecs = [0] * len(requirement.inputs)
+    for in_bits, _ in requirement.rows:
+        r = _row_index(requirement, in_bits)
+        for i, bit in enumerate(in_bits):
+            vecs[i] |= bit << r
+    return vecs
+
+
+def target_vectors(requirement: Requirement) -> list[int]:
+    vecs = [0] * len(requirement.outputs)
+    for in_bits, out_bits in requirement.rows:
+        r = _row_index(requirement, in_bits)
+        for j, bit in enumerate(out_bits):
+            vecs[j] |= bit << r
+    return vecs
+
+
+def supports(requirement: Requirement) -> list[frozenset[int]]:
+    """Per output, the set of inputs the table truly depends on."""
+    n = len(requirement.inputs)
+    targets = target_vectors(requirement)
+    out = []
+    for t in targets:
+        support = set()
+        for i in range(n):
+            flip = 1 << (n - 1 - i)
+            if any(((t >> r) & 1) != ((t >> (r ^ flip)) & 1) for r in range(2 ** n)):
+                support.add(i)
+        out.append(frozenset(support))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Topology search by enumerate-then-assign (verbatim from synth before the
 # fused walk): every canonical slot sequence at a gate count, then a fresh
 # backtracking gate assignment for every choice of output slots
@@ -659,13 +704,13 @@ def enumerate_then_assign(requirement: Requirement,
     n = len(requirement.inputs)
     m = len(requirement.outputs)
     full = (1 << 2 ** n) - 1
-    input_vecs = requirement.input_vectors()
-    targets = requirement.target_vectors()
+    input_vecs = input_vectors(requirement)
+    targets = target_vectors(requirement)
     fewest = fewest_gates(input_vecs, targets, full, max_gates)
     if fewest is None:
         return None
     support_masks = [
-        sum(1 << i for i in support) for support in requirement.supports()
+        sum(1 << i for i in support) for support in supports(requirement)
     ]
 
     for gate_count in range(fewest, max_gates + 1):
@@ -705,6 +750,19 @@ def enumerate_then_assign(requirement: Requirement,
 
 # ---------------------------------------------------------------------------
 # Fewest gates by whole levels: the bound that preceded the per-child test
+
+def gate_with_new(target: int, new: Collection[int], signals: frozenset[int],
+                  full: int) -> bool:
+    """Whether a gate reading a value ``v`` of ``new`` computes ``target``:
+    NOT ``v``, or ``v`` XOR a signal, AND a superset or OR a subset.  With
+    ``new`` equal to ``signals``, whether any gate over them does.
+
+    Verbatim from ``synth._gate_with_new`` before its plain loops."""
+    if target ^ full in new or any(s ^ target in new for s in signals):
+        return True
+    return any(v & s == target for v in new if v & target == target for s in signals) \
+        or any(v | s == target for v in new if v | target == target for s in signals)
+
 
 def _one_gate_makes(target: int, signals: frozenset[int], full: int) -> bool:
     """Whether a single gate over ``signals`` computes ``target``, which is

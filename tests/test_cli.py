@@ -422,6 +422,24 @@ class TestSynth:
         assert out == ""
         assert err == f"error: {topo}: $.slots[0].arity: 'arity' must be an integer\n"
 
+    @pytest.mark.parametrize("slots, outputs, message", [
+        ([["A", "B"]], ["s00"], "output must reference a gate slot, got 's00'"),
+        ([["A", "B"], ["s\u0660"]], ["s1"], "slot 1: unknown ref 's\u0660'"),
+    ], ids=["zero-padded-output", "arabic-indic-slot"])
+    def test_non_canonical_slot_refs_are_input_errors(self, capsys, tmp_path, slots,
+                                                       outputs, message):
+        # both topologies realise AND; they used to exit 0 and echo the
+        # ref, while --fs-out wrote s0
+        topo = tmp_path / "alias.topo.json"
+        topo.write_text(json.dumps({"inputs": ["A", "B"], "outputs": outputs,
+                                    "slots": [{"from": refs} for refs in slots]}))
+        code, out, err = run_cli(capsys, "synth", FIXTURES / "and_gate.req.json",
+                                 "--topology", topo, "--fs-out", tmp_path / "out.fs.json")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {topo}: $: {message}\n"
+        assert not (tmp_path / "out.fs.json").exists()
+
 
 class TestClassify:
     def test_creative_profile_exits_one(self, capsys):

@@ -1,13 +1,25 @@
 import hashlib
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from designbench import funcstruct as fs
 from designbench import jsonio, synth
 from designbench.synth import GateSlot, GateType, Requirement, Topology
 from conftest import load_fixture_bytes
-from oracles import chain_sat, enumerate_then_assign, fewest_gates, pair_sat, reachable_sat
+from oracles import (
+    chain_sat,
+    enumerate_then_assign,
+    fewest_gates,
+    gate_with_new,
+    input_vectors,
+    pair_sat,
+    reachable_sat,
+    supports,
+    target_vectors,
+)
 
 
 def _circuit_bytes(circuit):
@@ -73,12 +85,9 @@ class TestEvaluate:
         expected = [tuple(n + int(ref[1:]) if ref.startswith("s") and ref[1:].isdigit()
                           else topo.inputs.index(ref) for ref in slot.refs)
                     for slot in topo.slots]
-        assert topo.source_indices()[:3] == [(0, 1), (n, 2), (0,)]
-        assert topo.source_indices() == expected
-        assert topo.output_slots() == (1, 6)
-        # each call returns its own list, so a caller's edit stays its own
-        topo.source_indices().clear()
-        assert topo.source_indices() == expected
+        assert topo._sources[:3] == ((0, 1), (n, 2), (0,))
+        assert list(topo._sources) == expected
+        assert topo._outputs == (1, 6)
 
 
 class TestSynthesizeAssignment:
@@ -341,6 +350,73 @@ class TestFewestGates:
             "8adf22f6d341c96781a438155acbb94208da751d469064d64912bdc501a98a95"
 
 
+@st.composite
+def _one_gate_cases(draw):
+    """A target, new values and signals over 2-4 inputs.  Values are often
+    the target's supersets or subsets, so AND and OR are reached; ``new``
+    is sometimes ``signals`` itself, as in the bound's first test."""
+    n = draw(st.integers(2, 4))
+    full = (1 << 2 ** n) - 1
+    target = draw(st.integers(0, full))
+    values = st.integers(0, full).flatmap(
+        lambda x: st.sampled_from((x, x | target, x & target, x ^ full)))
+    signals = draw(st.frozensets(values, max_size=6))
+    new = signals if draw(st.booleans()) else draw(st.sets(values, max_size=10))
+    return target, new, signals, full
+
+
+class TestOneGateTest:
+    @settings(max_examples=1000, deadline=None)
+    @given(_one_gate_cases())
+    def test_equals_the_any_version(self, case):
+        assert synth._gate_with_new(*case) == gate_with_new(*case)
+
+    def test_equals_the_any_version_on_every_three_input_child(self):
+        # every target against the inputs and one more value, with the
+        # new values one gate over them, and with new equal to signals
+        inputs = frozenset(_three_input_table(0).input_vectors())
+        verdicts = set()
+        for extra in range(256):
+            signals = inputs | {extra}
+            made = {a ^ 255 for a in signals} | {0}
+            made.update(op for a in signals for b in signals for op in (a & b, a | b, a ^ b))
+            for new in (made - signals, signals):
+                for target in range(256):
+                    got = synth._gate_with_new(target, new, signals, 255)
+                    assert got == gate_with_new(target, new, signals, 255), \
+                        f"target {target:08b}, extra {extra:08b}"
+                    verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+@st.composite
+def _shuffled_tables(draw):
+    """A complete truth table over 1-4 inputs and 1-3 outputs, its rows in
+    any order."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    outs = draw(st.lists(st.tuples(*[st.integers(0, 1)] * m),
+                         min_size=2 ** n, max_size=2 ** n))
+    rows = [(tuple((r >> (n - 1 - i)) & 1 for i in range(n)), out)
+            for r, out in enumerate(outs)]
+    return Requirement(tuple("abcd"[:n]), tuple(f"y{j}" for j in range(m)),
+                       tuple(draw(st.permutations(rows))))
+
+
+class TestPackedColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(_shuffled_tables())
+    def test_equal_the_per_row_columns(self, req):
+        assert req.input_vectors() == input_vectors(req)
+        assert req.target_vectors() == target_vectors(req)
+        assert req.supports() == supports(req)
+
+    def test_each_call_returns_its_own_list(self, subtractor_req):
+        expected = input_vectors(subtractor_req), target_vectors(subtractor_req)
+        subtractor_req.input_vectors().clear()
+        subtractor_req.target_vectors().clear()
+        assert (subtractor_req.input_vectors(), subtractor_req.target_vectors()) == expected
+
+
 def _table(vectors, n=3):
     """Truth table over ``n`` inputs whose output j is ``vectors[j]``
     packed by row (row r has input i equal to bit n-1-i of r)."""
@@ -488,6 +564,35 @@ class TestStructuralInvariants:
     def test_requirement_names_follow_the_topology_rule(self, inputs, outputs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Requirement.from_function(inputs, outputs, lambda a, b: (a & b,) * len(outputs))
+
+    @pytest.mark.parametrize("ref", ["s00", "s01", "s0\n", "s\u0660", "s\uff10", "s+0", " s0"],
+                             ids=["zero-padded", "leading-zero", "newline", "arabic-indic",
+                                  "fullwidth", "plus", "space"])
+    def test_slot_refs_are_s_and_ascii_digits_without_leading_zeros(self, ref):
+        # "^s(\d+)$" used to read s00, s01, s0 plus a newline and the
+        # Unicode digits as slots 0, 1, 0 and 0; the sign and the space never
+        quoted = re.escape(repr(ref))
+        with pytest.raises(ValueError, match=f"^slot 1: unknown ref {quoted}$"):
+            Topology(("a",), (GateSlot(1, ("a",)), GateSlot(1, (ref,))), ("s1",))
+        with pytest.raises(ValueError, match=f"^output must reference a gate slot, got {quoted}$"):
+            Topology(("a",), (GateSlot(1, ("a",)),), (ref,))
+
+    @pytest.mark.parametrize("name", ["s0", "s00", "s0\n", "s\u0660", "s12"])
+    def test_names_that_read_as_slot_refs_stay_illegal(self, name):
+        with pytest.raises(ValueError, match="^illegal primary input name "):
+            Topology((name,), (GateSlot(1, (name,)),), ("s0",))
+        with pytest.raises(ValueError, match="^illegal primary output name "):
+            Requirement.from_function(("a",), (name,), lambda a: (a,))
+
+    @pytest.mark.parametrize("key, doc", [
+        ("outputs", {"inputs": ["a"], "slots": [{"from": ["a"]}], "outputs": [5]}),
+        ("inputs", {"inputs": [1], "slots": [{"from": ["s0"]}], "outputs": ["s0"]}),
+    ])
+    def test_topology_names_must_be_strings(self, key, doc):
+        with pytest.raises(jsonio.SchemaError) as info:
+            synth.topology_from_dict(doc)
+        assert str(info.value) == f"$.{key}: '{key}' must contain strings"
+        assert info.value.location == f"$.{key}"
 
     @pytest.mark.parametrize("arity", [True, 2.0], ids=["bool", "float"])
     def test_arity_must_be_int(self, arity):

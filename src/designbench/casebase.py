@@ -6,11 +6,14 @@ over flow labels, and closeness of the two interdependency indices.
 The weights are configurable and default to (1/2, 3/10, 1/5).  Scores
 are exact rationals, which keeps ranking ties deterministic.  The
 kernel keeps every term as an integer numerator and denominator and
-builds a single ``Fraction`` per pair; rational arithmetic is exact
-and ``Fraction`` reduces to lowest terms, so the score is the same
-value, with the same ``str``, as a term-by-term ``Fraction`` sum.
-Retrieval selects the top k with ``heapq.nsmallest`` under the sort
-key (best score, then case id), which equals a full sort cut at k.
+returns the score as one unreduced ``(num, den)`` pair; rational
+arithmetic is exact and ``Fraction`` reduces to lowest terms, so
+``Fraction(num, den)`` is the same value, with the same ``str``, as a
+term-by-term ``Fraction`` sum.  Retrieval ranks the pairs themselves:
+it keeps the best k in a bounded heap ordered by the cross products
+``num * den'`` against ``num' * den`` (denominators are positive), then
+by case id, which equals a full sort under (best score, then case id)
+cut at k, and builds a ``Fraction`` only for the k cases it returns.
 
 Reuse maps the retrieved case's components onto the query's
 subfunctions greedily by word overlap, tokenising each label and
@@ -111,6 +114,35 @@ def _overlap(a: Mapping[str, int], b: Mapping[str, int]) -> int:
     return total
 
 
+def _weights(spec: SimilaritySpec) -> tuple[int, int, int, int, int, int]:
+    """The three weights as numerator, denominator pairs, in spec order."""
+    fn, fd = spec.function_weight.as_integer_ratio()
+    ln, ld = spec.flow_weight.as_integer_ratio()
+    sn, sd = spec.structure_weight.as_integer_ratio()
+    return fn, fd, ln, ld, sn, sd
+
+
+def _score(weights: tuple[int, int, int, int, int, int], a: FunctionStructure,
+           b: FunctionStructure) -> tuple[int, int]:
+    """The similarity of ``a`` and ``b`` as an unreduced ``(num, den)``
+    with ``den > 0`` (see :func:`structure_similarity`)."""
+    fn, fd, ln, ld, sn, sd = weights
+    fo = _overlap(a.function_labels, b.function_labels)
+    fu = len(a.vertices) + len(b.vertices) - fo
+    lo = _overlap(a.flow_labels, b.flow_labels)
+    lu = len(a.flows) + len(b.flows) - lo
+    pa, pb = interdependency_index(a), interdependency_index(b)
+    pq = pa.denominator * pb.denominator
+    closeness = pq - abs(pa.numerator * pb.denominator - pb.numerator * pa.denominator)
+    functions_d, flows_d, structure_d = fd * fu, ld * lu, sd * pq
+    return (
+        fn * fo * flows_d * structure_d
+        + ln * lo * functions_d * structure_d
+        + sn * closeness * functions_d * flows_d,
+        functions_d * flows_d * structure_d,
+    )
+
+
 def structure_similarity(spec: SimilaritySpec, a: FunctionStructure,
                          b: FunctionStructure) -> Fraction:
     """Weighted blend of label overlap and interdependency closeness.
@@ -119,53 +151,63 @@ def structure_similarity(spec: SimilaritySpec, a: FunctionStructure,
     Label multisets and indices are read from each structure's cache,
     so scoring a pair costs O(distinct labels) once both are warm.
 
-    The kernel stays in integers and builds one ``Fraction``.  A label
-    Jaccard is the multiset overlap over the union, which is the two
-    totals (every vertex, every flow) minus the overlap; a valid
-    structure has a vertex and flows, so no union is zero, and an
-    invalid one raises from :func:`interdependency_index`.  The PI term
-    ``1 - |pa/qa - pb/qb|`` is cross-multiplied from the two reduced
-    indices, and each weight enters as its numerator and denominator.
-    ``Fraction(N, D)`` over the product of the denominators reduces
-    once to the same value, hence the same ``str``, as summing the
-    terms as ``Fraction``s.
+    The kernel :func:`_score` stays in integers.  A label Jaccard is the
+    multiset overlap over the union, which is the two totals (every
+    vertex, every flow) minus the overlap; a valid structure has a
+    vertex and flows, so no union is zero, and an invalid one raises
+    from :func:`interdependency_index`.  The PI term ``1 - |pa/qa -
+    pb/qb|`` is cross-multiplied from the two reduced indices, and each
+    weight enters as its numerator and denominator.  ``Fraction(num,
+    den)`` over the product of the denominators reduces once to the same
+    value, hence the same ``str``, as summing the terms as ``Fraction``s.
     """
-    fo = _overlap(a.function_labels, b.function_labels)
-    fu = len(a.vertices) + len(b.vertices) - fo
-    lo = _overlap(a.flow_labels, b.flow_labels)
-    lu = len(a.flows) + len(b.flows) - lo
-    pa, pb = interdependency_index(a), interdependency_index(b)
-    pq = pa.denominator * pb.denominator
-    closeness = pq - abs(pa.numerator * pb.denominator - pb.numerator * pa.denominator)
-    fn, fd = spec.function_weight.as_integer_ratio()
-    ln, ld = spec.flow_weight.as_integer_ratio()
-    sn, sd = spec.structure_weight.as_integer_ratio()
-    functions_d, flows_d, structure_d = fd * fu, ld * lu, sd * pq
-    return Fraction(
-        fn * fo * flows_d * structure_d
-        + ln * lo * functions_d * structure_d
-        + sn * closeness * functions_d * flows_d,
-        functions_d * flows_d * structure_d,
-    )
+    return Fraction(*_score(_weights(spec), a, b))
 
 
 def similarity(spec: SimilaritySpec, query: FunctionStructure, case: Case) -> Fraction:
     return structure_similarity(spec, query, case.problem)
 
 
+class _Ranked:
+    """A scored case in the retrieval heap; ``<`` means ranked below."""
+
+    __slots__ = ("num", "den", "id")
+
+    def __init__(self, num: int, den: int, case_id: str):
+        self.num, self.den, self.id = num, den, case_id
+
+    def __lt__(self, other: _Ranked) -> bool:
+        lower = self.num * other.den - other.num * self.den
+        return lower < 0 or (lower == 0 and self.id > other.id)
+
+
 def retrieve(base: CaseBase, spec: SimilaritySpec, query: FunctionStructure,
              k: int) -> RetrievalResult:
-    """Top-k cases by similarity; ties broken by case id."""
+    """Top-k cases by similarity; ties broken by case id.
+
+    The first k cases fill a heap whose root is the lowest ranked; every
+    later case is compared with the root once and replaces it only if it
+    ranks above, so selection is O(N log k) and most cases cost one
+    integer comparison.  Cases are scored in base order, so the first
+    invalid structure met, the query or a case, is the one that raises.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if not base.cases:
         raise EmptyCaseBaseError("cannot retrieve from an empty case base")
-    # heapq.nsmallest(k, it, key) is documented as sorted(it, key=key)[:k].
-    return RetrievalResult(tuple(heapq.nsmallest(
-        k,
-        ((case.id, similarity(spec, query, case)) for case in base.cases),
-        key=lambda pair: (-pair[1], pair[0]),
-    )))
+    weights = _weights(spec)
+    heap = [_Ranked(*_score(weights, query, case.problem), case.id)
+            for case in base.cases[:k]]
+    heapq.heapify(heap)
+    for case in base.cases[k:]:
+        num, den = _score(weights, query, case.problem)
+        worst = heap[0]
+        above = num * worst.den - worst.num * den
+        if above > 0 or (above == 0 and case.id < worst.id):
+            heapq.heapreplace(heap, _Ranked(num, den, case.id))
+    heap.sort(reverse=True)
+    return RetrievalResult(tuple((entry.id, Fraction(entry.num, entry.den))
+                                 for entry in heap))
 
 
 def retain(base: CaseBase, case: Case) -> CaseBase:
@@ -293,7 +335,11 @@ def has_component(substring: str) -> Callable[[tuple[Component, ...]], bool]:
 
 
 def serves_function(label: str) -> Callable[[tuple[Component, ...]], bool]:
-    return lambda comps: any(label_affinity(c.serves, label) > 0 for c in comps)
+    # label_affinity > 0 exactly when the overlap's shared count is, which
+    # holds also for two empty word sets (1/1); the label is tokenised once
+    words = _tokens(label)
+    return lambda comps: any(_word_overlap(_tokens(c.serves), words)[0] > 0
+                             for c in comps)
 
 
 def min_components(count: int) -> Callable[[tuple[Component, ...]], bool]:

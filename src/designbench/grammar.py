@@ -899,12 +899,14 @@ def canonical_form(design: Design) -> bytes:
     with the same colours, and swapping those components colour by
     colour while fixing every other vertex is an automorphism: a stable
     colouring gives both vertices equal edge counts for each label and
-    neighbour colour, and singletons, the individualised vertices among
-    them, stay fixed.  So each cell is one orbit, and refinement only
-    splits cells and components, so this holds at every node below.
-    Every leaf then has the first leaf's certificate, and only the
-    first path is followed, until no edge joins two non-singleton
-    vertices: these are then twins, and the colour order is the leaf.
+    neighbour colour, and singletons stay fixed.  So each cell is one
+    orbit, and every leaf has the first leaf's certificate.  That leaf
+    orders every cell by one order of the components, since
+    individualising a vertex splits its whole component off the others
+    in each cell it meets.  Any other order of the components is the
+    image of that one under such swaps, so it has the same certificate:
+    the vertices are sorted once by (colour, component root), with no
+    search.
     """
     nodes = design.nodes
     n = len(nodes)
@@ -925,25 +927,17 @@ def canonical_form(design: Design) -> bytes:
     if count == n:
         return certificate(sorted(range(n), key=colours.__getitem__))
 
-    # A component-discrete colouring (see the docstring) is certified
-    # along the first path of the search, one individualisation per level.
+    # A component-discrete colouring (see the docstring) is certified by
+    # ordering each cell by the components' roots.
     size = _cell_sizes(colours, count)
     forest = list(range(n))
-    joined = [(s, t) for s, t, _ in edges if size[colours[s]] > 1 and size[colours[t]] > 1]
-    for s, t in joined:
-        _union(forest, s, t)
-    placed = {(_find(forest, v), c) for v, c in enumerate(colours) if size[c] > 1}
-    if len(placed) == sum(k for k in size if k > 1):
-        colouring = colours
-        while joined:
-            cell = next(c for c, k in enumerate(size) if k > 1)
-            branched = [c + 1 if c >= cell else c for c in colouring]
-            branched[colouring.index(cell)] = cell
-            colouring, count = _refine(branched, count + 1, edges)
-            size = _cell_sizes(colouring, count)
-            joined = [(s, t) for s, t in joined
-                      if size[colouring[s]] > 1 and size[colouring[t]] > 1]
-        return certificate(sorted(range(n), key=colouring.__getitem__))
+    for s, t, _ in edges:
+        if size[colours[s]] > 1 and size[colours[t]] > 1:
+            _union(forest, s, t)
+    roots = [_find(forest, v) for v in range(n)]
+    if len({(r, c) for r, c in zip(roots, colours) if size[c] > 1}) \
+            == sum(k for k in size if k > 1):
+        return certificate(sorted(range(n), key=lambda v: (colours[v], roots[v])))
 
     # When each cell is a single vertex or one class of twins, each
     # permutation inside the cells is an automorphism.  Every leaf puts each

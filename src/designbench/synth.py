@@ -100,13 +100,15 @@ class Topology:
         _check_names(self.inputs, "input")
         if not self.slots:
             raise ValueError("a topology needs at least one gate slot")
+        sources = []
         for j, slot in enumerate(self.slots):
             # True == 1 and 1.0 == 1 in Python, but neither is an arity
             if type(slot.arity) is not int or slot.arity not in (1, 2) \
                     or len(slot.refs) != slot.arity:
                 raise ValueError(f"slot {j}: arity must be 1 or 2 and match the wiring")
-            for ref in slot.refs:
-                self._resolve(ref, j)
+            sources.append(tuple([self._resolve(ref, j) for ref in slot.refs]))
+        # each slot's sources as internal indices, resolved once, here
+        self.__dict__["_sources"] = tuple(sources)
         if not self.outputs:
             raise ValueError("a topology needs at least one primary output")
         for ref in self.outputs:
@@ -130,11 +132,6 @@ class Topology:
         if ref in self.inputs:
             return self.inputs.index(ref)
         raise ValueError(f"slot {slot_index}: unknown ref {ref!r}")
-
-    @cached
-    def _sources(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self._resolve(ref, j) for ref in slot.refs)
-                     for j, slot in enumerate(self.slots))
 
     @cached
     def _outputs(self) -> tuple[int, ...]:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own algorithms: isomorphism is
 decided by trying node bijections, canonical forms are computed by an
 individualisation search that never prunes, derivation spaces are
-enumerated depth-first without canonical forms, matching scans every
+enumerated depth-first without canonical forms, component-discrete
+certificates come from the per-level walk along the first search path,
+matching scans every
 design node for each pattern node and groups edge instances per call,
 rewriting derives everything it needs from the rule at every call,
 generation checks every
@@ -17,9 +19,11 @@ plain loops, the interdependency index is counted by scanning the
 flow list once per vertex, structures are validated over string-keyed
 sets with a depth-first cycle search, and case similarity and reuse are the
 term-by-term ``Fraction`` versions that preceded the integer kernel and
-the tokenise-once reuse.
+the tokenise-once reuse, and retrieval builds a ``Fraction`` per case and
+selects with ``heapq.nsmallest``.
 """
 
+import heapq
 import json
 import re
 from collections import Counter
@@ -30,9 +34,13 @@ from typing import Collection, Iterator, Mapping, Optional, Sequence
 from designbench import grammar as gr
 from designbench.casebase import (
     Case,
+    CaseBase,
     ComponentMapping,
     DraftSolution,
+    EmptyCaseBaseError,
+    RetrievalResult,
     SimilaritySpec,
+    similarity,
 )
 from designbench.funcstruct import (
     INPUT,
@@ -171,6 +179,49 @@ def canonical_form(design: gr.Design) -> bytes:
     search(colours)
     assert best is not None
     return best
+
+
+# ---------------------------------------------------------------------------
+# Component-discrete certificates by the per-level walk
+#
+# The library's certificate of a component-discrete colouring before it
+# became one sort by (colour, component), kept verbatim: it follows the
+# first path of the search, individualising the first vertex of the first
+# non-singleton cell and refining, until no edge joins two non-singleton
+# vertices.  Polynomial, so it checks large designs too; ``None`` when the
+# refined colouring is not component-discrete.
+
+def component_walk_form(design: gr.Design) -> Optional[bytes]:
+    nodes = design.nodes
+    n = len(nodes)
+    index = dict(zip(map(gr._ID, nodes), range(n)))
+    labels = sorted(set(map(gr._LABEL, design.edges)))
+    label_rank = dict(zip(labels, range(0, n * len(labels), max(n, 1))))
+    label_text = dict(zip(label_rank.values(), map(gr._json_text, labels)))
+    edges = [(index[e.source], index[e.target], label_rank[e.label]) for e in design.edges]
+    keys = list(map(gr._COLOUR_KEY, nodes))
+    distinct = sorted(set(keys))
+    colours, count = gr._refine(list(map(dict(zip(distinct, range(n))).__getitem__, keys)),
+                                len(distinct), edges)
+    size = gr._cell_sizes(colours, count)
+    forest = list(range(n))
+    joined = [(s, t) for s, t, _ in edges if size[colours[s]] > 1 and size[colours[t]] > 1]
+    for s, t in joined:
+        gr._union(forest, s, t)
+    placed = {(gr._find(forest, v), c) for v, c in enumerate(colours) if size[c] > 1}
+    if len(placed) != sum(k for k in size if k > 1):
+        return None
+    colouring = colours
+    while joined:
+        cell = next(c for c, k in enumerate(size) if k > 1)
+        branched = [c + 1 if c >= cell else c for c in colouring]
+        branched[colouring.index(cell)] = cell
+        colouring, count = gr._refine(branched, count + 1, edges)
+        size = gr._cell_sizes(colouring, count)
+        joined = [(s, t) for s, t in joined
+                  if size[colouring[s]] > 1 and size[colouring[t]] > 1]
+    order = sorted(range(n), key=colouring.__getitem__)
+    return gr._certificate(order, edges, label_text, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -1078,3 +1129,22 @@ def reuse(case: Case, query: FunctionStructure) -> DraftSolution:
         mappings.append(ComponentMapping(comp, label, score))
     gaps = tuple(label for label in labels if label not in covered)
     return DraftSolution(case.id, case.solution.description, tuple(mappings), gaps)
+
+
+# ---------------------------------------------------------------------------
+# Retrieval through a Fraction per case (verbatim from casebase before it
+# ranked the integer scores in a bounded heap)
+
+def retrieve(base: CaseBase, spec: SimilaritySpec, query: FunctionStructure,
+             k: int) -> RetrievalResult:
+    """Top-k cases by similarity; ties broken by case id."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not base.cases:
+        raise EmptyCaseBaseError("cannot retrieve from an empty case base")
+    # heapq.nsmallest(k, it, key) is documented as sorted(it, key=key)[:k].
+    return RetrievalResult(tuple(heapq.nsmallest(
+        k,
+        ((case.id, similarity(spec, query, case)) for case in base.cases),
+        key=lambda pair: (-pair[1], pair[0]),
+    )))

@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from designbench import casebase as cb
 from designbench import funcstruct as fs
@@ -390,3 +391,96 @@ class TestKernelAgainstOracle:
                  ("spool", "coil"), ("guide line", "line guide")]
         for a, b in pairs:
             assert cb.label_affinity(a, b) == oracles.label_affinity(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Ranking by integer scores against the Fraction-per-case retrieval kept in
+# tests/oracles.py
+
+K_CHOICES = {"1": lambda n: 1, "2": lambda n: 2, "3": lambda n: 3,
+             "N-1": lambda n: max(1, n - 1), "N": lambda n: n,
+             "N+7": lambda n: n + 7, "10**9": lambda n: 10 ** 9}
+
+
+def shuffled_base(rng, shapes, size):
+    """``size`` cases over the given shapes (so scores tie), with ids in a
+    shuffled order that shares prefixes and mixes in non-ASCII text."""
+    prefixes = ["c", "case-", "C", "z", "\u00e9"]
+    ids = [rng.choice(prefixes) + str(i) for i in range(size)]
+    rng.shuffle(ids)
+    return cb.CaseBase(tuple(cb.Case(cid, rng.choice(shapes), cb.Solution("")) for cid in ids))
+
+
+def outcome(run):
+    try:
+        result = run()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return result.ranked, [str(score) for _, score in result.ranked]
+
+
+class TestRetrieveAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(WEIGHT_SPECS),
+           st.integers(1, 24), st.integers(1, 4), st.sampled_from(sorted(K_CHOICES)))
+    def test_ranking_and_score_text_equal_the_oracle(self, rng, spec, size, shape_count,
+                                                      k_name):
+        shapes = [random_structure(rng, max_vertices=rng.choice((3, 8)))
+                  for _ in range(shape_count)]
+        base = shuffled_base(rng, shapes, size)
+        query = rng.choice(shapes + [random_structure(rng)])
+        k = K_CHOICES[k_name](size)
+        ranked = cb.retrieve(base, spec, query, k).ranked
+        expected = oracles.retrieve(base, spec, query, k).ranked
+        assert ranked == expected
+        assert [str(score) for _, score in ranked] == [str(score) for _, score in expected]
+        assert all(type(score) is Fraction for _, score in ranked)
+
+    def test_large_base_half_retrieved(self, spec):
+        rng = random.Random(67)
+        shapes = [random_structure(rng) for _ in range(40)]
+        base = shuffled_base(rng, shapes, 3000)
+        for query in (shapes[0], random_structure(rng)):
+            ranked = outcome(lambda: cb.retrieve(base, spec, query, 1500))
+            assert len(ranked[0]) == 1500
+            assert ranked == outcome(lambda: oracles.retrieve(base, spec, query, 1500))
+
+    def test_errors_are_raised_in_the_same_order(self, spec, base, winder):
+        s = tiny_structure(["wind", "clamp"], "wire")
+        cyclic = fs.FunctionStructure(s.vertices, s.terminals,
+                                      s.flows + (fs.Flow("v1", "v0", "wire"),))
+        unknown = fs.FunctionStructure(s.vertices, s.terminals,
+                                       s.flows + (fs.Flow("v1", "nowhere", "wire"),))
+        bad = [cb.Case("loop", cyclic, cb.Solution("")),
+               cb.Case("lost", unknown, cb.Solution(""))]
+        cases = list(base.cases)
+        bases = [
+            cb.CaseBase(),
+            base,
+            cb.CaseBase((bad[0], *cases)),
+            cb.CaseBase((*cases[:2], bad[1], *cases[2:])),
+            cb.CaseBase((*cases, bad[0])),
+            cb.CaseBase((*cases[:1], bad[1], *cases[1:], bad[0])),
+        ]
+        seen = set()
+        for case_base in bases:
+            for query in (winder, cyclic, unknown):
+                for k in (-1, 0, 1, 2, len(case_base), 10 ** 9):
+                    got = outcome(lambda: cb.retrieve(case_base, spec, query, k))
+                    assert got == outcome(lambda: oracles.retrieve(case_base, spec, query, k))
+                    seen.add(got[0] if isinstance(got[0], type) else "ranked")
+        assert seen == {ValueError, cb.EmptyCaseBaseError, fs.InvalidStructureError, "ranked"}
+
+    def test_serves_function_equals_the_affinity_predicate(self):
+        rng = random.Random(71)
+        words = ["wind", "wire", "guide", "spool", "Clamp", "line", "coil", "", "--", "?!"]
+
+        def phrase():
+            return " ".join(rng.sample(words, rng.randint(0, 3)))
+
+        for _ in range(400):
+            label = phrase()
+            components = tuple(cb.Component(f"part {i}", phrase())
+                               for i in range(rng.randint(0, 4)))
+            expected = any(oracles.label_affinity(c.serves, label) > 0 for c in components)
+            assert cb.serves_function(label)(components) is expected

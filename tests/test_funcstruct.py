@@ -282,7 +282,7 @@ _MEMOISED = [
     (lambda: fs.parse_structure(load_fixture_bytes("coil_winder.fs.json")),
      ("degrees", "function_labels", "flow_labels", "_report", "_pi")),
     (lambda: synth.parse_topology(load_fixture_bytes("subtractor.topo.json")),
-     ("_sources", "_outputs")),
+     ("_outputs",)),
 ]
 
 

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import re
 
@@ -88,6 +90,22 @@ class TestEvaluate:
         assert topo._sources[:3] == ((0, 1), (n, 2), (0,))
         assert list(topo._sources) == expected
         assert topo._outputs == (1, 6)
+
+    def test_each_ref_is_resolved_once(self, monkeypatch):
+        calls = []
+        resolve = Topology._resolve
+
+        def counted(self, ref, slot_index):
+            calls.append(ref)
+            return resolve(self, ref, slot_index)
+        monkeypatch.setattr(Topology, "_resolve", counted)
+        topo = synth.parse_topology(load_fixture_bytes("subtractor.topo.json"))
+        refs = [ref for slot in topo.slots for ref in slot.refs]
+        assert calls == refs
+        wiring = topo._sources
+        for twin in (pickle.loads(pickle.dumps(topo)), copy.copy(topo), copy.deepcopy(topo)):
+            assert twin == topo and twin._sources == wiring
+        assert calls == refs
 
 
 class TestSynthesizeAssignment:

@@ -235,11 +235,6 @@ def _word_overlap(ta: frozenset[str], tb: frozenset[str]) -> tuple[int, int]:
     return shared, len(ta) + len(tb) - shared
 
 
-def label_affinity(a: str, b: str) -> Fraction:
-    """Word-overlap Jaccard between two free-text labels."""
-    return Fraction(*_word_overlap(_tokens(a), _tokens(b)))
-
-
 @dataclass(frozen=True)
 class ComponentMapping:
     component: Component
@@ -335,7 +330,7 @@ def has_component(substring: str) -> Callable[[tuple[Component, ...]], bool]:
 
 
 def serves_function(label: str) -> Callable[[tuple[Component, ...]], bool]:
-    # label_affinity > 0 exactly when the overlap's shared count is, which
+    # the word Jaccard is above 0 exactly when the shared count is, which
     # holds also for two empty word sets (1/1); the label is tokenised once
     words = _tokens(label)
     return lambda comps: any(_word_overlap(_tokens(c.serves), words)[0] > 0

@@ -154,7 +154,7 @@ def domain_from_dict(doc: object, location: str) -> Domain:
                               f"{location}.interval")
         return IntervalDomain(payload[0], payload[1])
     if key == "type":
-        if payload not in _TYPE_CHECKS:
+        if not isinstance(payload, str) or payload not in _TYPE_CHECKS:
             raise SchemaError(f"unknown type {payload!r}", f"{location}.type")
         return TypeDomain(payload)
     if key == "description":

@@ -289,16 +289,9 @@ class PatternNode:
 
 
 @dataclass(frozen=True)
-class PatternEdge:
-    source: str
-    target: str
-    label: str
-
-
-@dataclass(frozen=True)
 class PatternGraph:
     nodes: tuple[PatternNode, ...]
-    edges: tuple[PatternEdge, ...] = ()
+    edges: tuple[GraphEdge, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -327,7 +320,7 @@ class RhsNode:
 @dataclass(frozen=True)
 class RhsGraph:
     nodes: tuple[RhsNode, ...]
-    edges: tuple[PatternEdge, ...] = ()
+    edges: tuple[GraphEdge, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -338,8 +331,14 @@ class Rule:
     anchors: tuple[tuple[str, str], ...] = ()  # lhs node id -> rhs node id
 
     def __post_init__(self):
-        lhs_ids = {n.id for n in self.lhs.nodes}
-        rhs_ids = {n.id for n in self.rhs.nodes}
+        lhs_ids: set[str] = set()
+        rhs_ids: set[str] = set()
+        for side, ids, nodes in (("LHS", lhs_ids, self.lhs.nodes),
+                                 ("RHS", rhs_ids, self.rhs.nodes)):
+            for node in nodes:
+                if node.id in ids:
+                    raise ValueError(f"rule {self.name!r}: {side} node id {node.id!r} repeats")
+                ids.add(node.id)
         targets = [rhs for _, rhs in self.anchors]
         if len(targets) != len(set(targets)):
             raise ValueError(f"rule {self.name!r}: anchor map must be injective")
@@ -569,8 +568,7 @@ def _satisfies(pattern: PatternNode, node: GraphNode) -> bool:
     return True
 
 
-def find_matches(rule: Rule, design: Design,
-                 vocab: Optional[Vocabulary] = None) -> list[Match]:
+def find_matches(rule: Rule, design: Design) -> list[Match]:
     """All injective embeddings of the rule's LHS, deterministically ordered.
 
     Matching is injective homomorphism: unrelated context around the
@@ -580,14 +578,9 @@ def find_matches(rule: Rule, design: Design,
     edge instances from its index by ``(source, target, label)``, both
     built once per design and shared by every rule matched into it.
     Each level of the search checks only the edge counts of the LHS
-    edges it completes, from the rule's search plan.
+    edges it completes, from the rule's search plan.  No vocabulary is
+    checked here: a :class:`Grammar` checks its rules and axiom once.
     """
-    if vocab is not None:
-        vocab.require_valid(design, "design")
-        problems = check_rule(vocab, rule)
-        if problems:
-            raise VocabularyError(f"rule {rule.name!r}: " + "; ".join(problems))
-
     plan = rule._search_plan
     lhs_ids = rule._lhs_order
     groups = rule._edge_groups
@@ -701,12 +694,15 @@ def apply(rule: Rule, design: Design, match: Match,
 
     Raises :class:`StaleMatchError` if the match no longer embeds, and
     :class:`DanglingEdgeError` if an unmatched edge touches a node the
-    rule removes.
+    rule removes.  Given ``vocab``, the result is checked against it and
+    a violation raises :class:`VocabularyError`.
 
     A node the rule does not match is the parent's own object in the
     result, and so is an anchored node the rewrite leaves as it was (same
     label, and each attribute a value of the same type and JSON text);
-    every other node of the result is a new object.
+    every other node of the result is a new object.  The result's node
+    ids are unique without a check: kept ids are the parent's, new nodes
+    take unused fresh ids, and a :class:`Rule` repeats no RHS id.
     """
     node_map = _verify_match(rule, design, match)
     by_id = design._by_id
@@ -770,14 +766,9 @@ def apply(rule: Rule, design: Design, match: Match,
         _set(edge, "label", label)
         edges.append(edge)
 
-    if len(placed) < len(anchor) + len(new_nodes):
-        # two new RHS nodes share an id, and so their node in the result
-        result = Design(tuple(nodes), tuple(edges))
-    else:
-        # surviving ids are the parent's, and the fresh ones are unused
-        result = _new(Design)
-        _set(result, "nodes", tuple(nodes))
-        _set(result, "edges", tuple(edges))
+    result = _new(Design)  # ids unique: see the docstring
+    _set(result, "nodes", tuple(nodes))
+    _set(result, "edges", tuple(edges))
     if vocab is not None:
         vocab.require_valid(result, f"result of rule {rule.name!r}")
     return result
@@ -1238,10 +1229,9 @@ def _pattern_from_dict(doc: object, location: str) -> PatternGraph:
                 raise SchemaError("op 'in' needs an array 'value'", f"{ploc}.value")
             predicates.append(AttrPredicate(p["attr"], op, p.get("value")))
         nodes.append(PatternNode(n["id"], n["label"], tuple(predicates)))
-    edges = [_edge_from_dict(e, f"{location}.edges[{i}]")
-             for i, e in enumerate(_array(doc, "edges", location))]
-    pattern_edges = tuple(PatternEdge(e.source, e.target, e.label) for e in edges)
-    return PatternGraph(tuple(nodes), pattern_edges)
+    edges = tuple(_edge_from_dict(e, f"{location}.edges[{i}]")
+                  for i, e in enumerate(_array(doc, "edges", location)))
+    return PatternGraph(tuple(nodes), edges)
 
 
 def _rhs_from_dict(doc: object, location: str) -> RhsGraph:
@@ -1270,10 +1260,9 @@ def _rhs_from_dict(doc: object, location: str) -> RhsGraph:
             else:
                 attrs[attr] = value
         nodes.append(RhsNode.make(n["id"], n["label"], attrs))
-    edges = [_edge_from_dict(e, f"{location}.edges[{i}]")
-             for i, e in enumerate(_array(doc, "edges", location))]
-    pattern_edges = tuple(PatternEdge(e.source, e.target, e.label) for e in edges)
-    return RhsGraph(tuple(nodes), pattern_edges)
+    edges = tuple(_edge_from_dict(e, f"{location}.edges[{i}]")
+                  for i, e in enumerate(_array(doc, "edges", location)))
+    return RhsGraph(tuple(nodes), edges)
 
 
 def grammar_from_dict(doc: object, location: str = "$") -> Grammar:

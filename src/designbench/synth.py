@@ -107,14 +107,17 @@ class Topology:
                     or len(slot.refs) != slot.arity:
                 raise ValueError(f"slot {j}: arity must be 1 or 2 and match the wiring")
             sources.append(tuple([self._resolve(ref, j) for ref in slot.refs]))
-        # each slot's sources as internal indices, resolved once, here
-        self.__dict__["_sources"] = tuple(sources)
         if not self.outputs:
             raise ValueError("a topology needs at least one primary output")
+        outputs = []
         for ref in self.outputs:
             match = _SLOT_REF.fullmatch(ref)
             if not match or int(match.group(1)) >= len(self.slots):
                 raise ValueError(f"output must reference a gate slot, got {ref!r}")
+            outputs.append(int(match.group(1)))
+        # each slot's sources as internal indices, and each output's slot
+        # index, resolved once, here
+        self.__dict__.update(_sources=tuple(sources), _outputs=tuple(outputs))
         unreachable = set(range(len(self.slots))) - self._reachable_slots()
         if unreachable:
             raise ValueError(f"slots unreachable from any output: {sorted(unreachable)}")
@@ -132,10 +135,6 @@ class Topology:
         if ref in self.inputs:
             return self.inputs.index(ref)
         raise ValueError(f"slot {slot_index}: unknown ref {ref!r}")
-
-    @cached
-    def _outputs(self) -> tuple[int, ...]:
-        return tuple(int(ref[1:]) for ref in self.outputs)
 
     def _reachable_slots(self) -> set[int]:
         n = len(self.inputs)
@@ -351,25 +350,14 @@ def _ref_choices(n_sources: int) -> list[tuple[int, tuple[int, ...]]]:
         [(2, refs) for refs in combinations_with_replacement(range(n_sources), 2)]
 
 
-def _closures(n_inputs: int, slots: list[tuple[int, ...]]) -> list[int]:
-    """Per slot, bitmask of primary inputs in its transitive fan-in."""
-    out: list[int] = []
-    for refs in slots:
-        mask = 0
-        for r in refs:
-            mask |= (1 << r) if r < n_inputs else out[r - n_inputs]
-        out.append(mask)
-    return out
-
-
-def _backward_cover(n_inputs: int, slots: list[tuple[int, ...]]) -> list[int]:
-    """Per slot, bitmask of slots in its transitive fan-in (itself included)."""
+def _fan_in(n_inputs: int, slots: list[tuple[int, ...]]) -> list[int]:
+    """Per slot, bitmask of its transitive fan-in, itself included: input
+    ``i`` is bit ``i`` and slot ``j`` is bit ``n_inputs + j``."""
     out: list[int] = []
     for j, refs in enumerate(slots):
-        mask = 1 << j
+        mask = 1 << (n_inputs + j)
         for r in refs:
-            if r >= n_inputs:
-                mask |= out[r - n_inputs]
+            mask |= (1 << r) if r < n_inputs else out[r - n_inputs]
         out.append(mask)
     return out
 
@@ -535,7 +523,6 @@ def synthesize_topology(requirement: Requirement,
     if max_gates < 1:
         raise ValueError("max_gates must be at least 1")
     n = len(requirement.inputs)
-    m = len(requirement.outputs)
     full = (1 << 2 ** n) - 1
     input_vecs = tuple(requirement.input_vectors())
     targets = requirement.target_vectors()
@@ -580,16 +567,15 @@ def synthesize_topology(requirement: Requirement,
 
     slots: list[tuple[int, ...]] = []
     depths = [0] * n  # per source, inputs first
-    choices = [_ref_choices(n + j) for j in range(max_gates)]
+    choices: list[list[tuple[int, tuple[int, ...]]]] = []  # per slot, up to the gate count
 
     def finish(reached) -> Optional[Circuit]:
         gate_count = len(slots)
-        closures = _closures(n, slots)
-        cover = _backward_cover(n, slots)
+        fan_in = _fan_in(n, slots)
         # Per output position, slots whose fan-in spans the needed inputs.
         candidates = [
-            [j for j in range(gate_count) if closures[j] & support_masks[p] == support_masks[p]]
-            for p in range(m)
+            [j for j in range(gate_count) if fan_in[j] & support == support]
+            for support in support_masks
         ]
         if any(not c for c in candidates):
             return None
@@ -597,8 +583,8 @@ def synthesize_topology(requirement: Requirement,
         for output_slots in product(*candidates):
             covered = 0
             for j in output_slots:
-                covered |= cover[j]
-            if covered != all_slots_mask:
+                covered |= fan_in[j]
+            if covered >> n != all_slots_mask:
                 continue
             for values, gates in reached:
                 if all(values[j] == t for j, t in zip(output_slots, targets)):
@@ -632,6 +618,8 @@ def synthesize_topology(requirement: Requirement,
         return None
 
     for gate_count in range(fewest, max_gates + 1):
+        while len(choices) < gate_count:
+            choices.append(_ref_choices(n + len(choices)))
         circuit = walk((0, 0, ()), [((), ())], gate_count)
         if circuit is not None:
             return circuit
@@ -641,14 +629,12 @@ def synthesize_topology(requirement: Requirement,
 # ---------------------------------------------------------------------------
 # Bridge to function structures
 
-def to_function_structure(circuit: Circuit,
-                          output_names: Optional[Sequence[str]] = None) -> FunctionStructure:
+def to_function_structure(circuit: Circuit, output_names: Sequence[str]) -> FunctionStructure:
     """One function vertex per gate, one flow per wire, terminals at the
-    boundary; the result is ready for interdependency scoring."""
+    boundary; the result is ready for interdependency scoring.  Output
+    ``j`` is named ``output_names[j]``, as in a requirement's ``outputs``."""
     topo = circuit.topology
     n = len(topo.inputs)
-    if output_names is None:
-        output_names = [f"out{j}" for j in range(len(topo.outputs))]
     if len(output_names) != len(topo.outputs):
         raise ValueError("one name per primary output required")
 

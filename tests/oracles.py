@@ -53,8 +53,6 @@ from designbench.funcstruct import (
 from designbench.synth import (
     Circuit,
     Requirement,
-    _backward_cover,
-    _closures,
     _ref_choices,
     _search_assignment,
     _slot_sequence_to_topology,
@@ -745,6 +743,29 @@ def _enumerate_slot_sequences(n_inputs: int,
             depths.pop()
 
     yield from rec((0, 0, ()))
+
+
+def _closures(n_inputs: int, slots: list[tuple[int, ...]]) -> list[int]:
+    """Per slot, bitmask of primary inputs in its transitive fan-in."""
+    out: list[int] = []
+    for refs in slots:
+        mask = 0
+        for r in refs:
+            mask |= (1 << r) if r < n_inputs else out[r - n_inputs]
+        out.append(mask)
+    return out
+
+
+def _backward_cover(n_inputs: int, slots: list[tuple[int, ...]]) -> list[int]:
+    """Per slot, bitmask of slots in its transitive fan-in (itself included)."""
+    out: list[int] = []
+    for j, refs in enumerate(slots):
+        mask = 1 << j
+        for r in refs:
+            if r >= n_inputs:
+                mask |= out[r - n_inputs]
+        out.append(mask)
+    return out
 
 
 def enumerate_then_assign(requirement: Requirement,

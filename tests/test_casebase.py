@@ -386,12 +386,6 @@ class TestKernelAgainstOracle:
             assert [str(m.affinity) for m in draft.mappings] == \
                 [str(m.affinity) for m in expected.mappings]
 
-    def test_label_affinity_unchanged(self):
-        pairs = [("wind wire", "Wind the wire"), ("", ""), ("", "wind"), ("--", "?!"),
-                 ("spool", "coil"), ("guide line", "line guide")]
-        for a, b in pairs:
-            assert cb.label_affinity(a, b) == oracles.label_affinity(a, b)
-
 
 # ---------------------------------------------------------------------------
 # Ranking by integer scores against the Fraction-per-case retrieval kept in

@@ -149,6 +149,21 @@ class TestGrammarGenerate:
         assert err == (f"error: {path}: $: rule 'groove_section': RHS node 's': copy "
                        "references undeclared attribute 'nope' of LHS node 's'\n")
 
+    # add_section: LHS s, e; RHS s, s2 (new), e; anchors s -> s, e -> e
+    @pytest.mark.parametrize("side, node", [("rhs", 1), ("rhs", 0), ("lhs", 0)],
+                             ids=["new-rhs-id", "anchor-target-id", "lhs-id"])
+    def test_node_id_repeated_within_a_rule_side_is_input_error(self, tmp_path, capsys,
+                                                                 side, node):
+        grammar = json.loads((FIXTURES / "shaft.grammar.json").read_text())
+        nodes = grammar["rules"][0][side]["nodes"]
+        nodes.append(dict(nodes[node]))
+        path = tmp_path / "repeat.grammar.json"
+        path.write_text(json.dumps(grammar))
+        code, out, err = run_cli(capsys, "grammar-generate", path, "--max-depth", "3")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: $.rules[0]: rule 'add_section': "
+                       f"{side.upper()} node id {nodes[node]['id']!r} repeats\n")
+
     # json.loads reads these as inf and nan, which the JSON output would
     # then print as the non-JSON tokens inf and nan
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])

@@ -90,7 +90,7 @@ class TestFindMatches:
         vocab = gr.Vocabulary.make({"part": {}}, ["next"])
         lhs = gr.PatternGraph(
             (gr.PatternNode("x", "part"), gr.PatternNode("y", "part")),
-            (gr.PatternEdge("x", "y", "next"),),
+            (gr.GraphEdge("x", "y", "next"),),
         )
         rule = gr.Rule("chain", lhs, gr.RhsGraph((gr.RhsNode.make("x", "part"),
                                                   gr.RhsNode.make("y", "part"))),
@@ -175,7 +175,7 @@ class TestApply:
             "drop_tail",
             lhs=gr.PatternGraph(
                 (gr.PatternNode("x", "part"), gr.PatternNode("y", "part")),
-                (gr.PatternEdge("x", "y", "next"),),
+                (gr.GraphEdge("x", "y", "next"),),
             ),
             rhs=gr.RhsGraph((gr.RhsNode.make("x", "part"),)),
             anchors=(("x", "x"),),
@@ -195,7 +195,7 @@ class TestApply:
             "unlink",
             lhs=gr.PatternGraph(
                 (gr.PatternNode("x", "part"), gr.PatternNode("y", "part")),
-                (gr.PatternEdge("x", "y", "next"),),
+                (gr.GraphEdge("x", "y", "next"),),
             ),
             rhs=gr.RhsGraph((gr.RhsNode.make("x", "part"), gr.RhsNode.make("y", "part"))),
             anchors=(("x", "x"), ("y", "y")),
@@ -218,7 +218,7 @@ class TestApply:
             rhs=gr.RhsGraph(
                 (gr.RhsNode.make("x", "cell"),
                  gr.RhsNode.make("y", "cell", {"v": gr.CopyAttr("x", "v")})),
-                (gr.PatternEdge("x", "y", "next"),),
+                (gr.GraphEdge("x", "y", "next"),),
             ),
             anchors=(("x", "x"),),
         )
@@ -336,7 +336,7 @@ def rewrite_rules(draw, design, name="r"):
         tuple(gr.PatternNode(i, label, tuple(draw(st.lists(
             st.sampled_from(REWRITE_PREDICATES[label]), max_size=1))))
             for i, label in lhs_labels.items()),
-        tuple(gr.PatternEdge(*edge) for edge in lhs_edges))
+        tuple(gr.GraphEdge(*edge) for edge in lhs_edges))
     rhs_nodes, anchors = [], []
     for lhs_id in draw(st.lists(st.sampled_from(lhs_ids), unique=True)):
         rhs_id = draw(st.sampled_from([lhs_id, f"r{lhs_id}"]))
@@ -354,7 +354,7 @@ def rewrite_rules(draw, design, name="r"):
         st.sampled_from(rhs_ids), st.sampled_from(rhs_ids), st.sampled_from("pq")),
         max_size=3)) if rhs_ids else []
     return gr.Rule(name, lhs, gr.RhsGraph(tuple(rhs_nodes),
-                                          tuple(gr.PatternEdge(*e) for e in rhs_edges)),
+                                          tuple(gr.GraphEdge(*e) for e in rhs_edges)),
                    tuple(sorted(anchors)))
 
 
@@ -540,6 +540,32 @@ def gear_pairs(pairs):
     return gr.Design(tuple(nodes), tuple(edges))
 
 
+def clique(size):
+    """``size`` nodes of one kind, each joined to every other both ways."""
+    ids = [f"k{i}" for i in range(size)]
+    return gr.Design(tuple(gr.GraphNode.make(i, "a") for i in ids),
+                     tuple(gr.GraphEdge(u, v, "p") for u in ids for v in ids if u != v))
+
+
+def twin_pairs(count):
+    """``count`` disjoint pairs ``u <-> v`` of one node kind."""
+    nodes, edges = [], []
+    for i in range(count):
+        nodes += [gr.GraphNode.make(f"u{i}", "a"), gr.GraphNode.make(f"v{i}", "a")]
+        edges += [gr.GraphEdge(f"u{i}", f"v{i}", "p"), gr.GraphEdge(f"v{i}", f"u{i}", "p")]
+    return gr.Design(tuple(nodes), tuple(edges))
+
+
+def bipartite_copies(count):
+    """``count`` disjoint copies of K2,2, each edge from one side to the other."""
+    nodes, edges = [], []
+    for i in range(count):
+        sources, targets = [f"s{i}_{k}" for k in range(2)], [f"t{i}_{k}" for k in range(2)]
+        nodes += [gr.GraphNode.make(x, "a") for x in sources + targets]
+        edges += [gr.GraphEdge(u, v, "p") for u in sources for v in targets]
+    return gr.Design(tuple(nodes), tuple(edges))
+
+
 def cycle_union(lengths, undirected):
     """Disjoint cycles of one node kind.  With two lengths, colour
     refinement cannot tell the cycles apart, so the search tree has
@@ -704,8 +730,27 @@ class TestCanonicalFormPruning:
         assert gr.canonical_form(shuffled(design, random.Random(7))) == form
 
     def test_small_symmetric_designs_equal_the_oracle(self):
-        for design in (star(6), gear_pairs(3)):
+        for design in (star(6), gear_pairs(3), clique(6), twin_pairs(5), bipartite_copies(2)):
             assert gr.canonical_form(design) == oracles.canonical_form(design)
+
+    @pytest.mark.parametrize("design, refines, refines_without_twins", [
+        (clique(6), 1, 21), (clique(10), 1, 55), (clique(20), 1, 210),
+        (twin_pairs(5), 20, 35), (twin_pairs(10), 65, 120), (twin_pairs(20), 230, 440),
+        (bipartite_copies(2), 9, 19), (bipartite_copies(5), 45, 100),
+        (bipartite_copies(10), 165, 375),
+    ], ids=["clique-6", "clique-10", "clique-20", "pairs-5", "pairs-10", "pairs-20",
+            "k22-copies-2", "k22-copies-5", "k22-copies-10"])
+    def test_twin_family_search_effort_is_pinned(self, design, refines, refines_without_twins):
+        # colour refinements per certificate, with the twin classes and
+        # with none found: what a change to the twin handling must match
+        form = gr.canonical_form(design)
+        for twins, expected in ((gr._twin_classes, refines),
+                                (lambda *args: [], refines_without_twins)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gr, "_twin_classes", twins)
+                calls = counted(patch, "_refine")
+                assert gr.canonical_form(design) == form
+            assert calls == {"_refine": expected}
 
     @settings(max_examples=150, deadline=None)
     @given(interchangeable_copies(), st.randoms(use_true_random=False))
@@ -783,14 +828,14 @@ MATCH_RULES = [
     for name, nodes, edges in [
         ("one_a", (_A,), ()),
         ("a_with_x_1", (gr.PatternNode("x", "a", (gr.AttrPredicate("x", "eq", 1),)),), ()),
-        ("a_to_b", (_A, _B), (gr.PatternEdge("x", "y", "p"),)),
+        ("a_to_b", (_A, _B), (gr.GraphEdge("x", "y", "p"),)),
         ("two_a", (_A, gr.PatternNode("y", "a")), ()),
         ("double_a_to_a", (_A, gr.PatternNode("y", "a")),
-         (gr.PatternEdge("x", "y", "p"), gr.PatternEdge("x", "y", "p"))),
-        ("loop", (_B,), (gr.PatternEdge("y", "y", "q"),)),
+         (gr.GraphEdge("x", "y", "p"), gr.GraphEdge("x", "y", "p"))),
+        ("loop", (_B,), (gr.GraphEdge("y", "y", "q"),)),
         ("path", (_A, _B, gr.PatternNode("z", "a")),
-         (gr.PatternEdge("x", "y", "p"), gr.PatternEdge("y", "z", "q"),
-          gr.PatternEdge("x", "y", "q"))),
+         (gr.GraphEdge("x", "y", "p"), gr.GraphEdge("y", "z", "q"),
+          gr.GraphEdge("x", "y", "q"))),
     ]
 ]
 

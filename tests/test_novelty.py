@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from designbench import novelty
-from designbench.domains import IntervalDomain, SetDomain, domain_from_dict
+from designbench.domains import (
+    DescribedDomain,
+    DomainUnion,
+    IntervalDomain,
+    SetDomain,
+    TypeDomain,
+    domain_from_dict,
+)
 from designbench.funcstruct import SchemaError
 from designbench.novelty import DesignCategory, DesignInstance, DesignVariable, KnowledgeBase
 from conftest import load_fixture_bytes
@@ -49,6 +56,56 @@ class TestSetDomainMembers:
     def test_every_scalar_kind_accepted(self):
         domain = domain_from_dict({"set": [None, True, 0, 1.5, "x"]}, "$")
         assert domain == SetDomain((None, True, 0, 1.5, "x"))
+
+
+class TestDomainForms:
+    def test_knowledge_base_parses_every_form(self):
+        kb = novelty.parse_knowledge_base(json.dumps({"variables": [
+            {"name": "count", "domain": {"set": [2, None, True]}},
+            {"name": "span", "domain": {"interval": [0, 2.5]}},
+            {"name": "flag", "domain": {"type": "bool"}},
+            {"name": "fit", "domain": {"description": "fits the housing"}},
+            {"name": "mixed", "domain": {"any_of": [
+                {"type": "str"}, {"any_of": [{"interval": [1, 2]}, {"set": ["x"]}]}]}},
+        ]}))
+        assert [v.domain for v in kb.variables] == [
+            SetDomain((2, None, True)),
+            IntervalDomain(0, 2.5),
+            TypeDomain("bool"),
+            DescribedDomain("fits the housing"),
+            DomainUnion((TypeDomain("str"),
+                         DomainUnion((IntervalDomain(1, 2), SetDomain(("x",)))))),
+        ]
+
+    @pytest.mark.parametrize("domain, message", [
+        ({"type": "complex"}, "$.x.type: unknown type 'complex'"),
+        ({"type": ["int"]}, "$.x.type: unknown type ['int']"),
+        ({"type": {"int": 1}}, "$.x.type: unknown type {'int': 1}"),
+        ({"description": 3}, "$.x.description: 'description' takes a string"),
+        ({"any_of": []}, "$.x.any_of: 'any_of' takes a non-empty array"),
+        ({"any_of": {"set": [1]}}, "$.x.any_of: 'any_of' takes a non-empty array"),
+        ({"any_of": [{"set": [1]}, {"type": "x"}]}, "$.x.any_of[1].type: unknown type 'x'"),
+        ({"range": [0, 1]}, "$.x: unknown domain form 'range'"),
+        ({"set": [1], "type": "int"}, "$.x: domain must be a one-key object"),
+    ], ids=["unknown-type", "type-array", "type-object", "description-number",
+            "any-of-empty", "any-of-object", "any-of-nested", "unknown-form", "two-keys"])
+    def test_malformed_form_is_a_located_schema_error(self, domain, message):
+        with pytest.raises(SchemaError) as err:
+            domain_from_dict(domain, "$.x")
+        assert str(err.value) == message
+
+    def test_widening_keeps_each_form_and_orders_set_members(self):
+        assert TypeDomain("int").widen(3) == TypeDomain("int")
+        assert TypeDomain("int").widen(True) == \
+            DomainUnion((TypeDomain("int"), SetDomain((True,))))
+        assert DescribedDomain("any").widen(None) == DescribedDomain("any")
+        union = DomainUnion((TypeDomain("str"), SetDomain((1.5,))))
+        assert union.widen("x") is union
+        # members sort as None, booleans, numbers, strings
+        assert union.widen(None).widen(False) == \
+            DomainUnion((TypeDomain("str"), SetDomain((None, False, 1.5))))
+        assert DomainUnion((IntervalDomain(0, 1),)).widen("x") == \
+            DomainUnion((IntervalDomain(0, 1), SetDomain(("x",))))
 
 
 class TestInnovationIndex:
@@ -141,25 +198,37 @@ class TestAbsorb:
 # Property tests
 
 scalar = st.one_of(
+    st.none(),
     st.integers(-10, 10),
     st.floats(-10, 10, allow_nan=False),
     st.text(max_size=6),
     st.booleans(),
 )
 
-domains = st.one_of(
-    st.lists(scalar, min_size=1, max_size=4).map(lambda xs: SetDomain(tuple(xs))),
-    st.tuples(st.integers(-5, 5), st.integers(0, 5)).map(
-        lambda pair: IntervalDomain(pair[0], pair[0] + pair[1])
+domains = st.recursive(
+    st.one_of(
+        st.lists(scalar, min_size=1, max_size=4).map(lambda xs: SetDomain(tuple(xs))),
+        st.tuples(st.integers(-5, 5), st.integers(0, 5)).map(
+            lambda pair: IntervalDomain(pair[0], pair[0] + pair[1])
+        ),
+        st.sampled_from(["bool", "int", "float", "str"]).map(TypeDomain),
+        st.text(max_size=6).map(DescribedDomain),
     ),
+    lambda parts: st.lists(parts, min_size=1, max_size=3).map(
+        lambda ps: DomainUnion(tuple(ps))),
+    max_leaves=6,
 )
 
-kbs = st.dictionaries(st.text(min_size=1, max_size=4), domains, max_size=5).map(
+# few names, so that a design mostly assigns variables the knowledge base
+# has, and absorbing it widens their domains
+names = st.text(alphabet="abc", min_size=1, max_size=2)
+
+kbs = st.dictionaries(names, domains, max_size=5).map(
     lambda d: KnowledgeBase(tuple(DesignVariable(n, dom) for n, dom in d.items()))
 )
 
-instances = st.dictionaries(st.text(min_size=1, max_size=4), scalar,
-                            min_size=1, max_size=6).map(DesignInstance.from_mapping)
+instances = st.dictionaries(names, scalar, min_size=1, max_size=6).map(
+    DesignInstance.from_mapping)
 
 
 @given(kbs, instances)

@@ -3,6 +3,7 @@ import hashlib
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,9 @@ from designbench import jsonio, synth
 from designbench.synth import GateSlot, GateType, Requirement, Topology
 from conftest import load_fixture_bytes
 from oracles import (
+    _backward_cover,
+    _closures,
+    _enumerate_slot_sequences,
     chain_sat,
     enumerate_then_assign,
     fewest_gates,
@@ -146,6 +150,20 @@ class TestSynthesizeTopology:
         assert circuit is not None
         assert len(circuit.gates) == 1
         assert circuit.gates[0] is GateType.AND
+
+    def test_a_high_gate_bound_costs_nothing_past_the_answer(self):
+        # the slot choices grow to the gate count walked, not to max_gates:
+        # built up to 120 gates they took a 37 MB peak
+        req = synth.parse_requirement(load_fixture_bytes("and_gate.req.json"))
+        tracemalloc.start()
+        try:
+            circuit = synth.synthesize_topology(req, 120)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert circuit.gates == (GateType.AND,)
+        assert peak < 2_000_000
+        assert synth.synthesize_topology(req, 10**6) == circuit
 
     def test_three_input_parity_unsat_with_one_gate(self):
         req = Requirement.from_function(("a", "b", "c"), ("y",),
@@ -469,6 +487,14 @@ def _digest(circuits):
 class TestWalkAgainstOracle:
     """The fused walk returns the enumerate-then-assign search's circuit."""
 
+    def test_one_fan_in_pass_holds_the_input_closure_and_the_slot_cover(self):
+        for n in (1, 2, 3):
+            for gate_count in (1, 2, 3):
+                for slots in _enumerate_slot_sequences(n, gate_count):
+                    fan_in = synth._fan_in(n, slots)
+                    assert [mask & ((1 << n) - 1) for mask in fan_in] == _closures(n, slots)
+                    assert [mask >> n for mask in fan_in] == _backward_cover(n, slots)
+
     def test_every_one_output_table_at_bounds_one_to_four(self):
         for table in range(256):
             req = _table([table])
@@ -528,13 +554,15 @@ class TestToFunctionStructure:
     def test_single_gate_has_pi_one(self):
         topo = Topology(("a", "b"), (GateSlot(2, ("a", "b")),), ("s0",))
         circuit = synth.Circuit(topo, (GateType.AND,))
-        structure = synth.to_function_structure(circuit)
+        structure = synth.to_function_structure(circuit, ("y",))
         assert fs.interdependency_index(structure) == 1
+        with pytest.raises(ValueError, match="one name per primary output"):
+            synth.to_function_structure(circuit, ("y", "z"))
 
     def test_not_chain_has_pi_zero(self):
         topo = Topology(("a",), (GateSlot(1, ("a",)), GateSlot(1, ("s0",))), ("s1",))
         circuit = synth.Circuit(topo, (GateType.NOT, GateType.NOT))
-        structure = synth.to_function_structure(circuit)
+        structure = synth.to_function_structure(circuit, ("y",))
         assert fs.interdependency_index(structure) == 0
 
     def test_conversion_always_validates(self, subtractor_req):

@@ -9,10 +9,12 @@ The interdependency index of a structure is the fraction of function
 vertices whose total degree exceeds two.  Flows to and from boundary
 terminals count toward a vertex's degree, but terminals themselves are
 never counted in the denominator.  All arithmetic is exact
-(:class:`fractions.Fraction`).  :func:`validate` checks a structure in
-one pass over its graph with ids numbered once, finding cycles by Kahn's
-in-degree count (CACM 1962); its report keeps the order of the
-string-keyed check it replaced (``check_structure`` in the test oracles).
+(:class:`fractions.Fraction`).  Ids are numbered once: by the parser
+for a structure read from JSON, else by :func:`validate`.  That check
+makes one pass over the numbered graph, finding cycles by Kahn's
+in-degree count (CACM 1962) and counting the degrees that PI reads; its
+report keeps the order of the string-keyed check it replaced
+(``check_structure`` in the test oracles).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class InvalidStructureError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionVertex:
     """A subfunction, e.g. ``"lead water through coffee powder"``."""
 
@@ -48,7 +50,7 @@ class FunctionVertex:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryTerminal:
     """Entry/exit point of a flow crossing the system boundary."""
 
@@ -57,7 +59,7 @@ class BoundaryTerminal:
     label: str  # flow label carried across the boundary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flow:
     """A directed, labelled flow between vertices and/or terminals."""
 
@@ -106,17 +108,10 @@ class FunctionStructure:
 
     @cached
     def degrees(self) -> Mapping[str, int]:
-        """Read-only table of every function vertex's total degree.
-
-        Built in one pass over ``flows``: O(V+F) once per structure.
-        """
-        table = {v.id: 0 for v in self.vertices}
-        for f in self.flows:
-            if f.source in table:
-                table[f.source] += 1
-            if f.target in table:
-                table[f.target] += 1
-        return MappingProxyType(table)
+        """Read-only table of every function vertex's total degree, counted
+        and stored here by the O(V+F) check behind :func:`validate`."""
+        validate(self)
+        return vars(self)["degrees"]
 
     @cached
     def function_labels(self) -> Mapping[str, int]:
@@ -163,36 +158,43 @@ def is_decomposable(problem: DesignProblem) -> bool:
 def validate(fs: FunctionStructure) -> ValidationReport:
     """Check every structural invariant; violations are data, not errors.
 
-    The report is computed once per structure, in O(V+F), and kept on it.
+    The report and the degree table are computed once per structure, in
+    one O(V+F) pass over its numbered ids, and kept on it.
     """
     return fs._report
 
 
 def _check(fs: FunctionStructure) -> ValidationReport:
-    """Every violation of ``fs``, in one pass over an interned graph.
+    """Every violation of ``fs``, in one pass over an interned graph that
+    also fills the ``degrees`` memo: a vertex's successors plus predecessors.
 
     Ids are numbered once: vertices (``0 .. nv-1``), then terminals, then
-    unknown endpoints as flows name them.  ``kinds`` codes the kind of the
-    last terminal with each id (0 none, 1 input, 2 output, 3 other), so a
-    ``None`` kind still marks a terminal.  The order is the old check's:
+    unknown endpoints as flows name them.  A parsed structure (unique ids)
+    brings its vertex and terminal numbers from the parser; the check takes
+    that table over, so it is not kept twice.  ``kinds`` codes the kind of
+    the last terminal with each id (0 none, 1 input, 2 output, 3 other), so
+    a ``None`` kind still marks a terminal.  The order is the old check's:
     ids and terminals, each flow's faults in list order, at most one cycle
     (a yes/no fact, so any cycle search agrees), then off-path vertices.
     """
     out: list[Violation] = []
-    index: dict[str, int] = {}
-    for v in fs.vertices:
-        if v.id in index:
-            out.append(Violation("duplicate-id", f"duplicate id {v.id!r}"))
-        else:
-            index[v.id] = len(index)
-    nv = len(index)
-    kinds = bytearray(nv)
+    index = vars(fs).pop("_ids", None)
+    nv = len(fs.vertices)  # a parsed structure's vertex ids are unique
+    if index is None:
+        index = {}
+        for v in fs.vertices:
+            if v.id in index:
+                out.append(Violation("duplicate-id", f"duplicate id {v.id!r}"))
+            else:
+                index[v.id] = len(index)
+        nv = len(index)
+    kinds = bytearray(nv + len(fs.terminals))  # 0 past the numbered ids
     inputs, outputs = [], []
+    fresh = nv  # the number of the next id not seen before
     for t in fs.terminals:
-        num = index.get(t.id)
-        if num is None:
-            num = index[t.id] = len(index)
-            kinds.append(0)
+        num = index.setdefault(t.id, fresh)
+        if num == fresh:
+            fresh += 1
         else:
             out.append(Violation("duplicate-id", f"duplicate id {t.id!r}"))
         if t.kind == INPUT:
@@ -268,6 +270,8 @@ def _check(fs: FunctionStructure) -> ValidationReport:
                 out.append(Violation("off-path-vertex",
                                      f"vertex {v.id!r} is not on any input->output path"))
 
+    degrees = map(int.__add__, map(len, succ[:nv]), map(len, pred[:nv]))
+    vars(fs)["degrees"] = MappingProxyType(dict(zip(index, degrees)))
     return ValidationReport(tuple(out))
 
 
@@ -299,9 +303,9 @@ def degree(fs: FunctionStructure, vertex_id: str) -> int:
     """Total degree: in-degree + out-degree, terminal flows included.
 
     Parallel flows between the same endpoints each count.  Reads the
-    structure's degree table, which costs O(V+F) on first use and O(1)
-    afterwards.  Raises ``KeyError`` for an id that is not a function
-    vertex.
+    degree table that the check behind :func:`validate` counts, which
+    costs O(V+F) on first use and O(1) afterwards.  Raises ``KeyError``
+    for an id that is not a function vertex.
     """
     try:
         return fs.degrees[vertex_id]
@@ -312,9 +316,9 @@ def degree(fs: FunctionStructure, vertex_id: str) -> int:
 def interdependency_index(problem: DesignProblem) -> Fraction:
     """Fraction of function vertices with degree strictly greater than two.
 
-    A structure is validated and its index counted from the degree table
-    once, in O(V+F); the index is kept on the structure, so later calls
-    cost O(1).  An invalid structure raises
+    A structure is validated once, in O(V+F), and its index counted from
+    the degrees that check kept; the index is kept on the structure, so
+    later calls cost O(1).  An invalid structure raises
     :class:`InvalidStructureError` on every call.
 
     Black boxes: 1 if the box carries more than two boundary flows in
@@ -342,6 +346,12 @@ def _located(message: str, location: str, key: str, i: int, field: str = "") -> 
     return SchemaError(message, f"{location}.{key}[{i}]" + (f".{field}" if field else ""))
 
 
+# Each record's slot setters, in field order: the parser fills a record with
+# them as its frozen ``__init__`` does, without the cost of calling it.
+_SETTERS = {cls: tuple(vars(cls)[f.name].__set__ for f in fields(cls))
+            for cls in (FunctionVertex, BoundaryTerminal, Flow)}
+
+
 def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
     if not isinstance(doc, dict):
         raise SchemaError("expected an object", location)
@@ -366,10 +376,11 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
         if not isinstance(doc.get(key), list):
             raise SchemaError("expected an array", f"{location}.{key}")
 
-    # Fill each record field by field as the frozen-dataclass ``__init__``
-    # does, without the cost of calling it: the objects are the same.
-    new, setf = object.__new__, object.__setattr__
-    seen_ids: set[str] = set()
+    new = object.__new__
+    set_vertex_id, set_vertex_label = _SETTERS[FunctionVertex]
+    set_terminal_id, set_terminal_kind, set_terminal_label = _SETTERS[BoundaryTerminal]
+    set_source, set_target, set_flow_label = _SETTERS[Flow]
+    ids: dict[str, int] = {}  # the check's numbering: vertices, then terminals
     vertices = []
     for i, v in enumerate(doc["vertices"]):
         if not isinstance(v, dict):
@@ -377,15 +388,15 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
         vid = v.get("id")
         if not isinstance(vid, str):
             raise _located("expected a string", location, "vertices", i, "id")
-        if vid in seen_ids:
+        if vid in ids:
             raise _located(f"duplicate id {vid!r}", location, "vertices", i, "id")
-        seen_ids.add(vid)
+        ids[vid] = len(ids)
         label = v.get("label")
         if not isinstance(label, str):
             raise _located("expected a string", location, "vertices", i, "label")
         vertices.append(vertex := new(FunctionVertex))
-        setf(vertex, "id", vid)
-        setf(vertex, "label", label)
+        set_vertex_id(vertex, vid)
+        set_vertex_label(vertex, label)
 
     terminals = []
     for i, t in enumerate(doc["terminals"]):
@@ -394,9 +405,9 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
         tid = t.get("id")
         if not isinstance(tid, str):
             raise _located("expected a string", location, "terminals", i, "id")
-        if tid in seen_ids:
+        if tid in ids:
             raise _located(f"duplicate id {tid!r}", location, "terminals", i, "id")
-        seen_ids.add(tid)
+        ids[tid] = len(ids)
         kind_t = t.get("kind")
         if not isinstance(kind_t, str):
             raise _located("expected a string", location, "terminals", i, "kind")
@@ -406,9 +417,9 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
         if not isinstance(label, str):
             raise _located("expected a string", location, "terminals", i, "label")
         terminals.append(terminal := new(BoundaryTerminal))
-        setf(terminal, "id", tid)
-        setf(terminal, "kind", kind_t)
-        setf(terminal, "label", label)
+        set_terminal_id(terminal, tid)
+        set_terminal_kind(terminal, kind_t)
+        set_terminal_label(terminal, label)
 
     flows = []
     for i, f in enumerate(doc["flows"]):
@@ -422,11 +433,13 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
         if not isinstance(label, str):
             raise _located("expected a string", location, "flows", i, "label")
         flows.append(flow := new(Flow))
-        setf(flow, "source", source)
-        setf(flow, "target", target)
-        setf(flow, "label", label)
+        set_source(flow, source)
+        set_target(flow, target)
+        set_flow_label(flow, label)
 
-    return FunctionStructure(tuple(vertices), tuple(terminals), tuple(flows))
+    structure = FunctionStructure(tuple(vertices), tuple(terminals), tuple(flows))
+    vars(structure)["_ids"] = ids  # taken over (and dropped) by the first check
+    return structure
 
 
 def problem_to_dict(problem: DesignProblem) -> dict:

@@ -1083,11 +1083,13 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
     nodes the rewrite touched: the child's nodes that are not the very
     objects of the parent (compared by identity, since fresh ids may
     reuse a removed node's id; an anchored node that :func:`apply`
-    leaves unchanged is the parent's object).  The parent is valid (the axiom is
-    checked by :class:`Grammar`, every kept child here), unmatched edges
-    keep their labels, the dangling-edge check keeps their endpoints,
-    and :func:`check_rule` has checked the right side's edges and
-    literals, so an untouched node or edge cannot be at fault.  When a
+    leaves unchanged is the parent's object), less the new nodes that
+    :func:`apply` made from an all-literal RHS node.  The parent is valid
+    (the axiom is checked by :class:`Grammar`, every kept child here),
+    unmatched edges keep their labels, the dangling-edge check keeps
+    their endpoints, and :func:`check_rule` has checked the right side's
+    edges and literals, and the label and full attribute set of each new
+    node, so an untouched node or edge cannot be at fault.  When a
     touched node is, the whole child goes through
     :meth:`Vocabulary.require_valid`, which raises the message a full
     check gives.
@@ -1129,8 +1131,12 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
                     built.add(exact)
                     if len(built) == size:
                         continue
-                    touched = [n for n in child.nodes if kept.get(n.id) is not n]
-                    if vocab._node_problems(touched):
+                    # apply appends the new nodes last, in RHS order
+                    new, nodes = rule._new_nodes, child.nodes
+                    cut = len(nodes) - len(new)
+                    touched = [n for n in nodes[:cut] if kept.get(n.id) is not n]
+                    touched += [n for n, (_, fields) in zip(nodes[cut:], new) if fields is None]
+                    if touched and vocab._node_problems(touched):
                         vocab.require_valid(child, f"result of rule {rule.name!r}")
                     key = canonical_form(child)
                     if key in seen:

@@ -941,6 +941,21 @@ def flow_scan_pi(structure) -> Fraction:
     return Fraction(busy, len(structure.vertices))
 
 
+def flow_scan_degrees(structure) -> dict[str, int]:
+    """Every function vertex's total degree by one string-keyed walk over the
+    flows (verbatim from ``FunctionStructure.degrees`` before the check
+    counted it).  Defined on any structure: a repeated vertex id has one
+    entry, a flow end that is no vertex id counts for nothing, and a
+    self-loop counts twice."""
+    table = {v.id: 0 for v in structure.vertices}
+    for f in structure.flows:
+        if f.source in table:
+            table[f.source] += 1
+        if f.target in table:
+            table[f.target] += 1
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Structure validation (verbatim from funcstruct before the interned
 # one-pass check, with the deleted ``vertex_ids()`` written out)

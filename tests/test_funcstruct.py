@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from designbench import casebase as cb
 from designbench import funcstruct as fs
 from designbench import jsonio, synth
-from conftest import load_fixture_bytes, random_structure, relabel_structure
-from oracles import check_structure, flow_scan_pi
+from conftest import FIXTURES, load_fixture_bytes, random_structure, relabel_structure
+from oracles import check_structure, flow_scan_degrees, flow_scan_pi
 
 
 def chain(n: int) -> fs.FunctionStructure:
@@ -219,6 +219,75 @@ class TestValidateAgainstOracle:
         )
 
 
+def parsable_document(rng: random.Random) -> dict:
+    """A random ``.fs.json`` document the parser accepts, mostly an invalid
+    structure: ids are unique and terminal kinds valid, but flows join any
+    two names, an unknown one included, so self-loops, parallel flows,
+    terminal-to-terminal flows, cycles and off-path vertices all occur."""
+    vertices = [{"id": f"v{k}", "label": rng.choice(("", "x", "y"))}
+                for k in range(rng.randint(0, 6))]
+    terminals = [{"id": f"t{k}", "kind": rng.choice((fs.INPUT, fs.OUTPUT)),
+                  "label": rng.choice(("", "e"))} for k in range(rng.randint(0, 4))]
+    names = [v["id"] for v in vertices] + [t["id"] for t in terminals] + ["ghost"]
+    flows = [{"source": rng.choice(names), "target": rng.choice(names),
+              "label": rng.choice(("", "m"))} for _ in range(rng.randint(0, 12))]
+    return {"kind": "structure", "vertices": vertices, "terminals": terminals, "flows": flows}
+
+
+class TestParsedHandoff:
+    """The parser numbers a structure's ids and hands that table to the
+    check: report, degrees and PI equal those of the same fields built in
+    code, which the check numbers itself."""
+
+    @staticmethod
+    def same(data: bytes, first: str) -> fs.ValidationReport:
+        parsed = fs.parse_structure(data)
+        built = fs.FunctionStructure(
+            tuple(fs.FunctionVertex(v.id, v.label) for v in parsed.vertices),
+            tuple(fs.BoundaryTerminal(t.id, t.kind, t.label) for t in parsed.terminals),
+            tuple(fs.Flow(f.source, f.target, f.label) for f in parsed.flows),
+        )
+        degrees = parsed.degrees if first == "degrees" else None
+        report = fs.validate(parsed)
+        assert "_ids" not in vars(parsed)  # the check took the table over
+        assert report == fs.validate(built) == check_structure(built)
+        assert list(parsed.degrees.items()) == list(built.degrees.items())
+        assert dict(parsed.degrees) == flow_scan_degrees(built)
+        assert degrees is None or degrees is parsed.degrees
+        if report.ok:
+            pi = fs.interdependency_index(parsed)
+            assert pi == fs.interdependency_index(built) == flow_scan_pi(built)
+        else:
+            for s in (parsed, built):
+                with pytest.raises(fs.InvalidStructureError) as err:
+                    fs.interdependency_index(s)
+                assert err.value.report == report
+        return report
+
+    @pytest.mark.parametrize("first", ["validate", "degrees"])
+    def test_seeded_random_documents(self, first):
+        rng = random.Random(5501)
+        codes: set[str] = set()
+        valid = 0
+        for _ in range(1500):
+            codes |= {v.code for v in self.same(
+                json.dumps(parsable_document(rng)).encode(), first).violations}
+        for _ in range(150):
+            doc = fs.problem_to_dict(random_structure(rng))
+            valid += self.same(json.dumps(doc).encode(), first).ok
+        assert valid == 150
+        assert codes == {"empty-label", "no-vertices", "unknown-endpoint",
+                         "terminal-terminal-flow", "input-terminal-inflow",
+                         "output-terminal-outflow", "cycle", "off-path-vertex"}
+
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in FIXTURES.glob("*.fs.json")
+        if json.loads(path.read_bytes())["kind"] == "structure"))
+    @pytest.mark.parametrize("first", ["validate", "degrees"])
+    def test_fixture_structures(self, name, first):
+        assert self.same(load_fixture_bytes(name), first).ok
+
+
 class TestRecords:
     """Records read from a document are the records the constructors build."""
 
@@ -247,7 +316,10 @@ class TestRecords:
             assert type(parsed) is type(built)
             assert parsed == built and hash(parsed) == hash(built)
             assert repr(parsed) == repr(built)
-            assert list(vars(parsed).items()) == list(vars(built).items())
+            slots = type(built).__slots__
+            assert [getattr(parsed, name) for name in slots] == [
+                getattr(built, name) for name in slots]
+            assert not hasattr(parsed, "__dict__") and not hasattr(built, "__dict__")
             assert dataclasses.astuple(parsed) == dataclasses.astuple(built)
 
     def test_pickle_and_deepcopy(self):
@@ -312,14 +384,41 @@ class TestDegree:
         rng = random.Random(7)
         for _ in range(25):
             s = random_structure(rng)
-            counts: dict[str, int] = {v.id: 0 for v in s.vertices}
-            for f in s.flows:
-                if f.source in counts:
-                    counts[f.source] += 1
-                if f.target in counts:
-                    counts[f.target] += 1
+            counts = flow_scan_degrees(s)
             for v in s.vertices:
                 assert fs.degree(s, v.id) == counts[v.id]
+
+    def test_degrees_of_an_invalid_structure_are_pinned(self):
+        s = fs.FunctionStructure(
+            (fs.FunctionVertex("a", "x"), fs.FunctionVertex("b", "y"),
+             fs.FunctionVertex("a", "z")),  # a repeated vertex id
+            (fs.BoundaryTerminal("b", "input", "e"),  # a terminal reusing a vertex id
+             fs.BoundaryTerminal("i", "input", "e")),
+            (fs.Flow("i", "a", "e"), fs.Flow("a", "a", "e"),  # a self-loop
+             fs.Flow("a", "b", "e"), fs.Flow("a", "b", "e"),  # parallel flows
+             fs.Flow("b", "ghost", "e"), fs.Flow("ghost", "a", "e")),  # an unknown end
+        )
+        assert list(s.degrees.items()) == [("a", 6), ("b", 3)]
+        assert dict(s.degrees) == flow_scan_degrees(s)
+        assert (fs.degree(s, "a"), fs.degree(s, "b")) == (6, 3)
+        with pytest.raises(KeyError):
+            fs.degree(s, "ghost")
+        assert not fs.validate(s).ok
+
+    @pytest.mark.parametrize("first", ["degrees", "validate"])
+    def test_degrees_equal_the_flow_scan_on_hostile_structures(self, first):
+        # repeated vertex ids, terminal/vertex id clashes, unknown
+        # endpoints, self-loops and parallel flows, read before or after
+        # the report
+        rng = random.Random(4417)
+        for _ in range(3000):
+            s = hostile_structure(rng)
+            if first == "validate":
+                fs.validate(s)
+            expected = flow_scan_degrees(s)
+            assert list(s.degrees.items()) == list(expected.items())
+            for vertex_id, count in expected.items():
+                assert fs.degree(s, vertex_id) == count
 
     def test_parallel_flows_each_count(self):
         s = chain(2)

@@ -1033,6 +1033,30 @@ class TestGenerateAgainstFullCheck:
             (oracle_forms - 1, oracle_forms)
         assert (calls["find_matches"], calls["apply"]) == (searches, rewrites)
 
+    @pytest.mark.parametrize("name, checks, nodes", [
+        ("shaft", 395, 395),
+        ("gearbox", 131, 131),
+    ])
+    def test_new_nodes_made_from_literals_are_not_checked_again(
+            self, request, monkeypatch, name, checks, nodes):
+        # check_rule has proven valid every node a rule makes from literals
+        # alone: shaft's new section, and gearbox's gears and bearing.  So
+        # only the other touched nodes reach the vocabulary, and a child
+        # with none is not checked (checking them too took 400 checks of
+        # 400 nodes for shaft and 468 of 655 for gearbox).
+        grammar = request.getfixturevalue(name)
+        seen = {"checks": 0, "nodes": 0}
+        node_problems = gr.Vocabulary._node_problems
+
+        def counted(self, touched):
+            seen["checks"] += 1
+            seen["nodes"] += len(touched)
+            return node_problems(self, touched)
+
+        monkeypatch.setattr(gr.Vocabulary, "_node_problems", counted)
+        gr.generate(grammar, 5, 1000)
+        assert seen == {"checks": checks, "nodes": nodes}
+
 
 class TestDesignToDot:
     def test_node_label_and_attributes_are_split_by_the_dot_line_break(self, gearbox):

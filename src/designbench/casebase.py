@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .funcstruct import FunctionStructure, interdependency_index, problem_from_dict, validate
-from .jsonio import SchemaError, fraction_from_json, load_document
+from .jsonio import SchemaError, fraction_from_json, load_document, located
 
 DEFAULT_WEIGHTS = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 
@@ -378,33 +378,22 @@ def case_from_dict(doc: object, location: str) -> Case:
     return Case(doc["id"], problem, Solution(sol["description"], tuple(components)), domain)
 
 
-def case_base_from_dict(doc: object, location: str = "$") -> CaseBase:
-    if not isinstance(doc, list):
-        raise SchemaError("expected an array of cases", location)
-    cases = tuple(case_from_dict(c, f"{location}[{i}]") for i, c in enumerate(doc))
-    try:
-        return CaseBase(cases)
-    except DuplicateCaseError as exc:
-        raise SchemaError(str(exc), location) from exc
-
-
 def parse_case_base(data: bytes | str) -> CaseBase:
-    return case_base_from_dict(load_document(data))
-
-
-def similarity_spec_from_dict(doc: object, location: str = "$") -> SimilaritySpec:
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object with weight fields", location)
-    weights = {}
-    for key in ("function", "flow", "structure"):
-        if key not in doc:
-            raise SchemaError(f"missing weight {key!r}", f"{location}.{key}")
-        weights[key] = fraction_from_json(doc[key], f"{location}.{key}")
-    try:
-        return SimilaritySpec(weights["function"], weights["flow"], weights["structure"])
-    except ValueError as exc:
-        raise SchemaError(str(exc), location) from exc
+    doc = load_document(data)
+    if not isinstance(doc, list):
+        raise SchemaError("expected an array of cases")
+    cases = tuple(case_from_dict(c, f"$[{i}]") for i, c in enumerate(doc))
+    return located("$", CaseBase, cases)
 
 
 def parse_similarity_spec(data: bytes | str) -> SimilaritySpec:
-    return similarity_spec_from_dict(load_document(data))
+    doc = load_document(data)
+    if not isinstance(doc, dict):
+        raise SchemaError("expected an object with weight fields")
+    weights = {}
+    for key in ("function", "flow", "structure"):
+        if key not in doc:
+            raise SchemaError(f"missing weight {key!r}", f"$.{key}")
+        weights[key] = fraction_from_json(doc[key], f"$.{key}")
+    return located("$", SimilaritySpec, weights["function"], weights["flow"],
+                   weights["structure"])

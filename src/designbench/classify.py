@@ -21,7 +21,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .jsonio import SchemaError, fraction_from_json, load_document
+from .jsonio import SchemaError, fraction_from_json, load_document, located
 from .novelty import DesignCategory
 
 
@@ -162,42 +162,37 @@ def recommend(profile: ProblemProfile,
 # ---------------------------------------------------------------------------
 # JSON formats (.profile.json / matrix override)
 
-def profile_from_dict(doc: object, location: str = "$") -> ProblemProfile:
+def parse_profile(data: bytes | str) -> ProblemProfile:
+    doc = load_document(data)
     if not isinstance(doc, dict):
-        raise SchemaError("expected an object", location)
+        raise SchemaError("expected an object")
     if not isinstance(doc.get("decomposable"), bool):
-        raise SchemaError("'decomposable' must be a boolean", f"{location}.decomposable")
+        raise SchemaError("'decomposable' must be a boolean", "$.decomposable")
     novelty_raw = doc.get("novelty")
     try:
         novelty = DesignCategory(novelty_raw)
     except ValueError as exc:
         raise SchemaError(
             f"'novelty' must be one of routine/innovative/creative, got {novelty_raw!r}",
-            f"{location}.novelty",
+            "$.novelty",
         ) from exc
     pi = None
     if doc.get("pi") is not None:
-        pi = fraction_from_json(doc["pi"], f"{location}.pi")
-    try:
-        return ProblemProfile(doc["decomposable"], pi, novelty)
-    except ValueError as exc:
-        raise SchemaError(str(exc), location) from exc
-
-
-def parse_profile(data: bytes | str) -> ProblemProfile:
-    return profile_from_dict(load_document(data))
+        pi = fraction_from_json(doc["pi"], "$.pi")
+    return located("$", ProblemProfile, doc["decomposable"], pi, novelty)
 
 
 _LEVELS = {"none": CapabilityLevel.NONE, "limited": CapabilityLevel.LIMITED,
            "full": CapabilityLevel.FULL}
 
 
-def matrix_from_dict(doc: object, location: str = "$") -> tuple[MethodCapabilities, ...]:
+def parse_matrix(data: bytes | str) -> tuple[MethodCapabilities, ...]:
+    doc = load_document(data)
     if not isinstance(doc, list) or not doc:
-        raise SchemaError("expected a non-empty array of capability rows", location)
+        raise SchemaError("expected a non-empty array of capability rows")
     rows = []
     for i, row in enumerate(doc):
-        loc = f"{location}[{i}]"
+        loc = f"$[{i}]"
         if not isinstance(row, dict):
             raise SchemaError("expected an object", loc)
         try:
@@ -220,10 +215,6 @@ def matrix_from_dict(doc: object, location: str = "$") -> tuple[MethodCapabiliti
                                levels["creativity"])
         )
     return tuple(rows)
-
-
-def parse_matrix(data: bytes | str) -> tuple[MethodCapabilities, ...]:
-    return matrix_from_dict(load_document(data))
 
 
 def report_to_dict(report: MethodReport) -> dict:

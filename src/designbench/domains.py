@@ -146,7 +146,7 @@ def domain_from_dict(doc: object, location: str) -> Domain:
         ok = (
             isinstance(payload, list)
             and len(payload) == 2
-            and all(is_number(x) and math.isfinite(x) for x in payload)
+            and all(is_number(x) and (isinstance(x, int) or math.isfinite(x)) for x in payload)
             and payload[0] <= payload[1]
         )
         if not ok:

@@ -78,7 +78,7 @@ from .domains import (
     is_number,
     same_scalar,
 )
-from .jsonio import SchemaError, cached, load_document
+from .jsonio import SchemaError, cached, load_document, located
 
 
 class VocabularyError(ValueError):
@@ -1197,12 +1197,9 @@ def _design_from_dict(doc: object, location: str) -> Design:
         if not isinstance(attrs, dict):
             raise SchemaError("'attrs' must be an object", f"{loc}.attrs")
         nodes.append(GraphNode.make(n["id"], n["label"], attrs))
-    edges = [_edge_from_dict(e, f"{location}.edges[{i}]")
-             for i, e in enumerate(_array(doc, "edges", location))]
-    try:
-        return Design(tuple(nodes), tuple(edges))
-    except ValueError as exc:
-        raise SchemaError(str(exc), location) from exc
+    edges = tuple(_edge_from_dict(e, f"{location}.edges[{i}]")
+                  for i, e in enumerate(_array(doc, "edges", location)))
+    return located(location, Design, tuple(nodes), edges)
 
 
 def _edge_from_dict(doc: object, location: str) -> GraphEdge:
@@ -1271,18 +1268,19 @@ def _rhs_from_dict(doc: object, location: str) -> RhsGraph:
     return RhsGraph(tuple(nodes), edges)
 
 
-def grammar_from_dict(doc: object, location: str = "$") -> Grammar:
+def parse_grammar(data: bytes | str) -> Grammar:
+    doc = load_document(data)
     if not isinstance(doc, dict):
-        raise SchemaError("expected an object", location)
+        raise SchemaError("expected an object")
     vocab_doc = doc.get("vocabulary")
     if not isinstance(vocab_doc, dict):
-        raise SchemaError("expected a 'vocabulary' object", f"{location}.vocabulary")
+        raise SchemaError("expected a 'vocabulary' object", "$.vocabulary")
     raw_labels = vocab_doc.get("node_labels")
     if not isinstance(raw_labels, dict):
-        raise SchemaError("'node_labels' must be an object", f"{location}.vocabulary.node_labels")
+        raise SchemaError("'node_labels' must be an object", "$.vocabulary.node_labels")
     node_labels: dict[str, dict[str, Domain]] = {}
     for label, schema in raw_labels.items():
-        loc = f"{location}.vocabulary.node_labels.{label}"
+        loc = f"$.vocabulary.node_labels.{label}"
         if not isinstance(schema, dict):
             raise SchemaError("attribute schema must be an object", loc)
         node_labels[label] = {
@@ -1290,13 +1288,12 @@ def grammar_from_dict(doc: object, location: str = "$") -> Grammar:
         }
     edge_labels = vocab_doc.get("edge_labels", [])
     if not isinstance(edge_labels, list) or not all(isinstance(x, str) for x in edge_labels):
-        raise SchemaError("'edge_labels' must be an array of strings",
-                          f"{location}.vocabulary.edge_labels")
+        raise SchemaError("'edge_labels' must be an array of strings", "$.vocabulary.edge_labels")
     vocab = Vocabulary.make(node_labels, edge_labels)
 
     rules = []
-    for i, r in enumerate(_array(doc, "rules", location)):
-        loc = f"{location}.rules[{i}]"
+    for i, r in enumerate(_array(doc, "rules", "$")):
+        loc = f"$.rules[{i}]"
         if not isinstance(r, dict) or not isinstance(r.get("name"), str):
             raise SchemaError("rule needs a string 'name'", loc)
         anchors_raw = r.get("anchors", {})
@@ -1307,21 +1304,10 @@ def grammar_from_dict(doc: object, location: str = "$") -> Grammar:
                 raise SchemaError("anchor target must be a string", f"{loc}.anchors.{lhs_id}")
         lhs = _pattern_from_dict(r.get("lhs", {}), f"{loc}.lhs")
         rhs = _rhs_from_dict(r.get("rhs", {}), f"{loc}.rhs")
-        try:
-            rule = Rule(r["name"], lhs, rhs, tuple(sorted(anchors_raw.items())))
-        except ValueError as exc:
-            raise SchemaError(str(exc), loc) from exc
-        rules.append(rule)
+        rules.append(located(loc, Rule, r["name"], lhs, rhs, tuple(sorted(anchors_raw.items()))))
 
-    axiom = _design_from_dict(doc.get("axiom"), f"{location}.axiom")
-    try:
-        return Grammar(vocab, tuple(rules), axiom)
-    except ValueError as exc:
-        raise SchemaError(str(exc), location) from exc
-
-
-def parse_grammar(data: bytes | str) -> Grammar:
-    return grammar_from_dict(load_document(data))
+    axiom = _design_from_dict(doc.get("axiom"), "$.axiom")
+    return located("$", Grammar, vocab, tuple(rules), axiom)
 
 
 def design_to_dict(design: Design) -> dict:

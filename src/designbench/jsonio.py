@@ -1,7 +1,7 @@
 """The one JSON reader, the one JSON writer and the one memo descriptor.
 
-Every ``parse_*`` reader in the package is
-``<x>_from_dict(load_document(data))``, so all formats share its rules.
+Every ``parse_*`` reader in the package reads its document with
+:func:`load_document`, so all formats share its rules.
 
 * Bytes are decoded as UTF-8; a bad byte raises :class:`UnicodeDecodeError`,
   and nesting deeper than the interpreter's stack raises :class:`RecursionError`.
@@ -14,9 +14,10 @@ Every ``parse_*`` reader in the package is
   conversion (``sys.get_int_max_str_digits()``, 4300 digits by default).
 
 The decoder is built once, at import, because ``json.loads`` with keyword
-arguments builds a new one per call.  :class:`SchemaError` and the
-rational parser live here too, so the engine modules share them without
-importing one another.
+arguments builds a new one per call.  :class:`SchemaError`, the rational
+parser and :func:`located`, which reports a record's own ``ValueError`` at
+the record's location, live here too, so the engine modules share them
+without importing one another.
 
 Every JSON document the package writes is :func:`dumps` of it, equal
 byte for byte to ``json.dumps(doc, indent=2, sort_keys=True)``.  It is a
@@ -84,11 +85,26 @@ def load_document(data: bytes | str) -> object:
                           f"{sys.get_int_max_str_digits()} digits") from exc
 
 
+def located(location: str, make, *args):
+    """``make(*args)``, its ``ValueError`` raised as a :class:`SchemaError`
+    at ``location``: how a record's own check reaches the document."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SchemaError(str(exc), location) from exc
+
+
 def fraction_from_json(value: object, location: str) -> Fraction:
     """A JSON rational: an int, a float (read from its shortest repr) or a
-    string such as ``"3/10"``; anything else is a :class:`SchemaError`."""
+    string such as ``"3/10"`` or ``"1e-3"``; anything else is a
+    :class:`SchemaError`.  So is an exponent larger in magnitude than the
+    integer limit above, read as ``Fraction`` reads it: ``Fraction`` builds
+    ``10 ** exponent``, which takes seconds from a few million on."""
     try:
         if isinstance(value, str):
+            _, e, exponent = value.replace("E", "e").rpartition("e")
+            if e and abs(int(exponent)) > (sys.get_int_max_str_digits() or math.inf):
+                raise ValueError
             return Fraction(value)
         if isinstance(value, bool):
             raise ValueError

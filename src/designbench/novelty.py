@@ -166,13 +166,14 @@ def absorb(kb: KnowledgeBase, design: DesignInstance) -> KnowledgeBase:
 # ---------------------------------------------------------------------------
 # JSON formats (.kb.json / .design.json)
 
-def kb_from_dict(doc: object, location: str = "$") -> KnowledgeBase:
+def parse_knowledge_base(data: bytes | str) -> KnowledgeBase:
+    doc = load_document(data)
     if not isinstance(doc, dict) or not isinstance(doc.get("variables"), list):
-        raise SchemaError("expected {'variables': [...]}", location)
+        raise SchemaError("expected {'variables': [...]}")
     variables = []
     seen: set[str] = set()
     for i, v in enumerate(doc["variables"]):
-        loc = f"{location}.variables[{i}]"
+        loc = f"$.variables[{i}]"
         if not isinstance(v, dict) or not isinstance(v.get("name"), str):
             raise SchemaError("variable needs a string 'name'", loc)
         if v["name"] in seen:
@@ -186,27 +187,18 @@ def kb_from_dict(doc: object, location: str = "$") -> KnowledgeBase:
     return KnowledgeBase(tuple(variables))
 
 
-def parse_knowledge_base(data: bytes | str) -> KnowledgeBase:
-    return kb_from_dict(load_document(data))
-
-
-def design_from_dict(doc: object, location: str = "$") -> DesignInstance:
+def parse_design_instance(data: bytes | str) -> DesignInstance:
+    doc = load_document(data)
     if not isinstance(doc, dict) or not isinstance(doc.get("assignments"), dict):
-        raise SchemaError("expected {'assignments': {...}}", location)
+        raise SchemaError("expected {'assignments': {...}}")
     if not doc["assignments"]:
-        raise SchemaError("'assignments' must not be empty", f"{location}.assignments")
+        raise SchemaError("'assignments' must not be empty", "$.assignments")
     feasible = doc.get("feasible")
     if feasible is not None and not isinstance(feasible, bool):
-        raise SchemaError("'feasible' must be a boolean", f"{location}.feasible")
+        raise SchemaError("'feasible' must be a boolean", "$.feasible")
     for name, value in doc["assignments"].items():
         if not isinstance(value, _SCALARS):
-            raise SchemaError("values must be JSON scalars",
-                              f"{location}.assignments.{name}")
+            raise SchemaError("values must be JSON scalars", f"$.assignments.{name}")
         if isinstance(value, float) and not math.isfinite(value):
-            raise SchemaError("values must be finite",
-                              f"{location}.assignments.{name}")
+            raise SchemaError("values must be finite", f"$.assignments.{name}")
     return DesignInstance.from_mapping(doc["assignments"], feasible)
-
-
-def parse_design_instance(data: bytes | str) -> DesignInstance:
-    return design_from_dict(load_document(data))

@@ -43,7 +43,7 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Collection, Optional, Sequence
 
 from .funcstruct import BoundaryTerminal, Flow, FunctionStructure, FunctionVertex
-from .jsonio import SchemaError, cached, load_document
+from .jsonio import SchemaError, cached, load_document, located
 
 #: A slot ref: "s" and the slot's index in ASCII digits, without leading zeros.
 _SLOT_REF = re.compile(r"s(0|[1-9][0-9]*)", re.ASCII)
@@ -663,50 +663,42 @@ def to_function_structure(circuit: Circuit, output_names: Sequence[str]) -> Func
 # ---------------------------------------------------------------------------
 # JSON formats (.req.json / .topo.json / circuit output)
 
-def requirement_from_dict(doc: object, location: str = "$") -> Requirement:
+def parse_requirement(data: bytes | str) -> Requirement:
+    doc = load_document(data)
     if not isinstance(doc, dict):
-        raise SchemaError("expected an object", location)
+        raise SchemaError("expected an object")
     for key in ("inputs", "outputs", "rows"):
         if not isinstance(doc.get(key), list):
-            raise SchemaError(f"'{key}' must be an array", f"{location}.{key}")
+            raise SchemaError(f"'{key}' must be an array", f"$.{key}")
     for key, kind in (("inputs", "input"), ("outputs", "output")):
         if not all(isinstance(x, str) for x in doc[key]):
-            raise SchemaError(f"'{key}' must contain strings", f"{location}.{key}")
-        try:
-            _check_names(doc[key], kind)
-        except ValueError as exc:
-            raise SchemaError(str(exc), f"{location}.{key}") from exc
+            raise SchemaError(f"'{key}' must contain strings", f"$.{key}")
+        located(f"$.{key}", _check_names, doc[key], kind)
     rows = []
     for i, row in enumerate(doc["rows"]):
-        loc = f"{location}.rows[{i}]"
+        loc = f"$.rows[{i}]"
         if not isinstance(row, dict) or not isinstance(row.get("in"), list) \
                 or not isinstance(row.get("out"), list):
             raise SchemaError("row needs 'in' and 'out' bit arrays", loc)
         if not _are_bits((*row["in"], *row["out"])):
             raise SchemaError("rows must contain bits (0 or 1)", loc)
         rows.append((tuple(row["in"]), tuple(row["out"])))
-    try:
-        return Requirement(tuple(doc["inputs"]), tuple(doc["outputs"]), tuple(rows))
-    except ValueError as exc:
-        raise SchemaError(str(exc), location) from exc
+    return located("$", Requirement, tuple(doc["inputs"]), tuple(doc["outputs"]), tuple(rows))
 
 
-def parse_requirement(data: bytes | str) -> Requirement:
-    return requirement_from_dict(load_document(data))
-
-
-def topology_from_dict(doc: object, location: str = "$") -> Topology:
+def parse_topology(data: bytes | str) -> Topology:
+    doc = load_document(data)
     if not isinstance(doc, dict):
-        raise SchemaError("expected an object", location)
+        raise SchemaError("expected an object")
     for key in ("inputs", "slots", "outputs"):
         if not isinstance(doc.get(key), list):
-            raise SchemaError(f"'{key}' must be an array", f"{location}.{key}")
+            raise SchemaError(f"'{key}' must be an array", f"$.{key}")
     for key in ("inputs", "outputs"):
         if not all(isinstance(x, str) for x in doc[key]):
-            raise SchemaError(f"'{key}' must contain strings", f"{location}.{key}")
+            raise SchemaError(f"'{key}' must contain strings", f"$.{key}")
     slots = []
     for i, slot in enumerate(doc["slots"]):
-        loc = f"{location}.slots[{i}]"
+        loc = f"$.slots[{i}]"
         if not isinstance(slot, dict) or not isinstance(slot.get("from"), list):
             raise SchemaError("slot needs a 'from' array", loc)
         refs = slot["from"]
@@ -716,14 +708,7 @@ def topology_from_dict(doc: object, location: str = "$") -> Topology:
         if type(arity) is not int:
             raise SchemaError("'arity' must be an integer", f"{loc}.arity")
         slots.append(GateSlot(arity, tuple(refs)))
-    try:
-        return Topology(tuple(doc["inputs"]), tuple(slots), tuple(doc["outputs"]))
-    except ValueError as exc:
-        raise SchemaError(str(exc), location) from exc
-
-
-def parse_topology(data: bytes | str) -> Topology:
-    return topology_from_dict(load_document(data))
+    return located("$", Topology, tuple(doc["inputs"]), tuple(slots), tuple(doc["outputs"]))
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -133,14 +134,14 @@ class TestProfileValidation:
                "interdependencies": "full", "innovation": "full", "creativity": "full"}
         other = dict(row, method="analogy_based")
         with pytest.raises(SchemaError) as err:
-            classify.matrix_from_dict([row, other, dict(row, creativity="none")])
+            classify.parse_matrix(json.dumps([row, other, dict(row, creativity="none")]))
         assert str(err.value) == "$[2].method: duplicate method 'grammar_based'"
 
     def test_matrix_override_parses(self):
         doc = [{"method": "grammar_based", "requires_decomposable": False,
                 "interdependencies": "full", "innovation": "full",
                 "creativity": "limited"}]
-        matrix = classify.matrix_from_dict(doc)
+        matrix = classify.parse_matrix(json.dumps(doc))
         assert matrix[0].creativity is CapabilityLevel.LIMITED
         report = classify.recommend(profile(decomposable=False), matrix)
         assert report.entries[0].verdict is Verdict.APPLICABLE

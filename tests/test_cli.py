@@ -108,6 +108,19 @@ class TestNovelty:
         assert (code, out) == (2, "")
         assert "$.variables[1].domain.set[1]: set members must be scalars" in err
 
+    # a float could not hold the bound; the interval compares it exactly
+    @pytest.mark.parametrize("value, category", [(5, "routine"), (10 ** 400 + 1, "innovative")],
+                             ids=["inside", "outside"])
+    def test_huge_integer_interval_bound_is_read(self, tmp_path, capsys, value, category):
+        kb = tmp_path / "huge.kb.json"
+        kb.write_text(json.dumps({"variables": [
+            {"name": "x", "domain": {"interval": [-10 ** 400, 10 ** 400]}}]}))
+        design = tmp_path / "x.design.json"
+        design.write_text(json.dumps({"assignments": {"x": value}, "feasible": True}))
+        code, out, err = run_cli(capsys, "novelty", kb, design)
+        assert (code, err) == (0, "")
+        assert f"category = {category}" in out
+
 
 class TestGrammarGenerate:
     def test_text_output_counts_designs(self, capsys):
@@ -137,6 +150,16 @@ class TestGrammarGenerate:
         assert (code, out) == (2, "")
         assert ("$.vocabulary.node_labels.end.finished.set[2]: set members must be scalars"
                 in err)
+
+    def test_huge_integer_interval_bound_is_read(self, tmp_path, capsys):
+        grammar = json.loads((FIXTURES / "shaft.grammar.json").read_text())
+        grammar["vocabulary"]["node_labels"]["section"]["diameter"] = \
+            {"interval": [1, 10 ** 400]}
+        path = tmp_path / "huge.grammar.json"
+        path.write_text(json.dumps(grammar))
+        code, out, err = run_cli(capsys, "grammar-generate", path, "--max-depth", "2")
+        assert (code, err) == (0, "")
+        assert out.startswith("20 designs")
 
     def test_copy_of_undeclared_attribute_is_input_error(self, tmp_path, capsys):
         grammar = json.loads((FIXTURES / "shaft.grammar.json").read_text())

@@ -1,5 +1,11 @@
 """The one JSON ingress: every reader gives the same messages for the
-same broken document, whether it arrives as text or as bytes."""
+same broken document, whether it arrives as text or as bytes; a record's
+own error is located at the record; and a rational's exponent is bounded
+like an integer's digits."""
+
+import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -61,3 +67,87 @@ def test_finite_floats_and_large_integers_are_read():
 
 def test_schema_error_is_one_class():
     assert funcstruct.SchemaError is grammar.SchemaError is jsonio.SchemaError
+
+
+def _grammar(rules=(), axiom_ids=("n1",)):
+    return {"vocabulary": {"node_labels": {"a": {}}, "edge_labels": []},
+            "rules": list(rules),
+            "axiom": {"nodes": [{"id": i, "label": "a"} for i in axiom_ids], "edges": []}}
+
+
+def _rule(name, anchors=None):
+    node = {"id": "x", "label": "a"}
+    return {"name": name, "lhs": {"nodes": [node, dict(node, id="y")]},
+            "rhs": {"nodes": [node]}, "anchors": anchors or {}}
+
+
+_CASE = {"id": "c", "solution": {"description": "d"},
+         "problem": {"kind": "structure", "vertices": [{"id": "f", "label": "f"}],
+                     "terminals": [{"id": "i", "kind": "input", "label": "x"},
+                                   {"id": "o", "kind": "output", "label": "y"}],
+                     "flows": [{"source": "i", "target": "f", "label": "x"},
+                               {"source": "f", "target": "o", "label": "y"}]}}
+
+
+def _table(names, rows):
+    return {"inputs": names, "outputs": ["y"],
+            "rows": [{"in": [r >> 1, r & 1], "out": [0]} for r in rows]}
+
+
+# (reader, document, str(SchemaError)): a record's own check, located at
+# the record; one row per jsonio.located call in a reader
+LOCATED = [
+    (synth.parse_requirement, _table(["a", "a"], range(4)),
+     "$.inputs: primary input names must be unique"),
+    (synth.parse_requirement, _table(["a", "b"], range(3)), "$: expected 4 rows, got 3"),
+    (synth.parse_topology, {"inputs": ["a"], "slots": [], "outputs": ["s0"]},
+     "$: a topology needs at least one gate slot"),
+    (grammar.parse_grammar, _grammar(axiom_ids=("n1", "n1")), "$.axiom: node ids must be unique"),
+    (grammar.parse_grammar, _grammar([_rule("r", {"x": "x", "y": "x"})]),
+     "$.rules[0]: rule 'r': anchor map must be injective"),
+    (grammar.parse_grammar, _grammar([_rule("r"), _rule("r")]), "$: rule names must be unique"),
+    (casebase.parse_case_base, [_CASE, _CASE], "$: case ids must be unique"),
+    (casebase.parse_similarity_spec, {"function": "1/2", "flow": "1/2", "structure": "1/2"},
+     "$: similarity weights must sum to exactly 1"),
+    (classify.parse_profile, {"decomposable": True, "pi": 2, "novelty": "routine"},
+     "$: interdependency index must lie in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("reader,document,message", LOCATED,
+                         ids=[row[2].split(": ", 1)[1] for row in LOCATED])
+def test_record_error_is_located(reader, document, message):
+    with pytest.raises(jsonio.SchemaError) as err:
+        reader(json.dumps(document))
+    assert str(err.value) == message
+
+
+# Fraction reads Unicode digits and underscores in an exponent as int does
+@pytest.mark.parametrize("text", ["1e4300", "1E-4300", "1e+4_300", "1e٤٣٠٠",
+                                  " 7.5e-3 ", "3/10"])
+def test_rational_exponent_up_to_the_integer_limit_is_read(text):
+    assert jsonio.fraction_from_json(text, "$.w") == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1E-4301", "1e+4_301", "1e٤٣٠١",
+                                  "1e" + "9" * 4301],
+                         ids=["plain", "negative", "underscore", "arabic-indic", "too-long"])
+def test_rational_exponent_past_the_integer_limit_is_rejected(text):
+    with pytest.raises(jsonio.SchemaError) as err:
+        jsonio.fraction_from_json(text, "$.w")
+    assert str(err.value) == f"$.w: not a valid rational: {text!r}"
+
+
+# Fraction("1e5000000") alone takes seconds: it builds 10 ** 5000000
+@pytest.mark.parametrize("reader,document,message", [
+    (classify.parse_profile, {"decomposable": True, "pi": "1e5000000", "novelty": "routine"},
+     "$.pi: not a valid rational: '1e5000000'"),
+    (casebase.parse_similarity_spec, {"function": "1e-5000000", "flow": 0, "structure": 1},
+     "$.function: not a valid rational: '1e-5000000'"),
+], ids=["profile", "simspec"])
+def test_huge_rational_exponent_is_rejected_promptly(reader, document, message):
+    start = time.perf_counter()
+    with pytest.raises(jsonio.SchemaError) as err:
+        reader(json.dumps(document))
+    assert str(err.value) == message
+    assert time.perf_counter() - start < 0.5

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import pickle
 import random
 import re
@@ -636,7 +637,7 @@ class TestStructuralInvariants:
     ])
     def test_topology_names_must_be_strings(self, key, doc):
         with pytest.raises(jsonio.SchemaError) as info:
-            synth.topology_from_dict(doc)
+            synth.parse_topology(json.dumps(doc))
         assert str(info.value) == f"$.{key}: '{key}' must contain strings"
         assert info.value.location == f"$.{key}"
 
@@ -651,4 +652,4 @@ class TestStructuralInvariants:
             "outputs": list(subtractor_req.outputs),
             "rows": [{"in": list(i), "out": list(o)} for i, o in subtractor_req.rows],
         }
-        assert synth.requirement_from_dict(doc) == subtractor_req
+        assert synth.parse_requirement(json.dumps(doc)) == subtractor_req

@@ -10,7 +10,6 @@ non-numeric value must join an interval.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -146,7 +145,7 @@ def domain_from_dict(doc: object, location: str) -> Domain:
         ok = (
             isinstance(payload, list)
             and len(payload) == 2
-            and all(is_number(x) and (isinstance(x, int) or math.isfinite(x)) for x in payload)
+            and all(is_number(x) for x in payload)
             and payload[0] <= payload[1]
         )
         if not ok:

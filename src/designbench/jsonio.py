@@ -97,15 +97,19 @@ def located(location: str, make, *args):
 def fraction_from_json(value: object, location: str) -> Fraction:
     """A JSON rational: an int, a float (read from its shortest repr) or a
     string such as ``"3/10"`` or ``"1e-3"``; anything else is a
-    :class:`SchemaError`.  So is an exponent larger in magnitude than the
-    integer limit above, read as ``Fraction`` reads it: ``Fraction`` builds
-    ``10 ** exponent``, which takes seconds from a few million on."""
+    :class:`SchemaError`.  So is a string whose reduced numerator or
+    denominator has more digits than the integer limit above, which no
+    report could print, and, before ``Fraction`` reads it, one whose
+    exponent exceeds that limit: ``Fraction`` builds ``10 ** exponent``,
+    which takes seconds from a few million on."""
     try:
         if isinstance(value, str):
             _, e, exponent = value.replace("E", "e").rpartition("e")
             if e and abs(int(exponent)) > (sys.get_int_max_str_digits() or math.inf):
                 raise ValueError
-            return Fraction(value)
+            fraction = Fraction(value)
+            str(fraction)  # a ValueError past the limit
+            return fraction
         if isinstance(value, bool):
             raise ValueError
         if isinstance(value, int):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-import math
 from typing import Mapping, Optional
 
 from .domains import _SCALARS, Domain, Scalar, domain_from_dict, singleton
@@ -199,6 +198,4 @@ def parse_design_instance(data: bytes | str) -> DesignInstance:
     for name, value in doc["assignments"].items():
         if not isinstance(value, _SCALARS):
             raise SchemaError("values must be JSON scalars", f"$.assignments.{name}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise SchemaError("values must be finite", f"$.assignments.{name}")
     return DesignInstance.from_mapping(doc["assignments"], feasible)

@@ -24,10 +24,11 @@ def child_env(**extra):
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def run_main(*argv, **env):
+def run_main(*argv, timeout=60, cwd=None, preexec_fn=None, **env):
     """``designbench *argv`` in a child interpreter, with ``env`` added."""
     return subprocess.run([sys.executable, "-m", "designbench.cli", *map(str, argv)],
-                          capture_output=True, env=child_env(**env), timeout=60)
+                          capture_output=True, env=child_env(**env), timeout=timeout,
+                          cwd=cwd, preexec_fn=preexec_fn)
 
 
 class TestMetrics:
@@ -120,6 +121,22 @@ class TestNovelty:
         code, out, err = run_cli(capsys, "novelty", kb, design)
         assert (code, err) == (0, "")
         assert f"category = {category}" in out
+
+
+    # load_document rejects these before a reader sees the value
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+    @pytest.mark.parametrize("where", ["design", "kb"])
+    def test_non_finite_number_is_input_error(self, tmp_path, capsys, literal, where):
+        kb = tmp_path / "x.kb.json"
+        kb.write_text(json.dumps({"variables": [
+            {"name": "x", "domain": {"interval": [0, "VALUE" if where == "kb" else 9]}}]}))
+        design = tmp_path / "x.design.json"
+        design.write_text(json.dumps({"assignments": {"x": "VALUE" if where == "design" else 5}}))
+        path = kb if where == "kb" else design
+        path.write_text(path.read_text().replace('"VALUE"', literal))
+        code, out, err = run_cli(capsys, "novelty", kb, design)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: $: not valid JSON: {literal} is not a finite number\n"
 
 
 class TestGrammarGenerate:
@@ -522,6 +539,17 @@ class TestClassify:
         assert (code, out) == (2, "")
         assert err == (f"error: {path}: $[0].innovation: "
                        "'innovation' must be one of none/limited/full\n")
+
+    # Fraction reads 10 ** -4300, whose denominator's 4,301 digits no
+    # report could print
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rational_past_the_digit_limit_is_input_error(self, capsys, tmp_path, fmt):
+        path = tmp_path / "tiny.profile.json"
+        path.write_text(json.dumps({"decomposable": True, "pi": "1e-4300",
+                                    "novelty": "routine"}))
+        code, out, err = run_cli(capsys, "classify", path, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: $.pi: not a valid rational: '1e-4300'\n"
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "classify",

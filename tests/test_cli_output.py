@@ -101,6 +101,11 @@ GOLDEN = {
         (0, "862f86ae1e1499b4", "e3b0c44298fc1c14"),
     "cbr-retrieve fixtures/winder_cases.cases.json fixtures/coil_winder.fs.json -k 5 --simspec fixtures/default.simspec.json --format json":
         (0, "14582f47afd7c080", "e3b0c44298fc1c14"),
+    # k far above the base size ranks every case, as -k 5 does
+    "cbr-retrieve fixtures/winder_cases.cases.json fixtures/coil_winder.fs.json -k 1000000000 --format text":
+        (0, "862f86ae1e1499b4", "e3b0c44298fc1c14"),
+    "cbr-retrieve fixtures/winder_cases.cases.json fixtures/coil_winder.fs.json -k 1000000000 --format json":
+        (0, "14582f47afd7c080", "e3b0c44298fc1c14"),
     "synth fixtures/and_gate.req.json --format text":
         (0, "4b9ac7bcafb04333", "e3b0c44298fc1c14"),
     "synth fixtures/and_gate.req.json --format json":

@@ -1,0 +1,150 @@
+"""The contract the workflow checks, kept in the suite it runs.
+
+* The package keeps one JSON ingress, one indented writer, one memo and
+  one reader per file format, and imports nothing outside the standard
+  library.
+* Every demo exits 0, and every command of the README's "Command line"
+  block exits with the code the README gives it.
+* Large inputs run through the CLI in a child interpreter within their
+  time limit, and ``synth`` with a high gate bound within a memory limit.
+"""
+
+import ast
+import json
+import re
+import resource
+import shlex
+import subprocess
+import sys
+
+import pytest
+
+from conftest import FIXTURES
+from test_cli import child_env, run_main
+
+ROOT = FIXTURES.parent
+PACKAGE = ROOT / "src" / "designbench"
+
+# (pattern, the one module it may appear in, what to write instead)
+FORBIDDEN = [
+    (r"json\.loads?\b|JSONDecoder|JSONDecodeError", "jsonio.py",
+     "decode documents with designbench.jsonio.load_document"),
+    (r"indent=|cached_property", "jsonio.py",
+     "write indented JSON with designbench.jsonio.dumps and memoise with jsonio.cached"),
+    (r"PatternEdge|label_affinity|_closures|_backward_cover", None,
+     "rule edges are GraphEdge, synth has one fan-in pass (_fan_in), and the caller-less "
+     "casebase.label_affinity lives on only in tests/oracles.py"),
+    (r"\b(kb|design|grammar|case_base|similarity_spec|profile|matrix|requirement|topology)"
+     r"_from_dict\b", None,
+     "each of these formats has one reader, its parse_* function"),
+]
+
+
+@pytest.mark.parametrize("pattern, home, advice", FORBIDDEN,
+                         ids=["json-decoder", "indent-and-memo", "deleted-names", "from-dict"])
+def test_forbidden_name_stays_out_of_the_package(pattern, home, advice):
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != home
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(pattern, line)]
+    assert not hits, "\n".join([advice, *hits])
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}: import {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not outside
+
+
+@pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
+def test_demo_exits_zero(demo):
+    proc = subprocess.run([sys.executable, ROOT / "demos" / demo], capture_output=True,
+                          env=child_env(), cwd=ROOT, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def readme_commands():
+    """``(argv, exit code)`` for each line of the README's "Command line"
+    block: ``designbench ARGS``, then ``# exit N: why`` unless N is 0."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n\n```sh\n", 1)[1].split("\n```\n", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        match = re.fullmatch(r"designbench (.+?)(?:\s+# exit (\d): .+)?", line)
+        assert match, f"README command line not understood: {line!r}"
+        commands.append((shlex.split(match[1]), int(match[2] or 0)))
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+@pytest.mark.parametrize("argv, code", README_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+def test_readme_command_exits_with_its_documented_code(argv, code):
+    proc = run_main(*argv, cwd=ROOT)
+    assert (proc.returncode, proc.stderr.decode()) == (code, "")
+
+
+def test_a_100000_vertex_chain_validates_and_closed_into_a_ring_is_an_input_error(tmp_path):
+    n = 100_000
+    doc = {
+        "kind": "structure",
+        "vertices": [{"id": f"v{i}", "label": "step"} for i in range(n)],
+        "terminals": [{"id": "in", "kind": "input", "label": "m"},
+                      {"id": "out", "kind": "output", "label": "m"}],
+        "flows": [{"source": "in", "target": "v0", "label": "m"}]
+        + [{"source": f"v{i}", "target": f"v{i + 1}", "label": "m"} for i in range(n - 1)]
+        + [{"source": f"v{n - 1}", "target": "out", "label": "m"}],
+    }
+    chain, ring = tmp_path / "chain.fs.json", tmp_path / "ring.fs.json"
+    chain.write_text(json.dumps(doc))
+    doc["flows"].append({"source": f"v{n - 1}", "target": "v0", "label": "m"})
+    ring.write_text(json.dumps(doc))
+    proc = run_main("metrics", chain, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert b"\nPI = 0\n" in proc.stdout
+    proc = run_main("metrics", ring, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == (f"error: {ring}: invalid structure: "
+                                    "flows between function vertices form a cycle\n")
+
+
+def test_an_axiom_of_500_interchangeable_pairs_certifies_within_a_minute(tmp_path):
+    pairs = 500
+    path = tmp_path / "pairs.grammar.json"
+    path.write_text(json.dumps({
+        "vocabulary": {"node_labels": {"a": {}, "b": {}}, "edge_labels": ["e"]},
+        "axiom": {
+            "nodes": [{"id": f"{label}{i}", "label": label}
+                      for i in range(pairs) for label in "ab"],
+            "edges": [{"source": f"a{i}", "target": f"b{i}", "label": "e"}
+                      for i in range(pairs)],
+        },
+        "rules": [],
+    }))
+    proc = run_main("grammar-generate", path, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"1 designs (depth <= 3)\n")
+
+
+def _address_space_of_2_000_000_kb():
+    # as ``ulimit -v 2000000``: soft and hard limit, in the child only
+    limit = 2_000_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_synth_with_a_gate_bound_of_a_million_answers_at_once_in_little_memory():
+    proc = run_main("synth", FIXTURES / "and_gate.req.json", "--max-gates", "1000000",
+                    timeout=60, preexec_fn=_address_space_of_2_000_000_kb)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"SAT: 1 gates\n")

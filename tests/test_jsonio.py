@@ -4,6 +4,7 @@ own error is located at the record; and a rational's exponent is bounded
 like an integer's digits."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -122,11 +123,36 @@ def test_record_error_is_located(reader, document, message):
     assert str(err.value) == message
 
 
-# Fraction reads Unicode digits and underscores in an exponent as int does
-@pytest.mark.parametrize("text", ["1e4300", "1E-4300", "1e+4_300", "1e٤٣٠٠",
+# Fraction reads Unicode digits and underscores in an exponent as int
+# does; each value here reduces to terms of at most 4,300 digits
+@pytest.mark.parametrize("text", ["0.1e4300", "10E-4300", "0.1e+4_300", "10e-٤٣٠٠",
                                   " 7.5e-3 ", "3/10"])
 def test_rational_exponent_up_to_the_integer_limit_is_read(text):
     assert jsonio.fraction_from_json(text, "$.w") == Fraction(text)
+
+
+# the default limit is 4,300 digits; 10 ** 4300 has 4,301
+@pytest.mark.parametrize("text", ["1e4299", "1e-4299", "7" * 4300, "3/" + "7" * 4300],
+                         ids=["numerator", "denominator", "integer", "quotient"])
+def test_rational_of_4300_digits_is_read(text):
+    assert jsonio.fraction_from_json(text, "$.w") == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "7" * 4301, "3/" + "7" * 4301],
+                         ids=["numerator", "denominator", "integer", "quotient"])
+def test_rational_of_4301_digits_is_rejected(text):
+    with pytest.raises(jsonio.SchemaError) as err:
+        jsonio.fraction_from_json(text, "$.w")
+    assert str(err.value) == f"$.w: not a valid rational: {text!r}"
+
+
+def test_a_limit_of_zero_reads_any_rational():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert jsonio.fraction_from_json("1e-5000", "$.w") == Fraction(1, 10 ** 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("text", ["1e4301", "1E-4301", "1e+4_301", "1e٤٣٠١",

@@ -226,6 +226,9 @@ def _cmd_synth(args) -> int:
             circuit = synth.synthesize_topology(requirement, args.max_gates)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    except RecursionError as exc:
+        raise _InputError(f"{args.topology or args.requirement}: too large to synthesise "
+                          "(recursion limit reached)") from exc
     if circuit is None:
         if args.format == "json":
             print(dumps({"result": "UNSAT"}))

@@ -580,15 +580,14 @@ def find_matches(rule: Rule, design: Design) -> list[Match]:
     Each level of the search checks only the edge counts of the LHS
     edges it completes, from the rule's search plan.  No vocabulary is
     checked here: a :class:`Grammar` checks its rules and axiom once.
+    The recursive :func:`_extend` holds no reference to itself, so the
+    call's state is freed when it returns.
     """
-    plan = rule._search_plan
     lhs_ids = rule._lhs_order
     groups = rule._edge_groups
     matches: list[Match] = []
     instances = design._instances
-    by_label = design._by_label
     assignment: dict[str, str] = {}
-    used: set[str] = set()
 
     def emit_edge_choices() -> None:
         nodes = tuple([(i, assignment[i]) for i in lhs_ids])
@@ -606,26 +605,32 @@ def find_matches(rule: Rule, design: Design) -> list[Match]:
                     slot[pos] = inst
             matches.append(Match(nodes, tuple(slot[i] for i in range(len(slot)))))
 
-    def extend(i: int) -> None:
-        if i == len(plan):
-            emit_edge_choices()
-            return
-        pattern, needed = plan[i]
-        for node in by_label.get(pattern.label, ()):
-            if node.id in used or not _satisfies(pattern, node):
-                continue
-            assignment[pattern.id] = node.id
-            used.add(node.id)
-            for (s, t, label), count in needed:
-                if len(instances.get((assignment[s], assignment[t], label), ())) < count:
-                    break
-            else:
-                extend(i + 1)
-            used.remove(node.id)
-            del assignment[pattern.id]
-
-    extend(0)
+    _extend(rule._search_plan, 0, design._by_label, instances, assignment, set(),
+            emit_edge_choices)
     return matches
+
+
+def _extend(plan: tuple, i: int, by_label: dict[str, list[GraphNode]],
+            instances: dict[tuple[str, str, str], list[int]], assignment: dict[str, str],
+            used: set[str], emit) -> None:
+    """Assign LHS nodes ``i`` onwards of ``plan`` on top of ``assignment``
+    (whose design nodes are ``used``), calling ``emit`` at each full one."""
+    if i == len(plan):
+        emit()
+        return
+    pattern, needed = plan[i]
+    for node in by_label.get(pattern.label, ()):
+        if node.id in used or not _satisfies(pattern, node):
+            continue
+        assignment[pattern.id] = node.id
+        used.add(node.id)
+        for (s, t, label), count in needed:
+            if len(instances.get((assignment[s], assignment[t], label), ())) < count:
+                break
+        else:
+            _extend(plan, i + 1, by_label, instances, assignment, used, emit)
+        used.remove(node.id)
+        del assignment[pattern.id]
 
 
 def _verify_match(rule: Rule, design: Design, match: Match) -> dict[str, str]:
@@ -898,6 +903,9 @@ def canonical_form(design: Design) -> bytes:
     image of that one under such swaps, so it has the same certificate:
     the vertices are sorted once by (colour, component root), with no
     search.
+
+    The recursive search holds no reference to itself once it ends, so
+    the call's state is freed when it returns.
     """
     nodes = design.nodes
     n = len(nodes)
@@ -1047,7 +1055,10 @@ def canonical_form(design: Design) -> bytes:
         leave()
         return None
 
-    search(colours, count)
+    try:
+        search(colours, count)
+    finally:
+        del search  # search reaches itself through its closure: break that cycle
     assert best is not None
     return best[0]
 

@@ -32,6 +32,9 @@ backtracking, with any slot wired to a primary output checked the moment
 it is assigned.  Every returned circuit is re-verified row by row
 through the scalar evaluator before it is handed back.  UNSAT is a value
 (``None``), not an error.
+
+Neither recursive search holds a reference to itself once it ends, so a
+call's state is freed when it returns.
 """
 
 from __future__ import annotations
@@ -161,18 +164,24 @@ class Requirement:
     rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def __post_init__(self):
+        self._check(names_and_bits=True)
+
+    def _check(self, names_and_bits: bool) -> None:
+        """The table's checks, in order; :func:`parse_requirement` makes the
+        name and bit checks itself, at their own locations."""
         n, m = len(self.inputs), len(self.outputs)
         if n < 1 or m < 1:
             raise ValueError("a requirement needs inputs and outputs")
-        _check_names(self.inputs, "input")
-        _check_names(self.outputs, "output")
+        if names_and_bits:
+            _check_names(self.inputs, "input")
+            _check_names(self.outputs, "output")
         if len(self.rows) != 2 ** n:
             raise ValueError(f"expected {2 ** n} rows, got {len(self.rows)}")
         seen = set()
         for in_bits, out_bits in self.rows:
             if len(in_bits) != n or len(out_bits) != m:
                 raise ValueError("row width does not match the declared names")
-            if not _are_bits((*in_bits, *out_bits)):
+            if names_and_bits and not _are_bits((*in_bits, *out_bits)):
                 raise ValueError("rows must contain bits (0 or 1)")
             if in_bits in seen:
                 raise ValueError(f"duplicate row for inputs {in_bits}")
@@ -272,28 +281,30 @@ def _search_assignment(slot_sources: Sequence[tuple[int, ...]], input_vecs: list
                        checked: dict[int, list[int]], full: int) -> Optional[list[GateType]]:
     """Lexicographically-first gate assignment; slots wired to an output
     are compared against their target vector as soon as they get a gate."""
-    gate_count = len(slot_sources)
-    n = len(input_vecs)
-    values = input_vecs + [0] * gate_count
-    assignment: list[GateType] = [GateType.IDENTITY] * gate_count
+    values = input_vecs + [0] * len(slot_sources)
+    assignment: list[GateType] = [GateType.IDENTITY] * len(slot_sources)
+    found = _backtrack(slot_sources, 0, len(input_vecs), values, assignment, checked, full)
+    return assignment if found else None
 
-    def backtrack(j: int) -> bool:
-        if j == gate_count:
+
+def _backtrack(slot_sources: Sequence[tuple[int, ...]], j: int, n: int, values: list[int],
+               assignment: list[GateType], checked: dict[int, list[int]], full: int) -> bool:
+    """Give slots ``j`` onwards their first fitting gates, the signal
+    values of the ``n`` inputs and of slots before ``j`` in ``values``."""
+    if j == len(slot_sources):
+        return True
+    sources = slot_sources[j]
+    unary = len(sources) == 1
+    vecs = _gate_vectors(values[sources[0]], values[sources[-1]], unary, full)
+    targets = checked.get(j)
+    for gate, vec in zip(_UNARY if unary else _BINARY, vecs):
+        if targets is not None and any(vec != t for t in targets):
+            continue
+        values[n + j] = vec
+        assignment[j] = gate
+        if _backtrack(slot_sources, j + 1, n, values, assignment, checked, full):
             return True
-        sources = slot_sources[j]
-        unary = len(sources) == 1
-        vecs = _gate_vectors(values[sources[0]], values[sources[-1]], unary, full)
-        targets = checked.get(j)
-        for gate, vec in zip(_UNARY if unary else _BINARY, vecs):
-            if targets is not None and any(vec != t for t in targets):
-                continue
-            values[n + j] = vec
-            assignment[j] = gate
-            if backtrack(j + 1):
-                return True
-        return False
-
-    return list(assignment) if backtrack(0) else None
+    return False
 
 
 def _verify(circuit: Circuit, requirement: Requirement) -> None:
@@ -617,12 +628,15 @@ def synthesize_topology(requirement: Requirement,
                 return circuit
         return None
 
-    for gate_count in range(fewest, max_gates + 1):
-        while len(choices) < gate_count:
-            choices.append(_ref_choices(n + len(choices)))
-        circuit = walk((0, 0, ()), [((), ())], gate_count)
-        if circuit is not None:
-            return circuit
+    try:
+        for gate_count in range(fewest, max_gates + 1):
+            while len(choices) < gate_count:
+                choices.append(_ref_choices(n + len(choices)))
+            circuit = walk((0, 0, ()), [((), ())], gate_count)
+            if circuit is not None:
+                return circuit
+    finally:
+        del walk  # walk reaches itself through its closure: break that cycle
     return None
 
 
@@ -683,7 +697,11 @@ def parse_requirement(data: bytes | str) -> Requirement:
         if not _are_bits((*row["in"], *row["out"])):
             raise SchemaError("rows must contain bits (0 or 1)", loc)
         rows.append((tuple(row["in"]), tuple(row["out"])))
-    return located("$", Requirement, tuple(doc["inputs"]), tuple(doc["outputs"]), tuple(rows))
+    requirement = object.__new__(Requirement)  # names and bits are checked above
+    requirement.__dict__.update(inputs=tuple(doc["inputs"]), outputs=tuple(doc["outputs"]),
+                                rows=tuple(rows))
+    located("$", requirement._check, False)
+    return requirement
 
 
 def parse_topology(data: bytes | str) -> Topology:

@@ -495,6 +495,30 @@ class TestSynth:
         assert err == f"error: {topo}: $: {message}\n"
         assert not (tmp_path / "out.fs.json").exists()
 
+    @staticmethod
+    def write_chain(path, length):
+        """A topology over ``A`` and ``B`` of ``length`` slots: slot 0 reads
+        ``A``, each later slot the one before it, and the last one ``B`` too."""
+        slots = [{"from": ["A"]}] + [{"from": [f"s{j}"]} for j in range(length - 2)]
+        slots.append({"from": [f"s{length - 2}", "B"]})
+        path.write_text(json.dumps({"inputs": ["A", "B"], "slots": slots,
+                                    "outputs": [f"s{length - 1}"]}))
+
+    def test_topology_too_deep_to_assign_is_input_error(self, capsys, tmp_path):
+        # the gate-assignment search assigns one slot per call; it used to
+        # end in a RecursionError traceback and exit 1
+        topo = tmp_path / "chain.topo.json"
+        self.write_chain(topo, 100)
+        code, out, err = run_cli(capsys, "synth", FIXTURES / "and_gate.req.json",
+                                 "--topology", topo)
+        assert (code, err) == (0, "")
+        assert out.startswith("SAT: 100 gates\n")
+        self.write_chain(topo, 2500)
+        code, out, err = run_cli(capsys, "synth", FIXTURES / "and_gate.req.json",
+                                 "--topology", topo)
+        assert (code, out) == (2, "")
+        assert err == f"error: {topo}: too large to synthesise (recursion limit reached)\n"
+
 
 class TestClassify:
     def test_creative_profile_exits_one(self, capsys):

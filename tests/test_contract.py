@@ -7,20 +7,28 @@
   block exits with the code the README gives it.
 * Large inputs run through the CLI in a child interpreter within their
   time limit, and ``synth`` with a high gate bound within a memory limit.
+* No command leaves cyclic garbage: each request's objects are freed by
+  reference counting, and the package never touches the collector.
 """
 
 import ast
+import gc
 import json
 import re
 import resource
 import shlex
 import subprocess
 import sys
+import types
+from collections import Counter
 
 import pytest
 
+import test_cli
+from designbench import cli
 from conftest import FIXTURES
 from test_cli import child_env, run_main
+from test_cli_output import GOLDEN
 
 ROOT = FIXTURES.parent
 PACKAGE = ROOT / "src" / "designbench"
@@ -37,11 +45,14 @@ FORBIDDEN = [
     (r"\b(kb|design|grammar|case_base|similarity_spec|profile|matrix|requirement|topology)"
      r"_from_dict\b", None,
      "each of these formats has one reader, its parse_* function"),
+    (r"\bgc\b", None,
+     "free request state by reference counting; never pause, freeze or retune the collector"),
 ]
 
 
 @pytest.mark.parametrize("pattern, home, advice", FORBIDDEN,
-                         ids=["json-decoder", "indent-and-memo", "deleted-names", "from-dict"])
+                         ids=["json-decoder", "indent-and-memo", "deleted-names", "from-dict",
+                              "gc"])
 def test_forbidden_name_stays_out_of_the_package(pattern, home, advice):
     hits = [f"{path.name}:{number}: {line.strip()}"
             for path in sorted(PACKAGE.glob("*.py")) if path.name != home
@@ -148,3 +159,69 @@ def test_synth_with_a_gate_bound_of_a_million_answers_at_once_in_little_memory()
                     timeout=60, preexec_fn=_address_space_of_2_000_000_kb)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout.startswith(b"SAT: 1 gates\n")
+
+
+def _subtractor_with_swapped_outputs(path):
+    """The subtractor's table with its two outputs swapped, which the
+    subtractor topology cannot realise: its gate search tries every gate."""
+    doc = json.loads((FIXTURES / "subtractor.req.json").read_bytes())
+    doc["outputs"].reverse()
+    for row in doc["rows"]:
+        row["out"].reverse()
+    path.write_text(json.dumps(doc))
+
+
+# (command, how to write each file it names under the test's directory)
+NO_GARBAGE_EXTRAS = {
+    # canonical_form's individualisation search
+    "grammar-generate CYCLES --format json":
+        {"CYCLES": lambda path: test_cli.TestGrammarGenerate.write_copies(
+            path, "aaa", [(0, 1), (1, 2), (2, 0)], 3)},
+    # a gate search that backtracks through every assignment (exit 1)
+    "synth SWAPPED --topology fixtures/subtractor.topo.json --format json":
+        {"SWAPPED": _subtractor_with_swapped_outputs},
+    # an input error raised through a thousand frames of that search
+    "synth fixtures/and_gate.req.json --topology CHAIN --format json":
+        {"CHAIN": lambda path: test_cli.TestSynth.write_chain(path, 2500)},
+}
+
+
+def _garbage_names() -> list[str]:
+    """What the collector finds now, counted by type, and by qualified
+    name for functions, most common first."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        names = Counter(f"function {obj.__qualname__}" if isinstance(obj, types.FunctionType)
+                        else type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    return [f"{count} x {name}" for name, count in names.most_common()]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN) + list(NO_GARBAGE_EXTRAS))
+def test_a_command_leaves_no_cyclic_garbage(command, monkeypatch, tmp_path, capsys):
+    # every object a request builds is freed by reference counting when the
+    # request ends, so the cycle collector finds nothing
+    monkeypatch.chdir(ROOT)
+    writers = NO_GARBAGE_EXTRAS.get(command, {})
+    for name, write in writers.items():
+        write(tmp_path / name)
+    argv = [str(tmp_path / arg) if arg in writers or arg == "OUT" else arg
+            for arg in command.split()]
+    cli.run(argv)  # builds the parser and loads what a first run loads
+    capsys.readouterr()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cli.run(argv)
+        capsys.readouterr()
+        if gc.collect():
+            cli.run(argv)
+            capsys.readouterr()
+            pytest.fail("cyclic garbage:\n" + "\n".join(_garbage_names()))
+    finally:
+        if enabled:
+            gc.enable()

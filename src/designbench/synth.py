@@ -121,9 +121,12 @@ class Topology:
         # each slot's sources as internal indices, and each output's slot
         # index, resolved once, here
         self.__dict__.update(_sources=tuple(sources), _outputs=tuple(outputs))
-        unreachable = set(range(len(self.slots))) - self._reachable_slots()
+        fan_in, reached = _fan_in(len(self.inputs), sources), 0
+        for j in outputs:
+            reached |= fan_in[j] >> len(self.inputs)
+        unreachable = [j for j in range(len(self.slots)) if not reached >> j & 1]
         if unreachable:
-            raise ValueError(f"slots unreachable from any output: {sorted(unreachable)}")
+            raise ValueError(f"slots unreachable from any output: {unreachable}")
 
     def _resolve(self, ref: str, slot_index: int) -> int:
         """Internal source index: inputs first, then slots."""
@@ -138,21 +141,6 @@ class Topology:
         if ref in self.inputs:
             return self.inputs.index(ref)
         raise ValueError(f"slot {slot_index}: unknown ref {ref!r}")
-
-    def _reachable_slots(self) -> set[int]:
-        n = len(self.inputs)
-        seen: set[int] = set()
-        stack = list(self._outputs)
-        sources = self._sources
-        while stack:
-            j = stack.pop()
-            if j in seen:
-                continue
-            seen.add(j)
-            for src in sources[j]:
-                if src >= n:
-                    stack.append(src - n)
-        return seen
 
 
 @dataclass(frozen=True)

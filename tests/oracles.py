@@ -1,35 +1,68 @@
-"""Independent brute-force oracles used to cross-check the engines.
+"""Reference oracles the engines are checked against.
 
-These deliberately avoid the library's own algorithms: isomorphism is
-decided by trying node bijections, canonical forms are computed by an
-individualisation search that never prunes, derivation spaces are
-enumerated depth-first without canonical forms, component-discrete
-certificates come from the per-level walk along the first search path,
-matching scans every
-design node for each pattern node and groups edge instances per call,
-rewriting derives everything it needs from the rule at every call,
-generation checks every
-child against the whole vocabulary and skips no repeat, circuit
-satisfiability is decided by enumerating every gate chain directly,
-topology search is the enumerate-then-assign loop that preceded the fused
-walk over truth-table columns packed row by row, the fewest-gates bound is
-the level-by-level search that preceded the per-child test, the one-gate
-test is the ``any`` over every signal and new value that preceded the
-plain loops, the interdependency index is counted by scanning the
-flow list once per vertex, structures are validated over string-keyed
-sets with a depth-first cycle search, and case similarity and reuse are the
-term-by-term ``Fraction`` versions that preceded the integer kernel and
-the tokenise-once reuse, and retrieval builds a ``Fraction`` per case and
-selects with ``heapq.nsmallest``.
+Each oracle follows from the definition of what it checks, unless its
+entry says otherwise, and states the order of its output, since that
+order is part of the byte-identical output:
+
+* ``brute_force_isomorphic``: some bijection keeps node labels,
+  attributes and edge multiplicities, tried exhaustively.
+* ``canonical_form``: the least certificate over every leaf of an
+  individualisation search that never prunes; ``component_walk_form``:
+  the certificate along the first search path once the refined colouring
+  is component-discrete, else ``None``.  No shorter definition fixes the
+  certificate bytes, so both follow the library's encoding.
+* ``enumerate_designs``: every design within ``max_depth`` applications
+  of ``find_matches`` and ``apply`` below, deduplicated by
+  ``brute_force_isomorphic``, in order of discovery.
+* ``find_matches``: every injective label- and predicate-respecting node
+  map, times every choice of distinct edges per LHS edge, where LHS edges
+  sharing a triple take ascending indices.  Order: node maps by the
+  design positions of their images, LHS node by LHS node; then edge
+  choices by the indices each triple picks, triples in order of their
+  first LHS edge.
+* ``apply``: the rule's rewrite on plain dicts, after the stale-match
+  checks (in ``_stale``'s order) and the dangling-edge check; new nodes
+  take the first ``n<k>`` ids no kept node has.  Order: kept nodes in
+  design order, then new nodes in RHS order; unmatched edges in design
+  order, then RHS edges.
+* ``generate_full_check``: the breadth-first closure of those two from
+  the axiom, every child checked against the whole vocabulary and
+  deduplicated by canonical form, until ``max_designs`` are known.
+  Discovery goes parent, rule, match; the result is sorted by certificate.
+* ``chain_sat``, ``reachable_sat`` and ``pair_sat``: whether some gate
+  chain computes a vector (or two at once), by enumerating the chains or
+  the sets of vectors they compute.
+* ``input_vectors``, ``target_vectors`` and ``supports``: a table's
+  columns packed row by row, and the inputs each output depends on.
+* ``fan_in``: per slot, every source a chain of refs leads back to.
+* ``enumerate_then_assign``, ``fewest_gates`` and ``gate_with_new``: not
+  definitions but the search whose first circuit the library's walk must
+  return, with its level-by-level bound and one-gate test; they stay
+  until the capped bound has a reference of its own.
+* ``flow_scan_pi`` and ``flow_scan_degrees``: the paper's share of
+  subfunctions with degree above two, and every vertex's degree, by
+  scanning the flows.
+* ``check_structure``: each invariant as its own comprehension.  Order:
+  duplicate vertex ids; per terminal a repeated id, a bad kind, an empty
+  label; no vertices; per flow an unknown source, an unknown target, two
+  terminal ends, an input terminal entered, an output terminal left, an
+  empty label; one cycle; the vertices on no input-to-output path.
+* ``structure_similarity``: each spec term from its formula, over label
+  multisets and ``flow_scan_pi``.  ``reuse``: each component takes the
+  query label of highest word-overlap affinity that no better pair has
+  taken, pairs ranked by (-affinity, component name, label).
+  ``retrieve``: every case scored in base order, sorted by (-score, id),
+  the first ``k`` kept.
 """
 
-import heapq
 import json
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from typing import Collection, Iterator, Mapping, Optional, Sequence
+from functools import lru_cache
+from graphlib import CycleError, TopologicalSorter
+from itertools import count, permutations, product
+from typing import Collection, Iterator, Optional, Sequence
 
 from designbench import grammar as gr
 from designbench.casebase import (
@@ -40,15 +73,14 @@ from designbench.casebase import (
     EmptyCaseBaseError,
     RetrievalResult,
     SimilaritySpec,
-    similarity,
 )
 from designbench.funcstruct import (
     INPUT,
     OUTPUT,
     FunctionStructure,
+    InvalidStructureError,
     ValidationReport,
     Violation,
-    interdependency_index,
 )
 from designbench.synth import (
     Circuit,
@@ -96,12 +128,10 @@ def brute_force_isomorphic(a: gr.Design, b: gr.Design) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form by an unpruned individualisation search
-#
-# The library's canonical form before automorphism pruning, kept verbatim:
-# it branches on every vertex of the target cell, so its certificate is
-# the minimum over all leaves of the search tree.  Factorial in the number
-# of interchangeable nodes; use on small designs only.
+# Canonical form by an unpruned individualisation search: it branches on
+# every vertex of the target cell, so its certificate is the least over
+# all leaves.  Factorial in the number of interchangeable nodes; use on
+# small designs only.
 
 def _attr_colour(node: gr.GraphNode) -> str:
     return json.dumps([node.label, [[k, v] for k, v in node.attrs]], sort_keys=True)
@@ -180,14 +210,10 @@ def canonical_form(design: gr.Design) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Component-discrete certificates by the per-level walk
-#
-# The library's certificate of a component-discrete colouring before it
-# became one sort by (colour, component), kept verbatim: it follows the
-# first path of the search, individualising the first vertex of the first
-# non-singleton cell and refining, until no edge joins two non-singleton
-# vertices.  Polynomial, so it checks large designs too; ``None`` when the
-# refined colouring is not component-discrete.
+# Component-discrete certificates along the first search path: the first
+# vertex of the first non-singleton cell is individualised and the
+# colouring refined until no edge joins two non-singleton vertices.
+# Polynomial, so it checks large designs too.
 
 def component_walk_form(design: gr.Design) -> Optional[bytes]:
     nodes = design.nodes
@@ -241,9 +267,9 @@ def enumerate_designs(grammar: gr.Grammar, max_depth: int) -> list[gr.Design]:
         if depth == max_depth:
             return
         for rule in grammar.rules:
-            for match in gr.find_matches(rule, design):
+            for match in find_matches(rule, design):
                 try:
-                    child = gr.apply(rule, design, match, grammar.vocabulary)
+                    child = apply(rule, design, match, grammar.vocabulary)
                 except gr.DanglingEdgeError:
                     continue
                 record(child)
@@ -254,285 +280,158 @@ def enumerate_designs(grammar: gr.Grammar, max_depth: int) -> list[gr.Design]:
 
 
 # ---------------------------------------------------------------------------
-# Matching by scanning every node
-#
-# The library's ``find_matches`` before the per-design label and edge
-# indices, kept verbatim: each pattern node scans all design nodes, and
-# each call groups the design's edge instances anew.
+# Matching: every injective node map, times every choice of edges
 
-def _node_matches(pattern: gr.PatternNode, node: gr.GraphNode) -> bool:
-    if pattern.label != node.label:
-        return False
-    attrs = node.attr_map()
-    for pred in pattern.predicates:
-        if pred.attr not in attrs or not pred.holds(attrs[pred.attr]):
-            return False
-    return True
+def _fits(pattern: gr.PatternNode, node: gr.GraphNode) -> bool:
+    """Whether ``node`` has the pattern's label and meets its predicates."""
+    attrs = dict(node.attrs)
+    return node.label == pattern.label and all(
+        p.attr in attrs and p.holds(attrs[p.attr]) for p in pattern.predicates)
 
 
-def find_matches(rule: gr.Rule, design: gr.Design,
-                 vocab: Optional[gr.Vocabulary] = None) -> list[gr.Match]:
-    if vocab is not None:
-        vocab.require_valid(design, "design")
-        problems = gr.check_rule(vocab, rule)
-        if problems:
-            raise gr.VocabularyError(f"rule {rule.name!r}: " + "; ".join(problems))
-
-    lhs_nodes = rule.lhs.nodes
-    lhs_edges = rule.lhs.edges
-    matches: list[gr.Match] = []
-
-    # Design edge instances grouped per (source, target, label).
-    instances: dict[tuple[str, str, str], list[int]] = {}
-    for idx, edge in enumerate(design.edges):
-        instances.setdefault((edge.source, edge.target, edge.label), []).append(idx)
-
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def edge_groups() -> Optional[list[tuple[list[int], list[int]]]]:
-        """Group lhs edge positions by mapped design triple; None if short."""
-        groups: dict[tuple[str, str, str], list[int]] = {}
-        for pos, edge in enumerate(lhs_edges):
-            triple = (assignment[edge.source], assignment[edge.target], edge.label)
-            groups.setdefault(triple, []).append(pos)
-        out = []
-        for triple, positions in groups.items():
-            avail = instances.get(triple, [])
-            if len(avail) < len(positions):
-                return None
-            out.append((positions, avail))
-        out.sort(key=lambda pair: pair[0][0])
-        return out
-
-    def count_ok() -> bool:
-        needed: dict[tuple[str, str, str], int] = {}
-        for edge in lhs_edges:
-            if edge.source in assignment and edge.target in assignment:
-                triple = (assignment[edge.source], assignment[edge.target], edge.label)
-                needed[triple] = needed.get(triple, 0) + 1
-        return all(len(instances.get(t, [])) >= k for t, k in needed.items())
-
-    def emit_edge_choices() -> None:
-        groups = edge_groups()
-        if groups is None:
-            return
-        per_group = [list(combinations(avail, len(positions))) for positions, avail in groups]
-        for picks in product(*per_group):
-            slot: dict[int, int] = {}
-            for (positions, _), chosen in zip(groups, picks):
-                for pos, inst in zip(positions, chosen):
-                    slot[pos] = inst
-            matches.append(
-                gr.Match(
-                    nodes=tuple((n.id, assignment[n.id]) for n in lhs_nodes),
-                    edges=tuple(slot[i] for i in range(len(lhs_edges))),
-                )
-            )
-
-    def extend(i: int) -> None:
-        if i == len(lhs_nodes):
-            emit_edge_choices()
-            return
-        pattern = lhs_nodes[i]
-        for node in design.nodes:
-            if node.id in used or not _node_matches(pattern, node):
-                continue
-            assignment[pattern.id] = node.id
-            used.add(node.id)
-            if count_ok():
-                extend(i + 1)
-            used.remove(node.id)
-            del assignment[pattern.id]
-
-    extend(0)
+def find_matches(rule: gr.Rule, design: gr.Design) -> list[gr.Match]:
+    """Every embedding of the rule's LHS in ``design``, in the order the
+    module docstring states."""
+    triples = [(e.source, e.target, e.label) for e in rule.lhs.edges]
+    # LHS edge positions triple by triple, triples by their first position
+    order = sorted(range(len(triples)), key=lambda p: (triples.index(triples[p]), p))
+    twins = [(p, q) for p, q in zip(order, order[1:]) if triples[p] == triples[q]]
+    matches = []
+    for image in product(*[[n.id for n in design.nodes if _fits(p, n)]
+                           for p in rule.lhs.nodes]):
+        if len(set(image)) < len(image):
+            continue
+        to = dict(zip([p.id for p in rule.lhs.nodes], image))
+        edges = [[i for i, e in enumerate(design.edges)
+                  if (e.source, e.target, e.label) == (to[s], to[t], label)]
+                 for s, t, label in triples]
+        choices = [c for c in product(*edges) if all(c[p] < c[q] for p, q in twins)]
+        choices.sort(key=lambda c: [c[p] for p in order])
+        matches += [gr.Match(tuple(to.items()), c) for c in choices]
     return matches
 
 
 # ---------------------------------------------------------------------------
-# Rewriting that derives everything from the rule at each application
-#
-# The library's ``apply`` before each rule's anchor map, removed ids, RHS
-# index and new-node attributes were computed once per rule, kept
-# verbatim with its helpers: every call rebuilds them, rebuilds each
-# anchored node's attribute dict, filters copies of the node and edge
-# lists, and builds the result through ``Design``'s checking constructor.
+# Rewriting: the rule's meaning on plain dicts
 
-def _verify_match(rule: gr.Rule, design: gr.Design, match: gr.Match) -> dict[str, str]:
-    """The match's node map, once the match is known to embed."""
-    node_map = dict(match.nodes)
-    if set(node_map) != {n.id for n in rule.lhs.nodes}:
-        raise gr.StaleMatchError("match does not cover the rule's LHS nodes")
-    if len(set(node_map.values())) != len(node_map):
-        raise gr.StaleMatchError("match is not injective")
-    for pattern in rule.lhs.nodes:
-        target = node_map[pattern.id]
-        node = design._by_id.get(target)
-        if node is None:
-            raise gr.StaleMatchError(f"matched node {target!r} is gone")
-        if not _node_matches(pattern, node):
-            raise gr.StaleMatchError(f"node {target!r} no longer satisfies the pattern")
+def _stale(rule: gr.Rule, design: gr.Design, match: gr.Match) -> Optional[str]:
+    """Why ``match`` is no embedding of the rule's LHS in ``design``: the
+    first of these it breaks, in this order; ``None`` if it is one.  It
+    maps exactly the LHS nodes, injectively, onto present nodes that fit
+    their patterns, and the LHS edges onto as many distinct present
+    edges, each joining the images of its ends with its label."""
+    to = dict(match.nodes)
+    nodes = {n.id: n for n in design.nodes}
+    if to.keys() != {p.id for p in rule.lhs.nodes}:
+        return "match does not cover the rule's LHS nodes"
+    if len(set(to.values())) < len(to):
+        return "match is not injective"
+    for p in rule.lhs.nodes:
+        if to[p.id] not in nodes:
+            return f"matched node {to[p.id]!r} is gone"
+        if not _fits(p, nodes[to[p.id]]):
+            return f"node {to[p.id]!r} no longer satisfies the pattern"
     if len(match.edges) != len(rule.lhs.edges):
-        raise gr.StaleMatchError("match does not cover the rule's LHS edges")
-    if len(set(match.edges)) != len(match.edges):
-        raise gr.StaleMatchError("match reuses a design edge")
-    for pattern_edge, idx in zip(rule.lhs.edges, match.edges):
-        if not 0 <= idx < len(design.edges):
-            raise gr.StaleMatchError(f"matched edge index {idx} is gone")
-        actual = design.edges[idx]
-        expected = (node_map[pattern_edge.source], node_map[pattern_edge.target],
-                    pattern_edge.label)
-        if (actual.source, actual.target, actual.label) != expected:
-            raise gr.StaleMatchError(f"edge {idx} no longer matches the pattern")
-    return node_map
+        return "match does not cover the rule's LHS edges"
+    if len(set(match.edges)) < len(match.edges):
+        return "match reuses a design edge"
+    for e, i in zip(rule.lhs.edges, match.edges):
+        if not 0 <= i < len(design.edges):
+            return f"matched edge index {i} is gone"
+        if design.edges[i] != gr.GraphEdge(to[e.source], to[e.target], e.label):
+            return f"edge {i} no longer matches the pattern"
+    return None
 
 
-def _fresh_ids(existing: set[str], count: int) -> list[str]:
-    out: list[str] = []
-    k = 0
-    while len(out) < count:
-        candidate = f"n{k}"
-        if candidate not in existing:
-            out.append(candidate)
-            existing.add(candidate)
-        k += 1
-    return out
-
-
-def _same_attrs(new: tuple, old: tuple) -> bool:
-    """``new == old`` in each value's type and JSON text too: ``1``, ``1.0``
-    and ``True`` are equal in Python, as are ``0.0`` and ``-0.0``, and
-    ``[1]`` and ``[True]``, but none of them in a design."""
-    return new == old and all(
-        type(a) is type(b) and (type(a) in (str, int, bool, type(None))
-                                or type(a) is float and repr(a) == repr(b))
-        for (_, a), (_, b) in zip(new, old))
-
-
-def _eval_expr(expr: gr.AttrExpr, design: gr.Design, node_map: dict[str, str]) -> gr.Scalar:
-    if isinstance(expr, gr.CopyAttr):
-        return design.node(node_map[expr.node]).get(expr.attr)
-    return expr
+def _as_it_was(old: gr.GraphNode, new: gr.GraphNode, rhs: gr.RhsNode) -> bool:
+    """Whether the rewrite leaves the anchored node ``old`` as it was: same
+    label and attribute items in order, and the RHS node writes none of
+    them or every value is a scalar of the type and JSON text it had."""
+    return (new.label, new.attrs) == (old.label, old.attrs) and (not rhs.attrs or all(
+        type(a) is type(b) and type(a) in (str, int, float, bool, type(None))
+        and json.dumps(a) == json.dumps(b) for (_, a), (_, b) in zip(new.attrs, old.attrs)))
 
 
 def apply(rule: gr.Rule, design: gr.Design, match: gr.Match,
           vocab: Optional[gr.Vocabulary] = None) -> gr.Design:
-    """Rewrite ``design`` at ``match``.
+    """The rewrite of ``design`` by ``rule`` at ``match``.
 
-    Raises :class:`StaleMatchError` if the match no longer embeds, and
-    :class:`DanglingEdgeError` if an unmatched edge touches a node the
-    rule removes.
-
-    A node the rule does not match is the parent's own object in the
-    result, and so is an anchored node the rewrite leaves as it was (same
-    label, and each attribute a value of the same type and JSON text);
-    every other node of the result is a new object.
+    Raises ``StaleMatchError`` with ``_stale``'s reason, then
+    ``DanglingEdgeError`` for the first unmatched edge at a matched node
+    no anchor keeps.  An anchored node takes its RHS node's label and its
+    own attributes updated by the RHS ones; a new node takes the RHS
+    node's; a copied attribute is read from the parent.  Only an anchored
+    node the rewrite changes is a new object (see ``_as_it_was``), besides
+    the new nodes.  Given ``vocab``, a result outside it raises
+    ``VocabularyError``.
     """
-    node_map = _verify_match(rule, design, match)
-    anchor = dict(rule.anchors)
+    reason = _stale(rule, design, match)
+    if reason:
+        raise gr.StaleMatchError(reason)
+    to, anchors = dict(match.nodes), dict(rule.anchors)
+    removed = {to[p.id] for p in rule.lhs.nodes if p.id not in anchors}
+    edges = [e for i, e in enumerate(design.edges) if i not in match.edges]
+    for e in edges:
+        if e.source in removed or e.target in removed:
+            raise gr.DanglingEdgeError(
+                f"edge {e.source!r}->{e.target!r} ({e.label!r}) would dangle")
+    values = {n.id: dict(n.attrs) for n in design.nodes}
+    kept = {n.id: n for n in design.nodes if n.id not in removed}
+    placed = {rhs: to[lhs] for lhs, rhs in anchors.items()}  # rhs id -> design id
+    new = [n for n in rule.rhs.nodes if n.id not in placed]
+    placed.update(zip([n.id for n in new], (f"n{k}" for k in count() if f"n{k}" not in kept)))
 
-    removed = {node_map[n.id] for n in rule.lhs.nodes if n.id not in anchor}
-    matched_edges = set(match.edges)
+    def write(rhs: gr.RhsNode, attrs: dict) -> gr.GraphNode:
+        for attr, expr in rhs.attrs:
+            attrs[attr] = values[to[expr.node]][expr.attr] \
+                if isinstance(expr, gr.CopyAttr) else expr
+        return gr.GraphNode(placed[rhs.id], rhs.label, tuple(sorted(attrs.items())))
 
-    if removed:
-        for idx, edge in enumerate(design.edges):
-            if idx in matched_edges:
-                continue
-            if edge.source in removed or edge.target in removed:
-                raise gr.DanglingEdgeError(
-                    f"edge {edge.source!r}->{edge.target!r} ({edge.label!r}) would dangle"
-                )
-
-    rhs_by_id = {n.id: n for n in rule.rhs.nodes}
-    # rhs id -> design id; new nodes get the first unused "n<k>" ids
-    placed = {rhs: node_map[lhs] for lhs, rhs in anchor.items()}
-    new_rhs = [n for n in rule.rhs.nodes if n.id not in placed]
-    if new_rhs:
-        fresh = _fresh_ids(design._by_id.keys() - removed, len(new_rhs))
-        placed.update(zip([n.id for n in new_rhs], fresh))
-
-    # Anchored survivors: attribute updates (and possible relabel) in place.
-    updates: dict[str, gr.GraphNode] = {}
-    for lhs_id, rhs_id in anchor.items():
-        design_id = node_map[lhs_id]
-        current = design.node(design_id)
-        rhs_node = rhs_by_id[rhs_id]
-        attrs = current.attr_map()
-        for attr, expr in rhs_node.attrs:
-            attrs[attr] = _eval_expr(expr, design, node_map)
-        items = tuple(sorted(attrs.items()))
-        if rhs_node.label == current.label and _same_attrs(items, current.attrs):
-            updates[design_id] = current
-        else:
-            updates[design_id] = gr.GraphNode(design_id, rhs_node.label, items)
-
-    nodes = [updates.get(node.id, node) for node in design.nodes if node.id not in removed]
-    for rhs_node in new_rhs:
-        attrs = {attr: _eval_expr(expr, design, node_map) for attr, expr in rhs_node.attrs}
-        nodes.append(gr.GraphNode.make(placed[rhs_node.id], rhs_node.label, attrs))
-    edges = [edge for idx, edge in enumerate(design.edges) if idx not in matched_edges]
-    edges += [gr.GraphEdge(placed[e.source], placed[e.target], e.label) for e in rule.rhs.edges]
-
-    result = gr.Design(tuple(nodes), tuple(edges))
+    for rhs in rule.rhs.nodes:
+        if rhs.id in anchors.values():
+            node = write(rhs, dict(values[placed[rhs.id]]))
+            if not _as_it_was(kept[node.id], node, rhs):
+                kept[node.id] = node
+    result = gr.Design(
+        (*kept.values(), *[write(rhs, {}) for rhs in new]),
+        (*edges, *[gr.GraphEdge(placed[e.source], placed[e.target], e.label)
+                   for e in rule.rhs.edges]))
     if vocab is not None:
         vocab.require_valid(result, f"result of rule {rule.name!r}")
     return result
 
 
 # ---------------------------------------------------------------------------
-# Generation with a full vocabulary check of every child
-#
-# The library's ``generate`` before the delta check and the exact-repeat
-# skip, kept verbatim: every child goes through ``apply(..., vocab)`` and
-# ``canonical_form``.
+# Generation: the breadth-first closure, every child checked in full
 
 def generate_full_check(grammar: gr.Grammar, max_depth: int,
                         max_designs: int) -> gr.GenerationResult:
+    """``gr.generate`` by its definition (see the module docstring)."""
     if max_depth < 1 or max_designs < 1:
         raise ValueError("generation limits must be positive")
-
-    vocab = grammar.vocabulary
-    seen: dict[bytes, gr.GeneratedDesign] = {}
-    axiom_entry = gr.GeneratedDesign(grammar.axiom, gr.Derivation(),
-                                     gr.canonical_form(grammar.axiom), 0)
-    seen[axiom_entry.canonical] = axiom_entry
-    frontier = [axiom_entry]
-
-    for depth in range(1, max_depth + 1):
-        if len(seen) >= max_designs:
-            break
-        next_frontier: list[gr.GeneratedDesign] = []
-        for entry in frontier:
-            for rule in grammar.rules:
-                for match in gr.find_matches(rule, entry.design):
-                    try:
-                        child = gr.apply(rule, entry.design, match, vocab)
-                    except gr.DanglingEdgeError:
-                        continue
-                    key = gr.canonical_form(child)
-                    if key in seen:
-                        continue
-                    child_entry = gr.GeneratedDesign(
-                        child,
-                        gr.Derivation((*entry.derivation.steps,
-                                       gr.DerivationStep(rule.name, match))),
-                        key,
-                        depth,
-                    )
-                    seen[key] = child_entry
-                    next_frontier.append(child_entry)
-                    if len(seen) >= max_designs:
-                        break
-                if len(seen) >= max_designs:
-                    break
-            if len(seen) >= max_designs:
+    axiom = gr.GeneratedDesign(grammar.axiom, gr.Derivation(),
+                               gr.canonical_form(grammar.axiom), 0)
+    seen = {axiom.canonical: axiom}
+    frontier, depth = [axiom], 0
+    while frontier and depth < max_depth and len(seen) < max_designs:
+        parents, frontier, depth = frontier, [], depth + 1
+        steps = ((parent, rule, match) for parent, rule in product(parents, grammar.rules)
+                 for match in find_matches(rule, parent.design))
+        for parent, rule, match in steps:
+            try:
+                child = apply(rule, parent.design, match, grammar.vocabulary)
+            except gr.DanglingEdgeError:
+                continue
+            key = gr.canonical_form(child)
+            if key in seen:
+                continue
+            derivation = gr.Derivation(
+                (*parent.derivation.steps, gr.DerivationStep(rule.name, match)))
+            seen[key] = gr.GeneratedDesign(child, derivation, key, depth)
+            frontier.append(seen[key])
+            if len(seen) == max_designs:
                 break
-        frontier = next_frontier
-        if not frontier:
-            break
-
-    ordered = tuple(sorted(seen.values(), key=lambda g: g.canonical))
-    return gr.GenerationResult(ordered)
+    return gr.GenerationResult(tuple(sorted(seen.values(), key=lambda g: g.canonical)))
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +563,7 @@ def pair_sat(n_inputs: int, targets: tuple[int, int], max_gates: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Truth-table columns row by row (verbatim from synth.Requirement before it
-# packed its columns once)
+# Truth-table columns, packed row by row
 
 def _row_index(requirement: Requirement, in_bits: tuple[int, ...]) -> int:
     n = len(requirement.inputs)
@@ -707,9 +605,9 @@ def supports(requirement: Requirement) -> list[frozenset[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Topology search by enumerate-then-assign (verbatim from synth before the
-# fused walk): every canonical slot sequence at a gate count, then a fresh
-# backtracking gate assignment for every choice of output slots
+# Topology search by enumerate-then-assign: every canonical slot sequence
+# at a gate count, then a backtracking gate assignment for every choice of
+# output slots
 
 def _enumerate_slot_sequences(n_inputs: int,
                               gate_count: int) -> Iterator[list[tuple[int, ...]]]:
@@ -745,32 +643,26 @@ def _enumerate_slot_sequences(n_inputs: int,
     yield from rec((0, 0, ()))
 
 
-def _closures(n_inputs: int, slots: list[tuple[int, ...]]) -> list[int]:
-    """Per slot, bitmask of primary inputs in its transitive fan-in."""
-    out: list[int] = []
-    for refs in slots:
-        mask = 0
-        for r in refs:
-            mask |= (1 << r) if r < n_inputs else out[r - n_inputs]
-        out.append(mask)
-    return out
-
-
-def _backward_cover(n_inputs: int, slots: list[tuple[int, ...]]) -> list[int]:
-    """Per slot, bitmask of slots in its transitive fan-in (itself included)."""
-    out: list[int] = []
-    for j, refs in enumerate(slots):
-        mask = 1 << j
-        for r in refs:
-            if r >= n_inputs:
-                mask |= out[r - n_inputs]
+def fan_in(n_inputs: int, slots: list[tuple[int, ...]]) -> list[int]:
+    """Per slot, the bitmask of every source a chain of refs leads back to
+    from it, itself included (input ``i`` is bit ``i`` and slot ``j`` bit
+    ``n_inputs + j``), by walking the refs."""
+    out = []
+    for j in range(len(slots)):
+        mask, todo = 0, [n_inputs + j]
+        while todo:
+            source = todo.pop()
+            if not mask >> source & 1:
+                mask |= 1 << source
+                if source >= n_inputs:
+                    todo += slots[source - n_inputs]
         out.append(mask)
     return out
 
 
 def enumerate_then_assign(requirement: Requirement,
                           max_gates: int) -> Optional[Circuit]:
-    """``synth.synthesize_topology`` as it was before the fused walk."""
+    """The first circuit ``synth.synthesize_topology`` must return."""
     if max_gates < 1:
         raise ValueError("max_gates must be at least 1")
     n = len(requirement.inputs)
@@ -788,11 +680,10 @@ def enumerate_then_assign(requirement: Requirement,
     for gate_count in range(fewest, max_gates + 1):
         all_slots_mask = (1 << gate_count) - 1
         for slots in _enumerate_slot_sequences(n, gate_count):
-            closures = _closures(n, slots)
-            cover = _backward_cover(n, slots)
+            masks = fan_in(n, slots)
             # Per output position, slots whose fan-in spans the needed inputs.
             candidates = [
-                [j for j in range(gate_count) if closures[j] & support_masks[p] == support_masks[p]]
+                [j for j in range(gate_count) if masks[j] & support_masks[p] == support_masks[p]]
                 for p in range(m)
             ]
             if any(not c for c in candidates):
@@ -802,7 +693,7 @@ def enumerate_then_assign(requirement: Requirement,
             for output_slots in product(*candidates):
                 covered = 0
                 for j in output_slots:
-                    covered |= cover[j]
+                    covered |= masks[j] >> n
                 if covered != all_slots_mask:
                     continue
                 checked: dict[int, list[int]] = {}
@@ -821,15 +712,13 @@ def enumerate_then_assign(requirement: Requirement,
 
 
 # ---------------------------------------------------------------------------
-# Fewest gates by whole levels: the bound that preceded the per-child test
+# Fewest gates by whole levels
 
 def gate_with_new(target: int, new: Collection[int], signals: frozenset[int],
                   full: int) -> bool:
     """Whether a gate reading a value ``v`` of ``new`` computes ``target``:
     NOT ``v``, or ``v`` XOR a signal, AND a superset or OR a subset.  With
-    ``new`` equal to ``signals``, whether any gate over them does.
-
-    Verbatim from ``synth._gate_with_new`` before its plain loops."""
+    ``new`` equal to ``signals``, whether any gate over them does."""
     if target ^ full in new or any(s ^ target in new for s in signals):
         return True
     return any(v & s == target for v in new if v & target == target for s in signals) \
@@ -942,11 +831,10 @@ def flow_scan_pi(structure) -> Fraction:
 
 
 def flow_scan_degrees(structure) -> dict[str, int]:
-    """Every function vertex's total degree by one string-keyed walk over the
-    flows (verbatim from ``FunctionStructure.degrees`` before the check
-    counted it).  Defined on any structure: a repeated vertex id has one
-    entry, a flow end that is no vertex id counts for nothing, and a
-    self-loop counts twice."""
+    """Every function vertex's total degree: the flow ends at it, counted
+    by one walk over the flows.  Defined on any structure: a repeated
+    vertex id has one entry, a flow end that is no vertex id counts for
+    nothing, and a self-loop counts twice."""
     table = {v.id: 0 for v in structure.vertices}
     for f in structure.flows:
         if f.source in table:
@@ -957,230 +845,142 @@ def flow_scan_degrees(structure) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Structure validation (verbatim from funcstruct before the interned
-# one-pass check, with the deleted ``vertex_ids()`` written out)
+# Structure validation: each invariant as its own comprehension
+
+def _reach(seeds: list[str], steps: list[tuple[str, str]]) -> set[str]:
+    """The seeds and every name a chain of ``(from, to)`` steps leads to."""
+    after: dict[str, list[str]] = {}
+    for a, b in steps:
+        after.setdefault(a, []).append(b)
+    reached, todo = set(seeds), list(seeds)
+    while todo:
+        for b in after.get(todo.pop(), ()):
+            if b not in reached:
+                reached.add(b)
+                todo.append(b)
+    return reached
+
 
 def check_structure(fs: FunctionStructure) -> ValidationReport:
-    """The report of ``funcstruct.validate``, by string-keyed sets and maps,
-    a per-vertex iterator DFS for the cycle and dict-of-set reachability."""
-    out: list[Violation] = []
-
-    seen: set[str] = set()
-    for v in fs.vertices:
-        if v.id in seen:
-            out.append(Violation("duplicate-id", f"duplicate id {v.id!r}"))
-        seen.add(v.id)
-    for t in fs.terminals:
-        if t.id in seen:
-            out.append(Violation("duplicate-id", f"duplicate id {t.id!r}"))
-        seen.add(t.id)
-        if t.kind not in (INPUT, OUTPUT):
-            out.append(
-                Violation("bad-terminal-kind", f"terminal {t.id!r} has kind {t.kind!r}")
-            )
-        if not t.label:
-            out.append(Violation("empty-label", f"terminal {t.id!r} has empty label"))
-
-    if not fs.vertices:
-        out.append(Violation("no-vertices", "structure has no function vertices"))
-
-    vertex_ids = {v.id for v in fs.vertices}
-    term_by_id = {t.id: t for t in fs.terminals}
-
+    """The report of ``funcstruct.validate``, in the order the module
+    docstring states.  An id is known if a vertex or terminal has it, a
+    repeat if an earlier one does; its kind is its last terminal's."""
+    ids = [v.id for v in fs.vertices] + [t.id for t in fs.terminals]
+    first = {x: i for i, x in reversed(list(enumerate(ids)))}
+    kind = {t.id: t.kind for t in fs.terminals}
+    found = [("duplicate-id", f"duplicate id {v.id!r}")
+             for i, v in enumerate(fs.vertices) if first[v.id] < i]
+    for i, t in enumerate(fs.terminals, len(fs.vertices)):
+        found += [(c, m) for bad, c, m in [
+            (first[t.id] < i, "duplicate-id", f"duplicate id {t.id!r}"),
+            (t.kind not in (INPUT, OUTPUT), "bad-terminal-kind",
+             f"terminal {t.id!r} has kind {t.kind!r}"),
+            (not t.label, "empty-label", f"terminal {t.id!r} has empty label")] if bad]
+    found += [("no-vertices", "structure has no function vertices")] if not fs.vertices else []
     for i, f in enumerate(fs.flows):
-        for endpoint in (f.source, f.target):
-            if endpoint not in vertex_ids and endpoint not in term_by_id:
-                out.append(
-                    Violation("unknown-endpoint", f"flows[{i}] references {endpoint!r}")
-                )
-        if f.source in term_by_id and f.target in term_by_id:
-            out.append(
-                Violation(
-                    "terminal-terminal-flow",
-                    f"flows[{i}] connects two terminals ({f.source!r} -> {f.target!r})",
-                )
-            )
-        if f.target in term_by_id and term_by_id[f.target].kind == INPUT:
-            out.append(
-                Violation(
-                    "input-terminal-inflow",
-                    f"flows[{i}] enters input terminal {f.target!r}",
-                )
-            )
-        if f.source in term_by_id and term_by_id[f.source].kind == OUTPUT:
-            out.append(
-                Violation(
-                    "output-terminal-outflow",
-                    f"flows[{i}] leaves output terminal {f.source!r}",
-                )
-            )
-        if not f.label:
-            out.append(Violation("empty-label", f"flows[{i}] has empty label"))
-
-    # Cycle check on the subgraph induced by function vertices.
-    succ: dict[str, list[str]] = {v: [] for v in vertex_ids}
+        found += [(c, m) for bad, c, m in [
+            (f.source not in first, "unknown-endpoint", f"flows[{i}] references {f.source!r}"),
+            (f.target not in first, "unknown-endpoint", f"flows[{i}] references {f.target!r}"),
+            (f.source in kind and f.target in kind, "terminal-terminal-flow",
+             f"flows[{i}] connects two terminals ({f.source!r} -> {f.target!r})"),
+            (kind.get(f.target) == INPUT, "input-terminal-inflow",
+             f"flows[{i}] enters input terminal {f.target!r}"),
+            (kind.get(f.source) == OUTPUT, "output-terminal-outflow",
+             f"flows[{i}] leaves output terminal {f.source!r}"),
+            (not f.label, "empty-label", f"flows[{i}] has empty label")] if bad]
+    # acyclic iff the vertices have a topological order
+    before: dict[str, list[str]] = {v.id: [] for v in fs.vertices}
     for f in fs.flows:
-        if f.source in vertex_ids and f.target in vertex_ids:
-            succ[f.source].append(f.target)
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-
-    def has_cycle(start: str) -> bool:
-        stack = [(start, iter(succ[start]))]
-        state[start] = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt) == 0:
-                    return True
-                if nxt not in state:
-                    state[nxt] = 0
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 1
-                stack.pop()
-        return False
-
-    for v in vertex_ids:
-        if v not in state and has_cycle(v):
-            out.append(Violation("cycle", "flows between function vertices form a cycle"))
-            break
-
-    # Every vertex must lie on some input-terminal -> output-terminal path.
-    inputs = {t.id for t in fs.terminals if t.kind == INPUT}
-    outputs = {t.id for t in fs.terminals if t.kind == OUTPUT}
-    fwd: dict[str, set[str]] = {}
-    back: dict[str, set[str]] = {}
-    for f in fs.flows:
-        fwd.setdefault(f.source, set()).add(f.target)
-        back.setdefault(f.target, set()).add(f.source)
-
-    def reachable(seeds: set[str], adjacency: dict[str, set[str]]) -> set[str]:
-        seen_r = set(seeds)
-        stack = list(seeds)
-        while stack:
-            for nxt in adjacency.get(stack.pop(), ()):
-                if nxt not in seen_r:
-                    seen_r.add(nxt)
-                    stack.append(nxt)
-        return seen_r
-
-    from_inputs = reachable(inputs, fwd)
-    to_outputs = reachable(outputs, back)
-    for v in fs.vertices:
-        if v.id not in from_inputs or v.id not in to_outputs:
-            out.append(
-                Violation(
-                    "off-path-vertex",
-                    f"vertex {v.id!r} is not on any input->output path",
-                )
-            )
-
-    return ValidationReport(tuple(out))
+        if f.source in before and f.target in before:
+            before[f.target].append(f.source)
+    try:
+        TopologicalSorter(before).prepare()
+    except CycleError:
+        found.append(("cycle", "flows between function vertices form a cycle"))
+    steps = [(f.source, f.target) for f in fs.flows]
+    fed = _reach([t.id for t in fs.terminals if t.kind == INPUT], steps)
+    drained = _reach([t.id for t in fs.terminals if t.kind == OUTPUT],
+                     [(b, a) for a, b in steps])
+    found += [("off-path-vertex", f"vertex {v.id!r} is not on any input->output path")
+              for v in fs.vertices if v.id not in fed or v.id not in drained]
+    return ValidationReport(tuple(Violation(c, m) for c, m in found))
 
 
 # ---------------------------------------------------------------------------
-# Case similarity and reuse, term by term (verbatim from casebase before
-# the single-Fraction kernel and the tokenise-once reuse)
+# Case similarity, reuse and retrieval, each from its formula
 
-def multiset_jaccard(a: Mapping[str, int], b: Mapping[str, int]) -> Fraction:
-    """min-over-max multiset Jaccard; two empty multisets count as equal.
+def multiset_jaccard(a: Counter, b: Counter) -> Fraction:
+    """The sum of the smaller counts over the sum of the larger ones; two
+    empty multisets count as equal."""
+    union = sum((a | b).values())
+    return Fraction(sum((a & b).values()), union) if union else Fraction(1)
 
-    Counts are non-negative, so the sum of maxima is the two totals minus
-    the sum of minima, and only shared keys need a lookup.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    overlap = sum(min(n, b[k]) for k, n in a.items() if k in b)
-    union = sum(a.values()) + sum(b.values()) - overlap
-    if union == 0:
-        return Fraction(1)
-    return Fraction(overlap, union)
+
+@lru_cache(maxsize=256)  # a retrieval scores its query once per case
+def _pi(structure: FunctionStructure) -> Fraction:
+    """``flow_scan_pi`` of a valid structure; an invalid one raises the
+    ``InvalidStructureError`` of its ``check_structure`` report."""
+    report = check_structure(structure)
+    if report.violations:
+        raise InvalidStructureError(report)
+    return flow_scan_pi(structure)
 
 
 def structure_similarity(spec: SimilaritySpec, a: FunctionStructure,
                          b: FunctionStructure) -> Fraction:
-    """Weighted blend of label overlap and interdependency closeness.
-
-    Symmetric, 1 on identical structures, and always within [0, 1].
-    Label multisets and indices are read from each structure's cache,
-    so scoring a pair costs O(distinct labels) once both are warm.
-    """
-    functions = multiset_jaccard(a.function_labels, b.function_labels)
-    flows = multiset_jaccard(a.flow_labels, b.flow_labels)
-    pi_gap = abs(interdependency_index(a) - interdependency_index(b))
-    return (
-        spec.function_weight * functions
-        + spec.flow_weight * flows
-        + spec.structure_weight * (1 - pi_gap)
-    )
+    """``function_weight`` times the Jaccard of the function-label
+    multisets, plus ``flow_weight`` times that of the flow labels, plus
+    ``structure_weight`` times one less the PI gap.  The PI of ``a`` is
+    taken first, so an invalid ``a`` is the one that raises."""
+    pa, pb = _pi(a), _pi(b)
+    return (spec.function_weight * multiset_jaccard(Counter(v.label for v in a.vertices),
+                                                    Counter(v.label for v in b.vertices))
+            + spec.flow_weight * multiset_jaccard(Counter(f.label for f in a.flows),
+                                                  Counter(f.label for f in b.flows))
+            + spec.structure_weight * (1 - abs(pa - pb)))
 
 
 _WORDS = re.compile(r"[a-z0-9]+")
 
 
-def _tokens(text: str) -> frozenset[str]:
-    return frozenset(_WORDS.findall(text.lower()))
-
-
 def label_affinity(a: str, b: str) -> Fraction:
-    """Word-overlap Jaccard between two free-text labels."""
-    ta, tb = _tokens(a), _tokens(b)
-    if not ta and not tb:
-        return Fraction(1)
-    union = len(ta | tb)
-    return Fraction(len(ta & tb), union)
+    """Jaccard of the two labels' lower-case word sets; two labels without
+    words count as equal."""
+    ta, tb = (frozenset(_WORDS.findall(text.lower())) for text in (a, b))
+    return Fraction(len(ta & tb), len(ta | tb)) if ta or tb else Fraction(1)
 
 
 def reuse(case: Case, query: FunctionStructure) -> DraftSolution:
-    """Adapt the retrieved case: annotate each component with the query
-    subfunction it best serves (greedy, one-to-one); leftover query
-    subfunctions become gaps."""
-    labels: list[str] = []
-    for vertex in query.vertices:
-        if vertex.label not in labels:
-            labels.append(vertex.label)
-
-    candidates = []
-    for comp in case.solution.components:
-        for label in labels:
-            score = max(label_affinity(comp.serves, label), label_affinity(comp.name, label))
-            if score > 0:
-                candidates.append((score, comp.name, label, comp))
-    candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
-
-    assigned: dict[str, tuple[str, Fraction]] = {}  # component name -> (label, score)
+    """The case's components, each mapped to the query label it serves
+    best: (component, label) pairs of positive affinity, the larger of its
+    serves and its name affinity, go by (-affinity, component name,
+    label), and a pair is taken when neither its component name nor its
+    label is.  Gaps are the labels left over, in order of first use."""
+    labels = list(dict.fromkeys(v.label for v in query.vertices))
+    components = case.solution.components
+    pairs = sorted(
+        ((max(label_affinity(c.serves, label), label_affinity(c.name, label)), c.name, label)
+         for c in components for label in labels),
+        key=lambda pair: (-pair[0], pair[1], pair[2]))
+    taken: dict[str, tuple[str, Fraction]] = {}  # component name -> (label, affinity)
     covered: set[str] = set()
-    for score, comp_name, label, _ in candidates:
-        if comp_name in assigned or label in covered:
-            continue
-        assigned[comp_name] = (label, score)
-        covered.add(label)
+    for score, name, label in pairs:
+        if score and name not in taken and label not in covered:
+            taken[name] = (label, score)
+            covered.add(label)
+    return DraftSolution(
+        case.id, case.solution.description,
+        tuple(ComponentMapping(c, *taken.get(c.name, (None, Fraction(0)))) for c in components),
+        tuple(label for label in labels if label not in covered))
 
-    mappings = []
-    for comp in case.solution.components:
-        label, score = assigned.get(comp.name, (None, Fraction(0)))
-        mappings.append(ComponentMapping(comp, label, score))
-    gaps = tuple(label for label in labels if label not in covered)
-    return DraftSolution(case.id, case.solution.description, tuple(mappings), gaps)
-
-
-# ---------------------------------------------------------------------------
-# Retrieval through a Fraction per case (verbatim from casebase before it
-# ranked the integer scores in a bounded heap)
 
 def retrieve(base: CaseBase, spec: SimilaritySpec, query: FunctionStructure,
              k: int) -> RetrievalResult:
-    """Top-k cases by similarity; ties broken by case id."""
+    """The first ``k`` cases once every case, scored in base order, is
+    sorted by (-score, id)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if not base.cases:
         raise EmptyCaseBaseError("cannot retrieve from an empty case base")
-    # heapq.nsmallest(k, it, key) is documented as sorted(it, key=key)[:k].
-    return RetrievalResult(tuple(heapq.nsmallest(
-        k,
-        ((case.id, similarity(spec, query, case)) for case in base.cases),
-        key=lambda pair: (-pair[1], pair[0]),
-    )))
+    scored = [(c.id, structure_similarity(spec, query, c.problem)) for c in base.cases]
+    return RetrievalResult(tuple(sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]))

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from designbench import casebase as cb
 from designbench import funcstruct as fs
 from conftest import load_fixture_bytes, random_structure
 import oracles
-from oracles import flow_scan_pi
 
 # Hand-evaluated winder-vs-fishing-reel similarity under default weights:
 #   function labels: 3 shared of 28 + 7       -> 3/32
@@ -32,24 +30,6 @@ def winder():
 @pytest.fixture(scope="module")
 def spec():
     return cb.SimilaritySpec()
-
-
-def oracle_similarity(spec, a, b) -> Fraction:
-    """Term-by-term recomputation, independent of structure_similarity
-    and of the values cached on either structure."""
-    def jaccard(x: Counter, y: Counter) -> Fraction:
-        union = sum((x | y).values())
-        if union == 0:
-            return Fraction(1)
-        return Fraction(sum((x & y).values()), union)
-
-    functions = jaccard(Counter(v.label for v in a.vertices),
-                        Counter(v.label for v in b.vertices))
-    flows = jaccard(Counter(f.label for f in a.flows),
-                    Counter(f.label for f in b.flows))
-    gap = abs(flow_scan_pi(a) - flow_scan_pi(b))
-    return (spec.function_weight * functions + spec.flow_weight * flows
-            + spec.structure_weight * (1 - gap))
 
 
 def tiny_structure(labels, flow_label):
@@ -83,13 +63,13 @@ class TestSimilarity:
 
     def test_winder_vs_fishing_reel_regression_value(self, spec, base, winder):
         reel = base.case("fishing_reel")
-        assert oracle_similarity(spec, winder, reel.problem) == WINDER_REEL_SIMILARITY
+        assert oracles.structure_similarity(spec, winder, reel.problem) == WINDER_REEL_SIMILARITY
         assert cb.similarity(spec, winder, reel) == WINDER_REEL_SIMILARITY
 
     def test_similarity_matches_oracle_on_fixture_base(self, spec, base, winder):
         for case in base.cases:
             assert cb.similarity(spec, winder, case) == \
-                oracle_similarity(spec, winder, case.problem)
+                oracles.structure_similarity(spec, winder, case.problem)
 
     def test_symmetry_and_bounds_on_random_pairs(self, spec):
         rng = random.Random(21)
@@ -132,7 +112,8 @@ class TestRetrieve:
         assert len(result.ranked) == len(base)
 
     def test_ranking_matches_brute_force_sort(self, spec, base, winder):
-        scores = [(c.id, oracle_similarity(spec, winder, c.problem)) for c in base.cases]
+        scores = [(c.id, oracles.structure_similarity(spec, winder, c.problem))
+                  for c in base.cases]
         scores.sort(key=lambda pair: (-pair[1], pair[0]))
         assert cb.retrieve(base, spec, winder, len(base)).ranked == tuple(scores)
 
@@ -300,7 +281,8 @@ class TestRetain:
                 queries.append(query)
             for _ in range(2):
                 expected = sorted(
-                    ((c.id, oracle_similarity(spec, query, c.problem)) for c in grown.cases),
+                    ((c.id, oracles.structure_similarity(spec, query, c.problem))
+                     for c in grown.cases),
                     key=lambda pair: (-pair[1], pair[0]))
                 assert cb.retrieve(grown, spec, query, len(grown)).ranked == tuple(expected)
             grown = cb.retain(grown, cb.Case(f"query-{i}", query, cb.Solution("")))
@@ -315,7 +297,7 @@ class TestRetain:
 
 # ---------------------------------------------------------------------------
 # The integer kernel, top-k selection and tokenise-once reuse against the
-# term-by-term versions kept in tests/oracles.py
+# oracles' term-by-term formulas
 
 WEIGHT_SPECS = [
     cb.SimilaritySpec(),
@@ -388,8 +370,8 @@ class TestKernelAgainstOracle:
 
 
 # ---------------------------------------------------------------------------
-# Ranking by integer scores against the Fraction-per-case retrieval kept in
-# tests/oracles.py
+# Ranking by integer scores against the oracle's sort of every case by
+# (-score, id)
 
 K_CHOICES = {"1": lambda n: 1, "2": lambda n: 2, "3": lambda n: 3,
              "N-1": lambda n: max(1, n - 1), "N": lambda n: n,

@@ -3,6 +3,8 @@
 * The package keeps one JSON ingress, one indented writer, one memo and
   one reader per file format, and imports nothing outside the standard
   library.
+* Each reference oracle in ``tests/oracles.py`` stays independent of the
+  library function it checks, and of the library's private names.
 * Every demo exits 0, and every command of the README's "Command line"
   block exits with the code the README gives it.
 * Large inputs run through the CLI in a child interpreter within their
@@ -39,9 +41,10 @@ FORBIDDEN = [
      "decode documents with designbench.jsonio.load_document"),
     (r"indent=|cached_property", "jsonio.py",
      "write indented JSON with designbench.jsonio.dumps and memoise with jsonio.cached"),
-    (r"PatternEdge|label_affinity|_closures|_backward_cover", None,
-     "rule edges are GraphEdge, synth has one fan-in pass (_fan_in), and the caller-less "
-     "casebase.label_affinity lives on only in tests/oracles.py"),
+    (r"PatternEdge|label_affinity|_closures|_backward_cover|_reachable_slots", None,
+     "rule edges are GraphEdge; synth walks fan-in once, in _fan_in, which also gives a "
+     "topology's unreachable slots (tests/oracles.py checks it with fan_in); and the "
+     "caller-less casebase.label_affinity lives on only as an oracle in tests/oracles.py"),
     (r"\b(kb|design|grammar|case_base|similarity_spec|profile|matrix|requirement|topology)"
      r"_from_dict\b", None,
      "each of these formats has one reader, its parse_* function"),
@@ -74,6 +77,65 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno}: import {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+ORACLES = ROOT / "tests" / "oracles.py"
+
+# oracle -> the library names it checks, which it must not reach
+ORACLE_TARGETS = {
+    "find_matches": {"find_matches"},
+    "apply": {"apply", "replay"},
+    "generate_full_check": {"generate", "find_matches", "apply"},
+    "enumerate_designs": {"generate", "find_matches", "apply"},
+    "check_structure": {"validate", "degrees", "degree", "interdependency_index"},
+    "structure_similarity": {"structure_similarity", "similarity", "interdependency_index",
+                             "function_labels", "flow_labels"},
+    "reuse": {"reuse", "serves_function"},
+    "retrieve": {"retrieve", "similarity", "structure_similarity"},
+}
+
+# the topology search oracles still run the library's gate assignment
+SEARCH_INTERNALS = {"_ref_choices", "_search_assignment", "_slot_sequence_to_topology",
+                    "_verify"}
+
+
+def _oracle_module() -> tuple[dict[str, ast.FunctionDef], set[str]]:
+    """``tests/oracles.py``: its module-level functions by name, and the
+    names it imports from designbench modules."""
+    tree = ast.parse(ORACLES.read_bytes(), str(ORACLES))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names = {alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.module.startswith("designbench.")
+             for alias in node.names}
+    return functions, names
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLE_TARGETS))
+def test_oracle_reaches_neither_what_it_checks_nor_a_private_library_name(oracle):
+    # every attribute the oracle and the oracle functions it calls read,
+    # and every name they use that the module imports from the library;
+    # a private one is the library's, since the oracles define no class
+    functions, imported = _oracle_module()
+    todo, seen, used = [oracle], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Name) and node.id in functions:
+                todo.append(node.id)
+            elif isinstance(node, ast.Name) and node.id in imported:
+                used.add(node.id)
+    private = {name for name in used if name.startswith("_") and not name.startswith("__")}
+    assert not used & ORACLE_TARGETS[oracle] and not private, (used, private)
+
+
+def test_oracles_import_no_private_library_name_but_the_search_internals():
+    _, imported = _oracle_module()
+    assert {name for name in imported if name.startswith("_")} <= SEARCH_INTERNALS
 
 
 @pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))

@@ -103,8 +103,8 @@ def hostile_structure(rng: random.Random) -> fs.FunctionStructure:
 
 
 class TestValidateAgainstOracle:
-    """``validate`` gives the report of the string-keyed check it replaced:
-    the same violations, messages and order."""
+    """``validate`` gives the report of the oracle's invariants, one
+    comprehension each: the same violations, messages and order."""
 
     @staticmethod
     def same(s: fs.FunctionStructure) -> fs.ValidationReport:

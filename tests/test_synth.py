@@ -14,11 +14,10 @@ from designbench import jsonio, synth
 from designbench.synth import GateSlot, GateType, Requirement, Topology
 from conftest import load_fixture_bytes
 from oracles import (
-    _backward_cover,
-    _closures,
     _enumerate_slot_sequences,
     chain_sat,
     enumerate_then_assign,
+    fan_in,
     fewest_gates,
     gate_with_new,
     input_vectors,
@@ -492,9 +491,7 @@ class TestWalkAgainstOracle:
         for n in (1, 2, 3):
             for gate_count in (1, 2, 3):
                 for slots in _enumerate_slot_sequences(n, gate_count):
-                    fan_in = synth._fan_in(n, slots)
-                    assert [mask & ((1 << n) - 1) for mask in fan_in] == _closures(n, slots)
-                    assert [mask >> n for mask in fan_in] == _backward_cover(n, slots)
+                    assert synth._fan_in(n, slots) == fan_in(n, slots)
 
     def test_every_one_output_table_at_bounds_one_to_four(self):
         for table in range(256):
@@ -578,10 +575,19 @@ class TestStructuralInvariants:
             Topology(("a",), (GateSlot(1, ("s1",)), GateSlot(1, ("a",))), ("s1",))
 
     def test_unreachable_slot_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^slots unreachable from any output: \[0\]$"):
             Topology(("a", "b"),
                      (GateSlot(2, ("a", "b")), GateSlot(1, ("a",))),
                      ("s1",))
+
+    def test_unreachable_slots_are_listed_in_ascending_order(self):
+        # s3 reads s1 only; s0 and s2 feed nothing an output reads
+        with pytest.raises(ValueError,
+                           match=r"^slots unreachable from any output: \[0, 2\]$"):
+            Topology(("a", "b"),
+                     (GateSlot(1, ("a",)), GateSlot(2, ("a", "b")), GateSlot(1, ("s0",)),
+                      GateSlot(1, ("s1",))),
+                     ("s3",))
 
     def test_incomplete_truth_table_rejected(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .funcstruct import FunctionStructure, interdependency_index, problem_from_dict, validate
-from .jsonio import SchemaError, fraction_from_json, load_document, located
+from .jsonio import SchemaError, expect, field, fraction_from_json, load_document, located
 
 DEFAULT_WEIGHTS = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 
@@ -345,8 +345,7 @@ def min_components(count: int) -> Callable[[tuple[Component, ...]], bool]:
 # JSON formats (.cases.json / .simspec.json)
 
 def case_from_dict(doc: object, location: str) -> Case:
-    if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):
-        raise SchemaError("case needs a string 'id'", location)
+    case_id = field(expect(doc, dict, location), "id", str, location)
     problem = problem_from_dict(doc.get("problem"), f"{location}.problem")
     if not isinstance(problem, FunctionStructure):
         raise SchemaError("case problems must be function structures",
@@ -357,39 +356,26 @@ def case_from_dict(doc: object, location: str) -> Case:
             "invalid case problem: " + "; ".join(v.message for v in report.violations),
             f"{location}.problem",
         )
-    sol = doc.get("solution")
-    if not isinstance(sol, dict) or not isinstance(sol.get("description"), str):
-        raise SchemaError("solution needs a string 'description'", f"{location}.solution")
-    raw_components = sol.get("components", [])
-    if not isinstance(raw_components, list):
-        raise SchemaError("'components' must be an array", f"{location}.solution.components")
+    sol = field(doc, "solution", dict, location)
+    loc = f"{location}.solution"
+    description = field(sol, "description", str, loc)
     components = []
-    for i, c in enumerate(raw_components):
-        loc = f"{location}.solution.components[{i}]"
-        if not isinstance(c, dict) or not isinstance(c.get("name"), str):
-            raise SchemaError("component needs a string 'name'", loc)
-        serves = c.get("serves", "")
-        if not isinstance(serves, str):
-            raise SchemaError("'serves' must be a string", f"{loc}.serves")
-        components.append(Component(c["name"], serves))
-    domain = doc.get("domain", "engineering")
-    if not isinstance(domain, str):
-        raise SchemaError("'domain' must be a string", f"{location}.domain")
-    return Case(doc["id"], problem, Solution(sol["description"], tuple(components)), domain)
+    for i, c in enumerate(field(sol, "components", list, loc, [])):
+        cloc = f"{loc}.components[{i}]"
+        name = field(expect(c, dict, cloc), "name", str, cloc)
+        components.append(Component(name, field(c, "serves", str, cloc, "")))
+    domain = field(doc, "domain", str, location, "engineering")
+    return Case(case_id, problem, Solution(description, tuple(components)), domain)
 
 
 def parse_case_base(data: bytes | str) -> CaseBase:
-    doc = load_document(data)
-    if not isinstance(doc, list):
-        raise SchemaError("expected an array of cases")
+    doc = expect(load_document(data), list, "$")
     cases = tuple(case_from_dict(c, f"$[{i}]") for i, c in enumerate(doc))
     return located("$", CaseBase, cases)
 
 
 def parse_similarity_spec(data: bytes | str) -> SimilaritySpec:
-    doc = load_document(data)
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object with weight fields")
+    doc = expect(load_document(data), dict, "$")
     weights = {}
     for key in ("function", "flow", "structure"):
         if key not in doc:

@@ -21,7 +21,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .jsonio import SchemaError, fraction_from_json, load_document, located
+from .jsonio import SchemaError, expect, field, fraction_from_json, load_document, located
 from .novelty import DesignCategory
 
 
@@ -163,11 +163,8 @@ def recommend(profile: ProblemProfile,
 # JSON formats (.profile.json / matrix override)
 
 def parse_profile(data: bytes | str) -> ProblemProfile:
-    doc = load_document(data)
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object")
-    if not isinstance(doc.get("decomposable"), bool):
-        raise SchemaError("'decomposable' must be a boolean", "$.decomposable")
+    doc = expect(load_document(data), dict, "$")
+    decomposable = field(doc, "decomposable", bool, "$")
     novelty_raw = doc.get("novelty")
     try:
         novelty = DesignCategory(novelty_raw)
@@ -179,7 +176,7 @@ def parse_profile(data: bytes | str) -> ProblemProfile:
     pi = None
     if doc.get("pi") is not None:
         pi = fraction_from_json(doc["pi"], "$.pi")
-    return located("$", ProblemProfile, doc["decomposable"], pi, novelty)
+    return located("$", ProblemProfile, decomposable, pi, novelty)
 
 
 _LEVELS = {"none": CapabilityLevel.NONE, "limited": CapabilityLevel.LIMITED,
@@ -187,30 +184,27 @@ _LEVELS = {"none": CapabilityLevel.NONE, "limited": CapabilityLevel.LIMITED,
 
 
 def parse_matrix(data: bytes | str) -> tuple[MethodCapabilities, ...]:
-    doc = load_document(data)
-    if not isinstance(doc, list) or not doc:
+    doc = expect(load_document(data), list, "$")
+    if not doc:
         raise SchemaError("expected a non-empty array of capability rows")
     rows = []
     for i, row in enumerate(doc):
         loc = f"$[{i}]"
-        if not isinstance(row, dict):
-            raise SchemaError("expected an object", loc)
+        expect(row, dict, loc)
         try:
             method = Method(row.get("method"))
         except ValueError as exc:
             raise SchemaError(f"unknown method {row.get('method')!r}", f"{loc}.method") from exc
         if any(r.method is method for r in rows):
             raise SchemaError(f"duplicate method {method.value!r}", f"{loc}.method")
-        if not isinstance(row.get("requires_decomposable"), bool):
-            raise SchemaError("'requires_decomposable' must be a boolean",
-                              f"{loc}.requires_decomposable")
+        requires_decomposable = field(row, "requires_decomposable", bool, loc)
         levels = {}
         for key in ("interdependencies", "innovation", "creativity"):
             if not isinstance(row.get(key), str) or row[key] not in _LEVELS:
                 raise SchemaError(f"'{key}' must be one of none/limited/full", f"{loc}.{key}")
             levels[key] = _LEVELS[row[key]]
         rows.append(
-            MethodCapabilities(method, row["requires_decomposable"],
+            MethodCapabilities(method, requires_decomposable,
                                levels["interdependencies"], levels["innovation"],
                                levels["creativity"])
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .jsonio import SchemaError
+from .jsonio import SchemaError, expect
 
 Scalar = Union[None, bool, int, float, str]
 _SCALARS = (type(None), bool, int, float, str)
@@ -131,7 +131,7 @@ def singleton(value: Scalar) -> SetDomain:
 
 
 def domain_from_dict(doc: object, location: str) -> Domain:
-    if not isinstance(doc, dict) or len(doc) != 1:
+    if len(expect(doc, dict, location)) != 1:
         raise SchemaError("domain must be a one-key object", location)
     key, payload = next(iter(doc.items()))
     if key == "set":

@@ -25,7 +25,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .jsonio import SchemaError, cached, dumps, load_document
+from .jsonio import SchemaError, cached, dumps, expect, load_document
 
 INPUT = "input"
 OUTPUT = "output"
@@ -337,14 +337,11 @@ def interdependency_index(problem: DesignProblem) -> Fraction:
 # JSON round-trip (.fs.json)
 #
 # The parser tests types and duplicate ids inline and formats a location
-# only in the branch that raises, so a well-formed document pays no
-# string formatting.  The checks run in document order, field by field,
-# and the first failure is the one reported.
-
-def _located(message: str, location: str, key: str, i: int, field: str = "") -> SchemaError:
-    """The error for element ``i`` of array ``key`` (or its ``field``)."""
-    return SchemaError(message, f"{location}.{key}[{i}]" + (f".{field}" if field else ""))
-
+# only in the branch that raises, where ``expect`` builds a type error, so
+# a well-formed document pays no string formatting.  The checks run in
+# document order, field by field, and the first failure is the one
+# reported.  Its type errors, a field's included, have ``expect``'s form,
+# located at the value.
 
 # Each record's slot setters, in field order: the parser fills a record with
 # them as its frozen ``__init__`` does, without the cost of calling it.
@@ -353,28 +350,22 @@ _SETTERS = {cls: tuple(vars(cls)[f.name].__set__ for f in fields(cls))
 
 
 def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object", location)
+    expect(doc, dict, location)
     kind = doc.get("kind")
     if kind not in ("structure", "blackbox"):
         raise SchemaError("kind must be 'structure' or 'blackbox'", f"{location}.kind")
 
     if kind == "blackbox":
-        label = doc.get("label", "")
-        if not isinstance(label, str):
-            raise SchemaError("expected a string", f"{location}.label")
+        label = expect(doc.get("label", ""), str, f"{location}.label")
         for key in ("inputs", "outputs"):
-            if not isinstance(doc.get(key), list):
-                raise SchemaError("expected an array", f"{location}.{key}")
+            expect(doc.get(key), list, f"{location}.{key}")
         for key in ("inputs", "outputs"):
             for i, name in enumerate(doc[key]):
-                if not isinstance(name, str):
-                    raise SchemaError("expected a string", f"{location}.{key}[{i}]")
+                expect(name, str, f"{location}.{key}[{i}]")
         return BlackBox(label, tuple(doc["inputs"]), tuple(doc["outputs"]))
 
     for key in ("vertices", "terminals", "flows"):
-        if not isinstance(doc.get(key), list):
-            raise SchemaError("expected an array", f"{location}.{key}")
+        expect(doc.get(key), list, f"{location}.{key}")
 
     new = object.__new__
     set_vertex_id, set_vertex_label = _SETTERS[FunctionVertex]
@@ -384,16 +375,16 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
     vertices = []
     for i, v in enumerate(doc["vertices"]):
         if not isinstance(v, dict):
-            raise _located("expected an object", location, "vertices", i)
+            expect(v, dict, f"{location}.vertices[{i}]")
         vid = v.get("id")
         if not isinstance(vid, str):
-            raise _located("expected a string", location, "vertices", i, "id")
+            expect(vid, str, f"{location}.vertices[{i}].id")
         if vid in ids:
-            raise _located(f"duplicate id {vid!r}", location, "vertices", i, "id")
+            raise SchemaError(f"duplicate id {vid!r}", f"{location}.vertices[{i}].id")
         ids[vid] = len(ids)
         label = v.get("label")
         if not isinstance(label, str):
-            raise _located("expected a string", location, "vertices", i, "label")
+            expect(label, str, f"{location}.vertices[{i}].label")
         vertices.append(vertex := new(FunctionVertex))
         set_vertex_id(vertex, vid)
         set_vertex_label(vertex, label)
@@ -401,21 +392,22 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
     terminals = []
     for i, t in enumerate(doc["terminals"]):
         if not isinstance(t, dict):
-            raise _located("expected an object", location, "terminals", i)
+            expect(t, dict, f"{location}.terminals[{i}]")
         tid = t.get("id")
         if not isinstance(tid, str):
-            raise _located("expected a string", location, "terminals", i, "id")
+            expect(tid, str, f"{location}.terminals[{i}].id")
         if tid in ids:
-            raise _located(f"duplicate id {tid!r}", location, "terminals", i, "id")
+            raise SchemaError(f"duplicate id {tid!r}", f"{location}.terminals[{i}].id")
         ids[tid] = len(ids)
         kind_t = t.get("kind")
         if not isinstance(kind_t, str):
-            raise _located("expected a string", location, "terminals", i, "kind")
+            expect(kind_t, str, f"{location}.terminals[{i}].kind")
         if kind_t not in (INPUT, OUTPUT):
-            raise _located("kind must be 'input' or 'output'", location, "terminals", i, "kind")
+            raise SchemaError("kind must be 'input' or 'output'",
+                              f"{location}.terminals[{i}].kind")
         label = t.get("label")
         if not isinstance(label, str):
-            raise _located("expected a string", location, "terminals", i, "label")
+            expect(label, str, f"{location}.terminals[{i}].label")
         terminals.append(terminal := new(BoundaryTerminal))
         set_terminal_id(terminal, tid)
         set_terminal_kind(terminal, kind_t)
@@ -424,14 +416,14 @@ def problem_from_dict(doc: object, location: str = "$") -> DesignProblem:
     flows = []
     for i, f in enumerate(doc["flows"]):
         if not isinstance(f, dict):
-            raise _located("expected an object", location, "flows", i)
+            expect(f, dict, f"{location}.flows[{i}]")
         source, target, label = f.get("source"), f.get("target"), f.get("label")
         if not isinstance(source, str):
-            raise _located("expected a string", location, "flows", i, "source")
+            expect(source, str, f"{location}.flows[{i}].source")
         if not isinstance(target, str):
-            raise _located("expected a string", location, "flows", i, "target")
+            expect(target, str, f"{location}.flows[{i}].target")
         if not isinstance(label, str):
-            raise _located("expected a string", location, "flows", i, "label")
+            expect(label, str, f"{location}.flows[{i}].label")
         flows.append(flow := new(Flow))
         set_source(flow, source)
         set_target(flow, target)

@@ -78,7 +78,7 @@ from .domains import (
     is_number,
     same_scalar,
 )
-from .jsonio import SchemaError, cached, load_document, located
+from .jsonio import SchemaError, cached, expect, field, load_document, located
 
 
 class VocabularyError(ValueError):
@@ -923,20 +923,19 @@ def canonical_form(design: Design) -> bytes:
     def certificate(order: list[int]) -> bytes:
         return _certificate(order, edges, label_text, keys)
 
-    if count == n:
-        return certificate(sorted(range(n), key=colours.__getitem__))
-
     # A component-discrete colouring (see the docstring) is certified by
-    # ordering each cell by the components' roots.
+    # ordering each cell by the components' roots: each vertex is keyed by
+    # its colour and, in a cell of two or more, its component's root, and
+    # the colouring is component-discrete iff the keys are distinct.  A
+    # discrete colouring is the case without unions.
     size = _cell_sizes(colours, count)
     forest = list(range(n))
     for s, t, _ in edges:
         if size[colours[s]] > 1 and size[colours[t]] > 1:
             _union(forest, s, t)
-    roots = [_find(forest, v) for v in range(n)]
-    if len({(r, c) for r, c in zip(roots, colours) if size[c] > 1}) \
-            == sum(k for k in size if k > 1):
-        return certificate(sorted(range(n), key=lambda v: (colours[v], roots[v])))
+    key = [c * n + (_find(forest, v) if size[c] > 1 else 0) for v, c in enumerate(colours)]
+    if len(set(key)) == n:
+        return certificate(sorted(range(n), key=key.__getitem__))
 
     # When each cell is a single vertex or one class of twins, each
     # permutation inside the cells is an automorphism.  Every leaf puts each
@@ -1186,139 +1185,87 @@ def replay(grammar: Grammar, derivation: Derivation) -> Design:
 # ---------------------------------------------------------------------------
 # JSON format (.grammar.json) and DOT rendering
 
-def _array(doc: dict, key: str, location: str) -> list:
-    """``doc[key]``, an array that may be left out."""
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise SchemaError(f"{key!r} must be an array", f"{location}.{key}")
-    return value
-
-
-def _design_from_dict(doc: object, location: str) -> Design:
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object", location)
+def _graph(doc: dict, location: str, node) -> tuple[tuple, tuple[GraphEdge, ...]]:
+    """The nodes, each object read by ``node(n, loc)``, and the edges of a
+    graph object; either array may be left out."""
     nodes = []
-    for i, n in enumerate(_array(doc, "nodes", location)):
+    for i, n in enumerate(field(doc, "nodes", list, location, [])):
         loc = f"{location}.nodes[{i}]"
-        if not isinstance(n, dict) or not isinstance(n.get("id"), str):
-            raise SchemaError("node needs a string 'id'", loc)
-        if not isinstance(n.get("label"), str):
-            raise SchemaError("node needs a string 'label'", f"{loc}.label")
-        attrs = n.get("attrs", {})
-        if not isinstance(attrs, dict):
-            raise SchemaError("'attrs' must be an object", f"{loc}.attrs")
-        nodes.append(GraphNode.make(n["id"], n["label"], attrs))
-    edges = tuple(_edge_from_dict(e, f"{location}.edges[{i}]")
-                  for i, e in enumerate(_array(doc, "edges", location)))
-    return located(location, Design, tuple(nodes), edges)
+        nodes.append(node(expect(n, dict, loc), loc))
+    edges = []
+    for i, e in enumerate(field(doc, "edges", list, location, [])):
+        loc = f"{location}.edges[{i}]"
+        edges.append(GraphEdge(field(expect(e, dict, loc), "source", str, loc),
+                               field(e, "target", str, loc), field(e, "label", str, loc)))
+    return tuple(nodes), tuple(edges)
 
 
-def _edge_from_dict(doc: object, location: str) -> GraphEdge:
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object", location)
-    for key in ("source", "target", "label"):
-        if not isinstance(doc.get(key), str):
-            raise SchemaError(f"edge needs a string {key!r}", f"{location}.{key}")
-    return GraphEdge(doc["source"], doc["target"], doc["label"])
+def _design_node(n: dict, loc: str) -> GraphNode:
+    return GraphNode.make(field(n, "id", str, loc), field(n, "label", str, loc),
+                          field(n, "attrs", dict, loc, {}))
 
 
-def _pattern_from_dict(doc: object, location: str) -> PatternGraph:
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object", location)
-    nodes = []
-    for i, n in enumerate(_array(doc, "nodes", location)):
-        loc = f"{location}.nodes[{i}]"
-        if not isinstance(n, dict) or not isinstance(n.get("id"), str) \
-                or not isinstance(n.get("label"), str):
-            raise SchemaError("pattern node needs string 'id' and 'label'", loc)
-        predicates = []
-        for j, p in enumerate(_array(n, "where", loc)):
-            ploc = f"{loc}.where[{j}]"
-            if not isinstance(p, dict) or not isinstance(p.get("attr"), str):
-                raise SchemaError("predicate needs a string 'attr'", ploc)
-            op = p.get("op", "eq")
-            if op not in _PREDICATE_OPS:
-                raise SchemaError(f"unknown op {op!r}", f"{ploc}.op")
-            if op == "in" and not isinstance(p.get("value"), list):
-                raise SchemaError("op 'in' needs an array 'value'", f"{ploc}.value")
-            predicates.append(AttrPredicate(p["attr"], op, p.get("value")))
-        nodes.append(PatternNode(n["id"], n["label"], tuple(predicates)))
-    edges = tuple(_edge_from_dict(e, f"{location}.edges[{i}]")
-                  for i, e in enumerate(_array(doc, "edges", location)))
-    return PatternGraph(tuple(nodes), edges)
+def _pattern_node(n: dict, loc: str) -> PatternNode:
+    node_id, label = field(n, "id", str, loc), field(n, "label", str, loc)
+    predicates = []
+    for j, p in enumerate(field(n, "where", list, loc, [])):
+        ploc = f"{loc}.where[{j}]"
+        attr = field(expect(p, dict, ploc), "attr", str, ploc)
+        op = p.get("op", "eq")
+        if op not in _PREDICATE_OPS:
+            raise SchemaError(f"unknown op {op!r}", f"{ploc}.op")
+        if op == "in" and not isinstance(p.get("value"), list):
+            raise SchemaError("op 'in' needs an array 'value'", f"{ploc}.value")
+        predicates.append(AttrPredicate(attr, op, p.get("value")))
+    return PatternNode(node_id, label, tuple(predicates))
 
 
-def _rhs_from_dict(doc: object, location: str) -> RhsGraph:
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object", location)
-    nodes = []
-    for i, n in enumerate(_array(doc, "nodes", location)):
-        loc = f"{location}.nodes[{i}]"
-        if not isinstance(n, dict) or not isinstance(n.get("id"), str) \
-                or not isinstance(n.get("label"), str):
-            raise SchemaError("RHS node needs string 'id' and 'label'", loc)
-        attrs: dict[str, AttrExpr] = {}
-        raw = n.get("attrs", {})
-        if not isinstance(raw, dict):
-            raise SchemaError("'attrs' must be an object", f"{loc}.attrs")
-        for attr, value in raw.items():
-            if isinstance(value, dict):
-                copy = value.get("copy")
-                if not isinstance(copy, dict) or not isinstance(copy.get("node"), str) \
-                        or not isinstance(copy.get("attr"), str):
-                    raise SchemaError(
-                        "expression must be a scalar or {'copy': {'node', 'attr'}}",
-                        f"{loc}.attrs.{attr}",
-                    )
-                attrs[attr] = CopyAttr(copy["node"], copy["attr"])
-            else:
-                attrs[attr] = value
-        nodes.append(RhsNode.make(n["id"], n["label"], attrs))
-    edges = tuple(_edge_from_dict(e, f"{location}.edges[{i}]")
-                  for i, e in enumerate(_array(doc, "edges", location)))
-    return RhsGraph(tuple(nodes), edges)
+def _rhs_node(n: dict, loc: str) -> RhsNode:
+    node_id, label = field(n, "id", str, loc), field(n, "label", str, loc)
+    attrs: dict[str, AttrExpr] = {}
+    for attr, value in field(n, "attrs", dict, loc, {}).items():
+        if isinstance(value, dict):
+            copy = value.get("copy")
+            if not isinstance(copy, dict) or not isinstance(copy.get("node"), str) \
+                    or not isinstance(copy.get("attr"), str):
+                raise SchemaError(
+                    "expression must be a scalar or {'copy': {'node', 'attr'}}",
+                    f"{loc}.attrs.{attr}",
+                )
+            value = CopyAttr(copy["node"], copy["attr"])
+        attrs[attr] = value
+    return RhsNode.make(node_id, label, attrs)
 
 
 def parse_grammar(data: bytes | str) -> Grammar:
-    doc = load_document(data)
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object")
-    vocab_doc = doc.get("vocabulary")
-    if not isinstance(vocab_doc, dict):
-        raise SchemaError("expected a 'vocabulary' object", "$.vocabulary")
-    raw_labels = vocab_doc.get("node_labels")
-    if not isinstance(raw_labels, dict):
-        raise SchemaError("'node_labels' must be an object", "$.vocabulary.node_labels")
+    doc = expect(load_document(data), dict, "$")
+    vocab_doc = field(doc, "vocabulary", dict, "$")
     node_labels: dict[str, dict[str, Domain]] = {}
-    for label, schema in raw_labels.items():
-        loc = f"$.vocabulary.node_labels.{label}"
-        if not isinstance(schema, dict):
-            raise SchemaError("attribute schema must be an object", loc)
+    for label, schema in field(vocab_doc, "node_labels", dict, "$.vocabulary").items():
+        schema_loc = f"$.vocabulary.node_labels.{label}"
         node_labels[label] = {
-            attr: domain_from_dict(d, f"{loc}.{attr}") for attr, d in schema.items()
+            attr: domain_from_dict(d, f"{schema_loc}.{attr}")
+            for attr, d in expect(schema, dict, schema_loc).items()
         }
-    edge_labels = vocab_doc.get("edge_labels", [])
-    if not isinstance(edge_labels, list) or not all(isinstance(x, str) for x in edge_labels):
-        raise SchemaError("'edge_labels' must be an array of strings", "$.vocabulary.edge_labels")
+    edge_labels = field(vocab_doc, "edge_labels", list, "$.vocabulary", [])
+    for i, edge_label in enumerate(edge_labels):
+        expect(edge_label, str, f"$.vocabulary.edge_labels[{i}]")
     vocab = Vocabulary.make(node_labels, edge_labels)
 
     rules = []
-    for i, r in enumerate(_array(doc, "rules", "$")):
+    for i, r in enumerate(field(doc, "rules", list, "$", [])):
         loc = f"$.rules[{i}]"
-        if not isinstance(r, dict) or not isinstance(r.get("name"), str):
-            raise SchemaError("rule needs a string 'name'", loc)
-        anchors_raw = r.get("anchors", {})
-        if not isinstance(anchors_raw, dict):
-            raise SchemaError("'anchors' must be an object", f"{loc}.anchors")
-        for lhs_id, rhs_id in anchors_raw.items():
+        name = field(expect(r, dict, loc), "name", str, loc)
+        anchors = field(r, "anchors", dict, loc, {})
+        for lhs_id, rhs_id in anchors.items():
             if not isinstance(rhs_id, str):
                 raise SchemaError("anchor target must be a string", f"{loc}.anchors.{lhs_id}")
-        lhs = _pattern_from_dict(r.get("lhs", {}), f"{loc}.lhs")
-        rhs = _rhs_from_dict(r.get("rhs", {}), f"{loc}.rhs")
-        rules.append(located(loc, Rule, r["name"], lhs, rhs, tuple(sorted(anchors_raw.items()))))
+        lhs = PatternGraph(*_graph(field(r, "lhs", dict, loc, {}), f"{loc}.lhs", _pattern_node))
+        rhs = RhsGraph(*_graph(field(r, "rhs", dict, loc, {}), f"{loc}.rhs", _rhs_node))
+        rules.append(located(loc, Rule, name, lhs, rhs, tuple(sorted(anchors.items()))))
 
-    axiom = _design_from_dict(doc.get("axiom"), "$.axiom")
-    return located("$", Grammar, vocab, tuple(rules), axiom)
+    axiom = _graph(field(doc, "axiom", dict, "$"), "$.axiom", _design_node)
+    return located("$", Grammar, vocab, tuple(rules), located("$.axiom", Design, *axiom))
 
 
 def design_to_dict(design: Design) -> dict:

@@ -19,6 +19,11 @@ parser and :func:`located`, which reports a record's own ``ValueError`` at
 the record's location, live here too, so the engine modules share them
 without importing one another.
 
+The readers check the JSON type of a value with one of two functions,
+which hold the only wording of that error: :func:`expect` for a document
+or an array element (``$.rules[2]: expected an object``) and :func:`field`
+for a named field (``$.rules[2].name: 'name' must be a string``).
+
 Every JSON document the package writes is :func:`dumps` of it, equal
 byte for byte to ``json.dumps(doc, indent=2, sort_keys=True)``.  It is a
 small recursive emitter over the C string encoder, because ``indent``
@@ -83,6 +88,29 @@ def load_document(data: bytes | str) -> object:
     except ValueError as exc:  # the only other one: an integer too long to convert
         raise SchemaError(f"not valid JSON: an integer has more than "
                           f"{sys.get_int_max_str_digits()} digits") from exc
+
+
+_KINDS = {str: "a string", list: "an array", dict: "an object", bool: "a boolean",
+          int: "an integer"}
+
+
+def expect(value: object, kind: type, location: str):
+    """``value``, a document or an array element, if its JSON type is
+    ``kind``; else ``<location>: expected <kind>``.  A decoded value's type
+    is exact, so a boolean is never an integer."""
+    if type(value) is not kind:
+        raise SchemaError(f"expected {_KINDS[kind]}", location)
+    return value
+
+
+def field(doc: dict, key: str, kind: type, location: str, *default):
+    """``doc[key]`` if its JSON type is ``kind``, a missing key reading as
+    ``default`` when one is given; else ``<location>.<key>: '<key>' must
+    be <kind>``."""
+    value = doc.get(key, *default)
+    if type(value) is not kind:
+        raise SchemaError(f"'{key}' must be {_KINDS[kind]}", f"{location}.{key}")
+    return value
 
 
 def located(location: str, make, *args):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .domains import _SCALARS, Domain, Scalar, domain_from_dict, singleton
-from .jsonio import SchemaError, load_document
+from .jsonio import SchemaError, expect, field, load_document
 
 
 class DesignCategory(Enum):
@@ -166,36 +166,32 @@ def absorb(kb: KnowledgeBase, design: DesignInstance) -> KnowledgeBase:
 # JSON formats (.kb.json / .design.json)
 
 def parse_knowledge_base(data: bytes | str) -> KnowledgeBase:
-    doc = load_document(data)
-    if not isinstance(doc, dict) or not isinstance(doc.get("variables"), list):
-        raise SchemaError("expected {'variables': [...]}")
+    doc = expect(load_document(data), dict, "$")
     variables = []
     seen: set[str] = set()
-    for i, v in enumerate(doc["variables"]):
+    for i, v in enumerate(field(doc, "variables", list, "$")):
         loc = f"$.variables[{i}]"
-        if not isinstance(v, dict) or not isinstance(v.get("name"), str):
-            raise SchemaError("variable needs a string 'name'", loc)
-        if v["name"] in seen:
-            raise SchemaError(f"duplicate variable {v['name']!r}", f"{loc}.name")
-        seen.add(v["name"])
+        name = field(expect(v, dict, loc), "name", str, loc)
+        if name in seen:
+            raise SchemaError(f"duplicate variable {name!r}", f"{loc}.name")
+        seen.add(name)
         domain = domain_from_dict(v.get("domain"), f"{loc}.domain")
         subfunction = v.get("subfunction")
-        if subfunction is not None and not isinstance(subfunction, str):
-            raise SchemaError("'subfunction' must be a string", f"{loc}.subfunction")
-        variables.append(DesignVariable(v["name"], domain, subfunction))
+        if subfunction is not None:
+            field(v, "subfunction", str, loc)
+        variables.append(DesignVariable(name, domain, subfunction))
     return KnowledgeBase(tuple(variables))
 
 
 def parse_design_instance(data: bytes | str) -> DesignInstance:
-    doc = load_document(data)
-    if not isinstance(doc, dict) or not isinstance(doc.get("assignments"), dict):
-        raise SchemaError("expected {'assignments': {...}}")
-    if not doc["assignments"]:
+    doc = expect(load_document(data), dict, "$")
+    assignments = field(doc, "assignments", dict, "$")
+    if not assignments:
         raise SchemaError("'assignments' must not be empty", "$.assignments")
     feasible = doc.get("feasible")
-    if feasible is not None and not isinstance(feasible, bool):
-        raise SchemaError("'feasible' must be a boolean", "$.feasible")
-    for name, value in doc["assignments"].items():
+    if feasible is not None:
+        field(doc, "feasible", bool, "$")
+    for name, value in assignments.items():
         if not isinstance(value, _SCALARS):
             raise SchemaError("values must be JSON scalars", f"$.assignments.{name}")
-    return DesignInstance.from_mapping(doc["assignments"], feasible)
+    return DesignInstance.from_mapping(assignments, feasible)

@@ -46,7 +46,7 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Collection, Optional, Sequence
 
 from .funcstruct import BoundaryTerminal, Flow, FunctionStructure, FunctionVertex
-from .jsonio import SchemaError, cached, load_document, located
+from .jsonio import SchemaError, cached, expect, field, load_document, located
 
 #: A slot ref: "s" and the slot's index in ASCII digits, without leading zeros.
 _SLOT_REF = re.compile(r"s(0|[1-9][0-9]*)", re.ASCII)
@@ -666,55 +666,42 @@ def to_function_structure(circuit: Circuit, output_names: Sequence[str]) -> Func
 # JSON formats (.req.json / .topo.json / circuit output)
 
 def parse_requirement(data: bytes | str) -> Requirement:
-    doc = load_document(data)
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object")
-    for key in ("inputs", "outputs", "rows"):
-        if not isinstance(doc.get(key), list):
-            raise SchemaError(f"'{key}' must be an array", f"$.{key}")
+    doc = expect(load_document(data), dict, "$")
+    inputs, outputs, raw_rows = (field(doc, key, list, "$")
+                                 for key in ("inputs", "outputs", "rows"))
     for key, kind in (("inputs", "input"), ("outputs", "output")):
         if not all(isinstance(x, str) for x in doc[key]):
             raise SchemaError(f"'{key}' must contain strings", f"$.{key}")
         located(f"$.{key}", _check_names, doc[key], kind)
     rows = []
-    for i, row in enumerate(doc["rows"]):
+    for i, row in enumerate(raw_rows):
         loc = f"$.rows[{i}]"
-        if not isinstance(row, dict) or not isinstance(row.get("in"), list) \
-                or not isinstance(row.get("out"), list):
-            raise SchemaError("row needs 'in' and 'out' bit arrays", loc)
-        if not _are_bits((*row["in"], *row["out"])):
+        bits_in = field(expect(row, dict, loc), "in", list, loc)
+        bits_out = field(row, "out", list, loc)
+        if not _are_bits((*bits_in, *bits_out)):
             raise SchemaError("rows must contain bits (0 or 1)", loc)
-        rows.append((tuple(row["in"]), tuple(row["out"])))
+        rows.append((tuple(bits_in), tuple(bits_out)))
     requirement = object.__new__(Requirement)  # names and bits are checked above
-    requirement.__dict__.update(inputs=tuple(doc["inputs"]), outputs=tuple(doc["outputs"]),
-                                rows=tuple(rows))
+    requirement.__dict__.update(inputs=tuple(inputs), outputs=tuple(outputs), rows=tuple(rows))
     located("$", requirement._check, False)
     return requirement
 
 
 def parse_topology(data: bytes | str) -> Topology:
-    doc = load_document(data)
-    if not isinstance(doc, dict):
-        raise SchemaError("expected an object")
-    for key in ("inputs", "slots", "outputs"):
-        if not isinstance(doc.get(key), list):
-            raise SchemaError(f"'{key}' must be an array", f"$.{key}")
+    doc = expect(load_document(data), dict, "$")
+    inputs, raw_slots, outputs = (field(doc, key, list, "$")
+                                  for key in ("inputs", "slots", "outputs"))
     for key in ("inputs", "outputs"):
         if not all(isinstance(x, str) for x in doc[key]):
             raise SchemaError(f"'{key}' must contain strings", f"$.{key}")
     slots = []
-    for i, slot in enumerate(doc["slots"]):
+    for i, slot in enumerate(raw_slots):
         loc = f"$.slots[{i}]"
-        if not isinstance(slot, dict) or not isinstance(slot.get("from"), list):
-            raise SchemaError("slot needs a 'from' array", loc)
-        refs = slot["from"]
-        if not all(isinstance(r, str) for r in refs):
-            raise SchemaError("'from' must contain refs (strings)", f"{loc}.from")
-        arity = slot.get("arity", len(refs))
-        if type(arity) is not int:
-            raise SchemaError("'arity' must be an integer", f"{loc}.arity")
-        slots.append(GateSlot(arity, tuple(refs)))
-    return located("$", Topology, tuple(doc["inputs"]), tuple(slots), tuple(doc["outputs"]))
+        refs = field(expect(slot, dict, loc), "from", list, loc)
+        for j, ref in enumerate(refs):
+            expect(ref, str, f"{loc}.from[{j}]")
+        slots.append(GateSlot(field(slot, "arity", int, loc, len(refs)), tuple(refs)))
+    return located("$", Topology, tuple(inputs), tuple(slots), tuple(outputs))
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

@@ -50,12 +50,15 @@ FORBIDDEN = [
      "each of these formats has one reader, its parse_* function"),
     (r"\bgc\b", None,
      "free request state by reference counting; never pause, freeze or retune the collector"),
+    (r"(expected |' must be )an? (string|array|object|boolean|integer)\b", "jsonio.py",
+     "report a value of the wrong JSON type with jsonio.expect (a document or an array "
+     "element) or jsonio.field (a named field)"),
 ]
 
 
 @pytest.mark.parametrize("pattern, home, advice", FORBIDDEN,
                          ids=["json-decoder", "indent-and-memo", "deleted-names", "from-dict",
-                              "gc"])
+                              "gc", "wrong-type"])
 def test_forbidden_name_stays_out_of_the_package(pattern, home, advice):
     hits = [f"{path.name}:{number}: {line.strip()}"
             for path in sorted(PACKAGE.glob("*.py")) if path.name != home

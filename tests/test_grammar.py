@@ -957,6 +957,22 @@ class TestGenerateAgainstFullCheck:
         return gr.Grammar(vocab, (rule,), axiom)
 
     @staticmethod
+    def copy_flag_grammar():
+        # The anchored cell's x becomes its flag, True, which equals the old
+        # value 1 but is no int; only an identity comparison sees that the
+        # rewritten node is not the parent's and checks it.
+        vocab = gr.Vocabulary.make(
+            {"cell": {"flag": TypeDomain("bool"), "x": TypeDomain("int")}}, [])
+        rule = gr.Rule(
+            "copy",
+            lhs=gr.PatternGraph((gr.PatternNode("a", "cell"),)),
+            rhs=gr.RhsGraph((gr.RhsNode.make("a", "cell", {"x": gr.CopyAttr("a", "flag")}),)),
+            anchors=(("a", "a"),),
+        )
+        axiom = gr.Design((gr.GraphNode.make("c", "cell", {"flag": True, "x": 1}),))
+        return gr.Grammar(vocab, (rule,), axiom)
+
+    @staticmethod
     def shaft_with(shaft, name):
         if name == "copy_shape_to_diameter":
             # a grooved section gets its shape as diameter, at depth 2
@@ -989,10 +1005,13 @@ class TestGenerateAgainstFullCheck:
          "node 'e1': undeclared attribute 'finished'"),
         ("swap_cell",
          "result of rule 'swap_cell': node 'n0': value 3 outside domain of 'v'"),
-    ], ids=["copy_shape_to_diameter", "end_to_section", "swap_cell"])
+        ("copy", "result of rule 'copy': node 'c': value True outside domain of 'x'"),
+    ], ids=["copy_shape_to_diameter", "end_to_section", "swap_cell", "copy_flag_to_int"])
     def test_vocabulary_violation_message_equals_the_oracle(self, shaft, name, message):
         if name == "swap_cell":
             grammar = self.swap_cell_grammar()
+        elif name == "copy":
+            grammar = self.copy_flag_grammar()
         else:
             grammar = self.shaft_with(shaft, name)
         for run in (gr.generate, oracles.generate_full_check):

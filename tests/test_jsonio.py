@@ -123,6 +123,56 @@ def test_record_error_is_located(reader, document, message):
     assert str(err.value) == message
 
 
+_ROW = {"method": "grammar_based", "requires_decomposable": True,
+        "interdependencies": "full", "innovation": "full", "creativity": "full"}
+
+# (reader, document, str(SchemaError)): a wrong-typed named field reads
+# "'<key>' must be <kind>" at the field, and a wrong-typed document or
+# array element "expected <kind>" at itself (a function structure's fields
+# too, whose messages predate the field form)
+WRONG_TYPES = [
+    (funcstruct.parse_structure, dict(_CASE["problem"], vertices=[3]),
+     "$.vertices[0]: expected an object"),
+    (novelty.parse_knowledge_base, {"variables": {}}, "$.variables: 'variables' must be an array"),
+    (novelty.parse_knowledge_base, {"variables": [["x"]]}, "$.variables[0]: expected an object"),
+    (novelty.parse_design_instance, {"assignments": [], "feasible": True},
+     "$.assignments: 'assignments' must be an object"),
+    (novelty.parse_design_instance, [{"assignments": {"x": 1}}], "$: expected an object"),
+    (grammar.parse_grammar, _grammar([dict(_rule("r"), name=7)]),
+     "$.rules[0].name: 'name' must be a string"),
+    (grammar.parse_grammar, dict(_grammar(), vocabulary={"node_labels": {}, "edge_labels": [1]}),
+     "$.vocabulary.edge_labels[0]: expected a string"),
+    (casebase.parse_case_base, [dict(_CASE, domain=None)],
+     "$[0].domain: 'domain' must be a string"),
+    (casebase.parse_case_base, [_CASE, "c"], "$[1]: expected an object"),
+    (casebase.parse_similarity_spec, [], "$: expected an object"),
+    (synth.parse_requirement, dict(_table(["a", "b"], range(4)), rows=[{"in": 0, "out": [0]}]),
+     "$.rows[0].in: 'in' must be an array"),
+    (synth.parse_requirement, dict(_table(["a", "b"], range(4)), rows=[[0, 0]]),
+     "$.rows[0]: expected an object"),
+    (synth.parse_topology, {"inputs": ["a"], "slots": [{"arity": True, "from": ["a"]}],
+                            "outputs": ["s0"]}, "$.slots[0].arity: 'arity' must be an integer"),
+    (synth.parse_topology, {"inputs": ["a"], "slots": [{"from": [0]}], "outputs": ["s0"]},
+     "$.slots[0].from[0]: expected a string"),
+    (classify.parse_profile, {"decomposable": 1, "novelty": "routine"},
+     "$.decomposable: 'decomposable' must be a boolean"),
+    (classify.parse_profile, "routine", "$: expected an object"),
+    (classify.parse_matrix, [dict(_ROW, requires_decomposable="yes")],
+     "$[0].requires_decomposable: 'requires_decomposable' must be a boolean"),
+    (classify.parse_matrix, [_ROW, None], "$[1]: expected an object"),
+]
+
+
+@pytest.mark.parametrize("reader,document,message", WRONG_TYPES,
+                         ids=[reader.__name__ + ("-field" if "must be" in message else "-element")
+                              for reader, _, message in WRONG_TYPES])
+def test_a_wrong_type_is_reported_in_one_of_two_forms(reader, document, message):
+    with pytest.raises(jsonio.SchemaError) as err:
+        reader(json.dumps(document))
+    assert str(err.value) == message
+    assert err.value.location == message.partition(": ")[0]
+
+
 # Fraction reads Unicode digits and underscores in an exponent as int
 # does; each value here reduces to terms of at most 4,300 digits
 @pytest.mark.parametrize("text", ["0.1e4300", "10E-4300", "0.1e+4_300", "10e-٤٣٠٠",

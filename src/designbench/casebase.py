@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .funcstruct import FunctionStructure, interdependency_index, problem_from_dict, validate
-from .jsonio import SchemaError, expect, field, fraction_from_json, load_document, located
+from .jsonio import SchemaError, cached, expect, field, fraction_from_json, load_document, located
 
 DEFAULT_WEIGHTS = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 
@@ -68,18 +68,18 @@ class CaseBase:
     cases: tuple[Case, ...] = ()
 
     def __post_init__(self):
-        ids = [c.id for c in self.cases]
-        if len(ids) != len(set(ids)):
+        if len(self._by_id) != len(self.cases):
             raise DuplicateCaseError("case ids must be unique")
 
     def __len__(self) -> int:
         return len(self.cases)
 
+    @cached
+    def _by_id(self) -> dict[str, Case]:
+        return {c.id: c for c in self.cases}
+
     def case(self, case_id: str) -> Case:
-        for c in self.cases:
-            if c.id == case_id:
-                return c
-        raise KeyError(case_id)
+        return self._by_id[case_id]
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def retrieve(base: CaseBase, spec: SimilaritySpec, query: FunctionStructure,
 
 def retain(base: CaseBase, case: Case) -> CaseBase:
     """New base including ``case``; refuses duplicate ids."""
-    if any(c.id == case.id for c in base.cases):
+    if case.id in base._by_id:
         raise DuplicateCaseError(f"case id {case.id!r} already present")
     return CaseBase((*base.cases, case))
 

@@ -12,6 +12,9 @@ A name counts toward exactly one of the two (known or new, never both),
 so the indices share the instance-size denominator and their sum never
 exceeds one.  Feasibility is an external verdict: a design judged not
 feasible is categorised ``NOT_VALUABLE`` regardless of its indices.
+
+Scoring is one pass over the assignments, each name looked up in the
+knowledge base's name index; :func:`absorb` widens through a copy of it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .domains import _SCALARS, Domain, Scalar, domain_from_dict, singleton
-from .jsonio import SchemaError, expect, field, load_document
+from .jsonio import SchemaError, cached, expect, field, load_document
 
 
 class DesignCategory(Enum):
@@ -44,18 +47,12 @@ class KnowledgeBase:
     variables: tuple[DesignVariable, ...]
 
     def __post_init__(self):
-        names = [v.name for v in self.variables]
-        if len(names) != len(set(names)):
+        if len(self._by_name) != len(self.variables):
             raise ValueError("variable names must be unique within a knowledge base")
 
-    def names(self) -> set[str]:
-        return {v.name for v in self.variables}
-
-    def domain_of(self, name: str) -> Domain:
-        for v in self.variables:
-            if v.name == name:
-                return v.domain
-        raise KeyError(name)
+    @cached
+    def _by_name(self) -> dict[str, DesignVariable]:
+        return {v.name: v for v in self.variables}
 
 
 @dataclass(frozen=True)
@@ -90,29 +87,6 @@ class NoveltyReport:
     new: tuple[str, ...]
 
 
-def unexpected_names(kb: KnowledgeBase, design: DesignInstance) -> tuple[str, ...]:
-    """Names known to the KB whose assigned value falls outside its domain."""
-    known = kb.names()
-    return tuple(
-        name for name, value in design.assignments
-        if name in known and not kb.domain_of(name).contains(value)
-    )
-
-
-def new_names(kb: KnowledgeBase, design: DesignInstance) -> tuple[str, ...]:
-    """Names the KB does not know; these never count as unexpected."""
-    known = kb.names()
-    return tuple(name for name, _ in design.assignments if name not in known)
-
-
-def innovation_index(kb: KnowledgeBase, design: DesignInstance) -> Fraction:
-    return Fraction(len(unexpected_names(kb, design)), len(design))
-
-
-def creativity_index(kb: KnowledgeBase, design: DesignInstance) -> Fraction:
-    return Fraction(len(new_names(kb, design)), len(design))
-
-
 def assess(kb: KnowledgeBase, design: DesignInstance,
            feasible: Optional[bool] = None) -> NoveltyReport:
     """Score a design and place it in the routine/innovative/creative
@@ -122,8 +96,13 @@ def assess(kb: KnowledgeBase, design: DesignInstance,
     if feasible is None:
         raise ValueError("a feasibility verdict is required (external judgement)")
 
-    unexpected = unexpected_names(kb, design)
-    new = new_names(kb, design)
+    unexpected, new = [], []  # a name is known or new, never both
+    for name, value in design.assignments:
+        var = kb._by_name.get(name)
+        if var is None:
+            new.append(name)
+        elif not var.domain.contains(value):
+            unexpected.append(name)
     innovation = Fraction(len(unexpected), len(design))
     creativity = Fraction(len(new), len(design))
 
@@ -136,7 +115,7 @@ def assess(kb: KnowledgeBase, design: DesignInstance,
     else:
         category = DesignCategory.ROUTINE
 
-    return NoveltyReport(innovation, creativity, category, unexpected, new)
+    return NoveltyReport(innovation, creativity, category, tuple(unexpected), tuple(new))
 
 
 def absorb(kb: KnowledgeBase, design: DesignInstance) -> KnowledgeBase:
@@ -144,22 +123,17 @@ def absorb(kb: KnowledgeBase, design: DesignInstance) -> KnowledgeBase:
 
     Out-of-domain values widen the variable's domain; unknown names are
     added with singleton domains.  Assessing the same design against the
-    result is routine by construction.
+    result is routine by construction.  A widened variable keeps its place
+    in the index copy, and added ones follow in assignment order.
     """
-    by_name = {v.name: v for v in kb.variables}
-    merged = list(kb.variables)
+    by_name = dict(kb._by_name)
     for name, value in design.assignments:
-        if name in by_name:
-            var = by_name[name]
-            if not var.domain.contains(value):
-                widened = DesignVariable(var.name, var.domain.widen(value), var.subfunction)
-                merged[merged.index(var)] = widened
-                by_name[name] = widened
-        else:
-            added = DesignVariable(name, singleton(value))
-            merged.append(added)
-            by_name[name] = added
-    return KnowledgeBase(tuple(merged))
+        var = by_name.get(name)
+        if var is None:
+            by_name[name] = DesignVariable(name, singleton(value))
+        elif not var.domain.contains(value):
+            by_name[name] = DesignVariable(name, var.domain.widen(value), var.subfunction)
+    return KnowledgeBase(tuple(by_name.values()))
 
 
 # ---------------------------------------------------------------------------

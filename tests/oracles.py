@@ -53,6 +53,14 @@ order is part of the byte-identical output:
   taken, pairs ranked by (-affinity, component name, label).
   ``retrieve``: every case scored in base order, sorted by (-score, id),
   the first ``k`` kept.
+* ``assess``: a name is known or new, never both, and a known name is
+  unexpected when its value is outside its variable's domain; I and C are
+  the unexpected and new shares of the design's size, and the category the
+  first of not valuable, creative, innovative, routine that holds.  Order:
+  both name lists in assignment order.  ``absorb``: each assignment widens
+  its variable in place, and a new name is appended with the value as its
+  singleton domain.  Order: the base's variables, then the new names in
+  assignment order.
 """
 
 import json
@@ -74,6 +82,7 @@ from designbench.casebase import (
     RetrievalResult,
     SimilaritySpec,
 )
+from designbench.domains import SetDomain
 from designbench.funcstruct import (
     INPUT,
     OUTPUT,
@@ -81,6 +90,13 @@ from designbench.funcstruct import (
     InvalidStructureError,
     ValidationReport,
     Violation,
+)
+from designbench.novelty import (
+    DesignCategory,
+    DesignInstance,
+    DesignVariable,
+    KnowledgeBase,
+    NoveltyReport,
 )
 from designbench.synth import (
     Circuit,
@@ -984,3 +1000,38 @@ def retrieve(base: CaseBase, spec: SimilaritySpec, query: FunctionStructure,
         raise EmptyCaseBaseError("cannot retrieve from an empty case base")
     scored = [(c.id, structure_similarity(spec, query, c.problem)) for c in base.cases]
     return RetrievalResult(tuple(sorted(scored, key=lambda pair: (-pair[1], pair[0]))[:k]))
+
+
+# ---------------------------------------------------------------------------
+# Novelty: innovation and creativity as shares of a design's variables
+
+def assess(kb: KnowledgeBase, design: DesignInstance, feasible: bool) -> NoveltyReport:
+    """I and C as shares of the design's size, and the category by
+    precedence: not valuable, creative, innovative, routine."""
+    known = [v.name for v in kb.variables]
+    new = tuple(name for name, _ in design.assignments if name not in known)
+    unexpected = tuple(name for name, value in design.assignments if name in known
+                       and not kb.variables[known.index(name)].domain.contains(value))
+    size = len(design.assignments)
+    innovation, creativity = Fraction(len(unexpected), size), Fraction(len(new), size)
+    category = next(category for category, holds in (
+        (DesignCategory.NOT_VALUABLE, not feasible),
+        (DesignCategory.CREATIVE, creativity > 0),
+        (DesignCategory.INNOVATIVE, innovation > 0),
+        (DesignCategory.ROUTINE, True)) if holds)
+    return NoveltyReport(innovation, creativity, category, unexpected, new)
+
+
+def absorb(kb: KnowledgeBase, design: DesignInstance) -> KnowledgeBase:
+    """The base with each assignment, in order, widening its variable in
+    place, or appended as a new variable with a singleton domain."""
+    variables = list(kb.variables)
+    for name, value in design.assignments:
+        known = [v.name for v in variables]
+        if name in known:
+            at = known.index(name)
+            var = variables[at]
+            variables[at] = DesignVariable(name, var.domain.widen(value), var.subfunction)
+        else:
+            variables.append(DesignVariable(name, SetDomain((value,))))
+    return KnowledgeBase(tuple(variables))

@@ -217,8 +217,8 @@ def test_criterion_8_invariant_suite():
         @settings(max_examples=200, deadline=None)
         @given(kbs, instances)
         def bounded(kb, design):
-            total = novelty.innovation_index(kb, design) + novelty.creativity_index(kb, design)
-            assert 0 <= total <= 1
+            report = novelty.assess(kb, design, feasible=True)
+            assert 0 <= report.innovation + report.creativity <= 1
 
         bounded()
 

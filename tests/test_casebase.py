@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -197,6 +199,30 @@ class TestRevise:
         big_enough = cb.min_components(2)
         assert big_enough((cb.Component("a"), cb.Component("b")))
         assert not big_enough((cb.Component("a"),))
+
+
+class TestIdIndex:
+    def test_an_unknown_id_is_a_key_error_of_that_id(self, base):
+        with pytest.raises(KeyError) as err:
+            base.case("no_such_case")
+        assert err.value.args == ("no_such_case",)
+
+    def test_duplicate_ids_are_rejected(self, base):
+        with pytest.raises(cb.DuplicateCaseError) as err:
+            cb.CaseBase((*base.cases, base.cases[0]))
+        assert str(err.value) == "case ids must be unique"
+
+    def test_a_base_with_its_index_built_equals_a_fresh_one(self, base):
+        assert base.case("clock").id == "clock"
+        assert "_by_id" in vars(base)
+        assert cb.CaseBase(base.cases) == base
+
+    def test_copies_keep_working_lookups(self, base, winder):
+        for twin in (pickle.loads(pickle.dumps(base)), copy.copy(base), copy.deepcopy(base)):
+            assert twin == base
+            assert [twin.case(c.id) for c in base.cases] == list(base.cases)
+            with pytest.raises(cb.DuplicateCaseError):
+                cb.retain(twin, cb.Case("clock", winder, cb.Solution("")))
 
 
 class TestRetain:

@@ -7,8 +7,10 @@
   library function it checks, and of the library's private names.
 * Every demo exits 0, and every command of the README's "Command line"
   block exits with the code the README gives it.
-* Large inputs run through the CLI in a child interpreter within their
-  time limit, and ``synth`` with a high gate bound within a memory limit.
+* Large inputs run in a child interpreter, through the CLI or the
+  library, within their time limit, and ``synth`` with a high gate bound
+  within a memory limit.
+* Output does not depend on the interpreter's string hash seed.
 * No command leaves cyclic garbage: each request's objects are freed by
   reference counting, and the package never touches the collector.
 """
@@ -41,10 +43,14 @@ FORBIDDEN = [
      "decode documents with designbench.jsonio.load_document"),
     (r"indent=|cached_property", "jsonio.py",
      "write indented JSON with designbench.jsonio.dumps and memoise with jsonio.cached"),
-    (r"PatternEdge|label_affinity|_closures|_backward_cover|_reachable_slots", None,
+    (r"PatternEdge|label_affinity|_closures|_backward_cover|_reachable_slots|"
+     r"\bdef names\b|\.names\(\)|\bdomain_of\b|\bunexpected_names\b|\bnew_names\b|"
+     r"\binnovation_index\b|\bcreativity_index\b", None,
      "rule edges are GraphEdge; synth walks fan-in once, in _fan_in, which also gives a "
-     "topology's unreachable slots (tests/oracles.py checks it with fan_in); and the "
-     "caller-less casebase.label_affinity lives on only as an oracle in tests/oracles.py"),
+     "topology's unreachable slots (tests/oracles.py checks it with fan_in); the "
+     "caller-less casebase.label_affinity lives on only as an oracle in tests/oracles.py; "
+     "and novelty looks names up in KnowledgeBase._by_name, its I and C being "
+     "assess(...).innovation and .creativity"),
     (r"\b(kb|design|grammar|case_base|similarity_spec|profile|matrix|requirement|topology)"
      r"_from_dict\b", None,
      "each of these formats has one reader, its parse_* function"),
@@ -95,6 +101,8 @@ ORACLE_TARGETS = {
                              "function_labels", "flow_labels"},
     "reuse": {"reuse", "serves_function"},
     "retrieve": {"retrieve", "similarity", "structure_similarity"},
+    "assess": {"assess", "absorb"},
+    "absorb": {"assess", "absorb"},
 }
 
 # the topology search oracles still run the library's gate assignment
@@ -193,6 +201,67 @@ def test_a_100000_vertex_chain_validates_and_closed_into_a_ring_is_an_input_erro
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr.decode() == (f"error: {ring}: invalid structure: "
                                     "flows between function vertices form a cycle\n")
+
+
+def test_novelty_on_100000_variables_answers_within_a_minute(tmp_path):
+    # three quarters of the design's names are known, every other one out
+    # of its domain, and the last quarter is new
+    n = 100_000
+    kb, design = tmp_path / "big.kb.json", tmp_path / "big.design.json"
+    kb.write_text(json.dumps({"variables": [{"name": f"x{i}", "domain": {"set": [0]}}
+                                            for i in range(n)]}))
+    assignments = {f"x{i}": i % 2 for i in range(3 * n // 4)}
+    assignments.update((f"y{i}", 0) for i in range(n // 4))
+    design.write_text(json.dumps({"assignments": assignments, "feasible": True}))
+    proc = run_main("novelty", kb, design, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(
+        b"innovation I = 3/8\ncreativity C = 1/4\ncategory = creative\n")
+
+
+ABSORB_20000 = """
+from designbench.domains import SetDomain
+from designbench.novelty import DesignInstance, DesignVariable, KnowledgeBase, absorb, assess
+n = 20_000
+kb = KnowledgeBase(tuple(DesignVariable(f"x{i}", SetDomain((0,))) for i in range(n)))
+design = DesignInstance(tuple((f"x{i}", 1) for i in range(n)), True)
+grown = absorb(kb, design)
+print(assess(grown, design).category.value, [v.name for v in grown.variables] == [
+    v.name for v in kb.variables], grown.variables[-1].domain)
+"""
+
+
+def test_absorb_widening_20000_variables_answers_within_30_seconds():
+    proc = subprocess.run([sys.executable, "-c", ABSORB_20000], capture_output=True,
+                          env=child_env(), timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"routine True SetDomain(values=(0, 1))\n"
+
+
+def test_cbr_retrieve_on_3000_cases_answers_within_a_minute(tmp_path):
+    cases = json.loads((FIXTURES / "winder_cases.cases.json").read_bytes())
+    path = tmp_path / "big.cases.json"
+    path.write_text(json.dumps([{**cases[i % len(cases)], "id": f"case{i}"}
+                                for i in range(3000)]))
+    proc = run_main("cbr-retrieve", path, FIXTURES / "coil_winder.fs.json", "--format",
+                    "json", timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    # the fixture's best case, fruit_peeler, ties with its copies
+    ranking = json.loads(proc.stdout)["ranking"]
+    assert [entry["score"]["fraction"] for entry in ranking] == ["53211/223720"] * 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("novelty", "fixtures/signal_transmission.kb.json", "fixtures/radio.design.json"),
+    ("grammar-generate", "fixtures/gearbox.grammar.json"),
+], ids=["novelty", "grammar-generate"])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    outputs = []
+    for seed in ("0", "1"):
+        proc = run_main(*argv, "--format", "json", cwd=ROOT, PYTHONHASHSEED=seed)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_an_axiom_of_500_interchangeable_pairs_certifies_within_a_minute(tmp_path):

@@ -1,4 +1,7 @@
+import copy
 import json
+import pickle
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -14,8 +17,15 @@ from designbench.domains import (
     domain_from_dict,
 )
 from designbench.funcstruct import SchemaError
-from designbench.novelty import DesignCategory, DesignInstance, DesignVariable, KnowledgeBase
+from designbench.novelty import (
+    DesignCategory,
+    DesignInstance,
+    DesignVariable,
+    KnowledgeBase,
+    NoveltyReport,
+)
 from conftest import load_fixture_bytes
+import oracles
 
 
 @pytest.fixture
@@ -108,33 +118,45 @@ class TestDomainForms:
             DomainUnion((IntervalDomain(0, 1), SetDomain(("x",))))
 
 
+def innovation(kb, design):
+    return novelty.assess(kb, design, feasible=True).innovation
+
+
+def creativity(kb, design):
+    return novelty.assess(kb, design, feasible=True).creativity
+
+
+def domains_by_name(kb):
+    return {v.name: v.domain for v in kb.variables}
+
+
 class TestInnovationIndex:
     def test_quadrocopter_breaks_both_constraints(self, helicopter_kb, quadrocopter):
-        assert novelty.innovation_index(helicopter_kb, quadrocopter) == 1
+        assert innovation(helicopter_kb, quadrocopter) == 1
 
     def test_all_values_expected(self, helicopter_kb):
         d = DesignInstance.from_mapping({"lift_device_count": 1, "torque_counter_count": 1})
-        assert novelty.innovation_index(helicopter_kb, d) == 0
+        assert innovation(helicopter_kb, d) == 0
 
     def test_one_of_four_unexpected(self):
         kb = KnowledgeBase(tuple(
             DesignVariable(f"x{i}", SetDomain((0,))) for i in range(4)
         ))
         d = DesignInstance.from_mapping({"x0": 0, "x1": 0, "x2": 0, "x3": 5})
-        assert novelty.innovation_index(kb, d) == Fraction(1, 4)
+        assert innovation(kb, d) == Fraction(1, 4)
 
 
 class TestCreativityIndex:
     def test_radio_medium_is_new(self, signal_kb, radio):
-        assert novelty.creativity_index(signal_kb, radio) == Fraction(1, 3)
+        assert creativity(signal_kb, radio) == Fraction(1, 3)
 
     def test_all_names_known(self, signal_kb):
         d = DesignInstance.from_mapping({"wire_gauge": 1.0, "lamp_power": 50})
-        assert novelty.creativity_index(signal_kb, d) == 0
+        assert creativity(signal_kb, d) == 0
 
     def test_all_names_new(self, signal_kb):
         d = DesignInstance.from_mapping({"alpha": 1, "beta": 2})
-        assert novelty.creativity_index(signal_kb, d) == 1
+        assert creativity(signal_kb, d) == 1
 
 
 class TestAssess:
@@ -179,30 +201,53 @@ class TestAbsorb:
 
     def test_absorbing_radio_adds_medium(self, signal_kb, radio):
         grown = novelty.absorb(signal_kb, radio)
-        assert "medium" in grown.names()
-        assert grown.domain_of("medium").contains("radio_wave")
+        assert domains_by_name(grown)["medium"].contains("radio_wave")
 
     def test_interval_widens_to_cover_value(self, signal_kb):
         d = DesignInstance.from_mapping({"wire_gauge": 9.0})
         grown = novelty.absorb(signal_kb, d)
-        assert grown.domain_of("wire_gauge") == IntervalDomain(0.1, 9.0)
+        assert domains_by_name(grown)["wire_gauge"] == IntervalDomain(0.1, 9.0)
 
     def test_non_numeric_value_joins_interval_domain(self, signal_kb):
         d = DesignInstance.from_mapping({"wire_gauge": "superconducting tape"})
         grown = novelty.absorb(signal_kb, d)
-        assert grown.domain_of("wire_gauge").contains("superconducting tape")
-        assert grown.domain_of("wire_gauge").contains(1.0)
+        wire_gauge = domains_by_name(grown)["wire_gauge"]
+        assert wire_gauge.contains("superconducting tape")
+        assert wire_gauge.contains(1.0)
+
+
+class TestNameIndex:
+    def test_duplicate_names_are_rejected(self):
+        with pytest.raises(ValueError) as err:
+            KnowledgeBase((DesignVariable("a", SetDomain((1,))),
+                           DesignVariable("a", SetDomain((2,)))))
+        assert str(err.value) == "variable names must be unique within a knowledge base"
+
+    def test_a_base_with_its_index_built_equals_a_fresh_one(self, signal_kb):
+        assert "_by_name" in vars(signal_kb)
+        fresh = KnowledgeBase(signal_kb.variables)
+        assert fresh == signal_kb and hash(fresh) == hash(signal_kb)
+
+    def test_copies_keep_working_lookups(self, signal_kb, radio):
+        report, grown = novelty.assess(signal_kb, radio), novelty.absorb(signal_kb, radio)
+        for twin in (pickle.loads(pickle.dumps(signal_kb)), copy.copy(signal_kb),
+                     copy.deepcopy(signal_kb)):
+            assert twin == signal_kb
+            assert novelty.assess(twin, radio) == report
+            assert novelty.absorb(twin, radio) == grown
 
 
 # ---------------------------------------------------------------------------
 # Property tests
 
+# 1, 1.0 and True are equal in Python; a domain holds True apart from 1
 scalar = st.one_of(
     st.none(),
     st.integers(-10, 10),
     st.floats(-10, 10, allow_nan=False),
     st.text(max_size=6),
     st.booleans(),
+    st.sampled_from([1, 1.0, True]),
 )
 
 domains = st.recursive(
@@ -223,8 +268,8 @@ domains = st.recursive(
 # has, and absorbing it widens their domains
 names = st.text(alphabet="abc", min_size=1, max_size=2)
 
-kbs = st.dictionaries(names, domains, max_size=5).map(
-    lambda d: KnowledgeBase(tuple(DesignVariable(n, dom) for n, dom in d.items()))
+kbs = st.dictionaries(names, st.tuples(domains, st.sampled_from([None, "lift"])), max_size=5).map(
+    lambda d: KnowledgeBase(tuple(DesignVariable(n, *var) for n, var in d.items()))
 )
 
 instances = st.dictionaries(names, scalar, min_size=1, max_size=6).map(
@@ -233,11 +278,11 @@ instances = st.dictionaries(names, scalar, min_size=1, max_size=6).map(
 
 @given(kbs, instances)
 def test_indices_bounded_and_disjoint(kb, design):
-    innovation = novelty.innovation_index(kb, design)
-    creativity = novelty.creativity_index(kb, design)
-    assert 0 <= innovation <= 1
-    assert 0 <= creativity <= 1
-    assert innovation + creativity <= 1
+    report = novelty.assess(kb, design, feasible=True)
+    assert 0 <= report.innovation <= 1
+    assert 0 <= report.creativity <= 1
+    assert report.innovation + report.creativity <= 1
+    assert not set(report.unexpected) & set(report.new)
 
 
 @given(kbs, instances)
@@ -249,8 +294,10 @@ def test_absorption_idempotence(kb, design):
 @given(kbs, instances)
 def test_indices_ignore_assignment_order(kb, design):
     flipped = DesignInstance(tuple(reversed(design.assignments)), design.feasible)
-    assert novelty.innovation_index(kb, design) == novelty.innovation_index(kb, flipped)
-    assert novelty.creativity_index(kb, design) == novelty.creativity_index(kb, flipped)
+    report = novelty.assess(kb, design, feasible=True)
+    report_flipped = novelty.assess(kb, flipped, feasible=True)
+    assert report.innovation == report_flipped.innovation
+    assert report.creativity == report_flipped.creativity
 
 
 @given(kbs, instances, st.booleans())
@@ -264,3 +311,14 @@ def test_exactly_one_category(kb, design, feasible):
         assert report.category is DesignCategory.INNOVATIVE
     else:
         assert report.category is DesignCategory.ROUTINE
+
+
+@given(kbs, instances, st.booleans())
+def test_assess_and_absorb_equal_their_definitions(kb, design, feasible):
+    # repr, because == does not tell 1, 1.0 and True apart, nor a tuple
+    # of names from a list
+    report = novelty.assess(kb, design, feasible=feasible)
+    expected = oracles.assess(kb, design, feasible)
+    for field in fields(NoveltyReport):
+        assert repr(getattr(report, field.name)) == repr(getattr(expected, field.name)), field
+    assert repr(novelty.absorb(kb, design)) == repr(oracles.absorb(kb, design))

@@ -30,7 +30,8 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .funcstruct import FunctionStructure, interdependency_index, problem_from_dict, validate
-from .jsonio import SchemaError, cached, expect, field, fraction_from_json, load_document, located
+from .jsonio import (SchemaError, cached, expect, field, fields_only, fraction_from_json,
+                     load_document, located)
 
 DEFAULT_WEIGHTS = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 
@@ -70,6 +71,8 @@ class CaseBase:
     def __post_init__(self):
         if len(self._by_id) != len(self.cases):
             raise DuplicateCaseError("case ids must be unique")
+
+    __getstate__ = fields_only
 
     def __len__(self) -> int:
         return len(self.cases)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .jsonio import SchemaError, cached, dumps, expect, load_document
+from .jsonio import SchemaError, cached, dumps, expect, fields_only, load_document
 
 INPUT = "input"
 OUTPUT = "output"
@@ -101,10 +101,8 @@ class FunctionStructure:
     terminals: tuple[BoundaryTerminal, ...] = ()
     flows: tuple[Flow, ...] = ()
 
-    def __getstate__(self) -> dict:
-        # Pickle and copy only the fields: the cached values are rebuilt on
-        # demand, and their read-only mapping proxies cannot be pickled.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    # the cached read-only mapping proxies cannot be pickled
+    __getstate__ = fields_only
 
     @cached
     def degrees(self) -> Mapping[str, int]:

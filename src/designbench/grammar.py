@@ -22,23 +22,18 @@ from interchangeable parts needs no search: when no connected component
 of the vertices in non-singleton cells holds one colour twice, every
 branch at every level is equivalent, so the first path down the tree
 reaches the certificate every leaf shares (component recursion, as in
-Traces and bliss).  Otherwise the search skips a branch when an
-automorphism that fixes every vertex individualised above it maps it
-onto a branch already searched (McKay & Piperno, "Practical graph
-isomorphism, II", 2014).
-Automorphisms come from structural twins, whose transposition
-preserves the edge multiset, and from two leaves with equal
-certificates.  An automorphism maps the subtree below one branch onto
-the subtree below the other with the same leaf certificates, so the
-minimum, and with it every certificate byte, is the one the unpruned
-search finds.  When each cell of the refined colouring is a single
-vertex or one class of twins, every leaf is such an image of the
-colour order, so that order's certificate is returned without a
-search.  Each level of the search keeps its own orbit partition
-(a union-find forest over the twins and the automorphisms that fix the
-vertices above it), built when the search enters the level and merged
-with each automorphism found below it; it is the partition a rebuild
-from scratch would give, so the same branches are skipped.
+Traces and bliss).  Every other design takes the search, which skips a
+branch when an automorphism that fixes every vertex individualised
+above it maps it onto a branch already searched (McKay & Piperno,
+"Practical graph isomorphism, II", 2014).  The automorphisms come from
+two leaves with equal certificates.  An automorphism maps the subtree
+below one branch onto the subtree below the other with the same leaf
+certificates, so the minimum, and with it every certificate byte, is
+the one the unpruned search finds.  Each level of the search keeps its
+own orbit partition (a union-find forest over the automorphisms that
+fix the vertices above it), built when the search enters the level and
+merged with each automorphism found below it; it is the partition a
+rebuild from scratch would give, so the same branches are skipped.
 
 :func:`generate` does less work per child than rewriting and
 certifying it from scratch, with the same output.  A rule derives, once
@@ -819,30 +814,6 @@ def _refine(colours: list[int], count: int,
     return current, count
 
 
-def _twin_classes(colours: list[int], out_adj: list[list[tuple[int, int]]],
-                  in_adj: list[list[tuple[int, int]]]) -> list[list[int]]:
-    """Classes of structural twins: vertices with one colour whose
-    transposition maps the edge multiset onto itself.  Transpositions
-    that are automorphisms compose to automorphisms, so the relation is
-    an equivalence; only classes of two or more are returned."""
-    def swapped(adj: list[tuple[int, int]], u: int, v: int) -> list[tuple[int, int]]:
-        return sorted((lbl, v if j == u else u if j == v else j) for lbl, j in adj)
-
-    out_sorted = [sorted(adj) for adj in out_adj]
-    in_sorted = [sorted(adj) for adj in in_adj]
-    classes: dict[int, list[list[int]]] = {}
-    for v, c in enumerate(colours):
-        for cls in classes.setdefault(c, []):
-            u = cls[0]
-            if swapped(out_adj[u], u, v) == out_sorted[v] \
-                    and swapped(in_adj[u], u, v) == in_sorted[v]:
-                cls.append(v)
-                break
-        else:
-            classes[c].append([v])
-    return [cls for group in classes.values() for cls in group if len(cls) > 1]
-
-
 _ID, _LABEL, _COLOUR_KEY = attrgetter("id"), attrgetter("label"), attrgetter("colour_key")
 
 
@@ -937,35 +908,21 @@ def canonical_form(design: Design) -> bytes:
     if len(set(key)) == n:
         return certificate(sorted(range(n), key=key.__getitem__))
 
-    # When each cell is a single vertex or one class of twins, each
-    # permutation inside the cells is an automorphism.  Every leaf puts each
-    # cell's vertices on that cell's positions, so it is such an image of
-    # the colour order and has its certificate.
-    out_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    in_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for s, t, lbl in edges:
-        out_adj[s].append((lbl, t))
-        in_adj[t].append((lbl, s))
-    twins = _twin_classes(colours, out_adj, in_adj)
-    if count == len(twins) + n - sum(map(len, twins)):
-        return certificate(sorted(range(n), key=colours.__getitem__))
-
-    # Individualisation search with automorphism pruning (McKay & Piperno,
-    # "Practical graph isomorphism, II", 2014).  ``path`` holds the vertices
-    # individualised above the current node; ``finished[i]`` the children of
-    # the node at level i whose subtrees are accounted for.  An automorphism
-    # that fixes ``path[:i]`` maps the node at level i to itself and the
-    # subtree below one child onto the subtree below its image, with equal
-    # leaf certificates, so a child in the orbit of a finished child cannot
-    # lower the minimum and is skipped.  Automorphisms come from structural
-    # twins (their transpositions fix every other vertex) and from pairs of
-    # leaves with equal certificates.
+    # Otherwise: individualisation search with automorphism pruning (McKay
+    # & Piperno, "Practical graph isomorphism, II", 2014).  ``path`` holds
+    # the vertices individualised above the current node; ``finished[i]``
+    # the children of the node at level i whose subtrees are accounted for.
+    # An automorphism that fixes ``path[:i]`` maps the node at level i to
+    # itself and the subtree below one child onto the subtree below its
+    # image, with equal leaf certificates, so a child in the orbit of a
+    # finished child cannot lower the minimum and is skipped.  The
+    # automorphisms come from pairs of leaves with equal certificates.
     #
     # ``forests[i]`` is a union-find forest whose trees are the orbits,
-    # under the twins and the known automorphisms that fix ``path[:i]``,
-    # of the node at level i.  It is built when the search enters that
-    # node and takes each automorphism found below it at once, so the
-    # partition always equals one rebuilt from scratch.
+    # under the known automorphisms that fix ``path[:i]``, of the node at
+    # level i.  It is built when the search enters that node and takes
+    # each automorphism found below it at once, so the partition always
+    # equals one rebuilt from scratch.
     automorphisms: list[list[int]] = []
     path: list[int] = []
     forests: list[list[int]] = []
@@ -981,12 +938,7 @@ def canonical_form(design: Design) -> bytes:
     def enter() -> None:
         """Push the forest and the finished list of the node at level
         ``len(path)``."""
-        fixed = set(path)
         forest = list(range(n))
-        for cls in twins:
-            free = [v for v in cls if v not in fixed]
-            for u, v in zip(free, free[1:]):
-                _union(forest, u, v)
         for gamma in automorphisms:
             if all(gamma[v] == v for v in path):
                 merge(forest, gamma)

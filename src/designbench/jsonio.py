@@ -31,13 +31,15 @@ sends ``json.dumps`` to its pure-Python encoder, which costs more than
 most requests.  :func:`append_json` is its step, for a writer that joins
 pieces formatted ahead of time (``grammar-generate``'s, in ``cli``).
 
-Derived values of the frozen records are memoised with :class:`cached`.
+Derived values of the frozen records are memoised with :class:`cached`,
+and :func:`fields_only` keeps them out of a record's pickle and copies.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from json import JSONDecodeError, JSONDecoder
 from json.encoder import encode_basestring_ascii
@@ -215,3 +217,9 @@ class cached:
             return self
         value = instance.__dict__[self.name] = self.func(instance)
         return value
+
+
+def fields_only(record) -> dict:
+    """A frozen record's ``__getstate__``: pickle and copy its fields
+    alone, so its :class:`cached` values are rebuilt on first use."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .domains import _SCALARS, Domain, Scalar, domain_from_dict, singleton
-from .jsonio import SchemaError, cached, expect, field, load_document
+from .jsonio import SchemaError, cached, expect, field, fields_only, load_document
 
 
 class DesignCategory(Enum):
@@ -49,6 +49,8 @@ class KnowledgeBase:
     def __post_init__(self):
         if len(self._by_name) != len(self.variables):
             raise ValueError("variable names must be unique within a knowledge base")
+
+    __getstate__ = fields_only
 
     @cached
     def _by_name(self) -> dict[str, DesignVariable]:

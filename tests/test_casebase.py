@@ -224,6 +224,13 @@ class TestIdIndex:
             with pytest.raises(cb.DuplicateCaseError):
                 cb.retain(twin, cb.Case("clock", winder, cb.Solution("")))
 
+    def test_copies_hold_no_index_until_first_lookup(self, base):
+        assert "_by_id" in vars(base)
+        for twin in (pickle.loads(pickle.dumps(base)), copy.copy(base), copy.deepcopy(base)):
+            assert vars(twin) == {"cases": base.cases}
+            assert twin.case("clock") == base.case("clock")
+            assert vars(twin)["_by_id"] == base._by_id
+
 
 class TestRetain:
     def test_retain_then_retrieve_scores_one(self, spec, base):

@@ -45,12 +45,13 @@ FORBIDDEN = [
      "write indented JSON with designbench.jsonio.dumps and memoise with jsonio.cached"),
     (r"PatternEdge|label_affinity|_closures|_backward_cover|_reachable_slots|"
      r"\bdef names\b|\.names\(\)|\bdomain_of\b|\bunexpected_names\b|\bnew_names\b|"
-     r"\binnovation_index\b|\bcreativity_index\b", None,
+     r"\binnovation_index\b|\bcreativity_index\b|_twin_classes", None,
      "rule edges are GraphEdge; synth walks fan-in once, in _fan_in, which also gives a "
      "topology's unreachable slots (tests/oracles.py checks it with fan_in); the "
      "caller-less casebase.label_affinity lives on only as an oracle in tests/oracles.py; "
-     "and novelty looks names up in KnowledgeBase._by_name, its I and C being "
-     "assess(...).innovation and .creativity"),
+     "novelty looks names up in KnowledgeBase._by_name, its I and C being "
+     "assess(...).innovation and .creativity; and canonical_form prunes its search only with "
+     "automorphisms read off two equal leaves"),
     (r"\b(kb|design|grammar|case_base|similarity_spec|profile|matrix|requirement|topology)"
      r"_from_dict\b", None,
      "each of these formats has one reader, its parse_* function"),

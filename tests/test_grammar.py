@@ -566,6 +566,17 @@ def bipartite_copies(count):
     return gr.Design(tuple(nodes), tuple(edges))
 
 
+def complete_bipartite(size, both_ways):
+    """K(size, size) of one node kind, each edge from one side to the
+    other, and with ``both_ways`` back as well."""
+    sources, targets = [f"s{i}" for i in range(size)], [f"t{i}" for i in range(size)]
+    edges = [gr.GraphEdge(u, v, "p") for u in sources for v in targets]
+    if both_ways:
+        edges += [gr.GraphEdge(v, u, "p") for u in sources for v in targets]
+    return gr.Design(tuple(gr.GraphNode.make(x, "a") for x in sources + targets),
+                     tuple(edges))
+
+
 def cycle_union(lengths, undirected):
     """Disjoint cycles of one node kind.  With two lengths, colour
     refinement cannot tell the cycles apart, so the search tree has
@@ -733,34 +744,42 @@ class TestCanonicalFormPruning:
         for design in (star(6), gear_pairs(3), clique(6), twin_pairs(5), bipartite_copies(2)):
             assert gr.canonical_form(design) == oracles.canonical_form(design)
 
-    @pytest.mark.parametrize("design, refines, refines_without_twins", [
-        (clique(6), 1, 21), (clique(10), 1, 55), (clique(20), 1, 210),
-        (twin_pairs(5), 20, 35), (twin_pairs(10), 65, 120), (twin_pairs(20), 230, 440),
-        (bipartite_copies(2), 9, 19), (bipartite_copies(5), 45, 100),
-        (bipartite_copies(10), 165, 375),
-    ], ids=["clique-6", "clique-10", "clique-20", "pairs-5", "pairs-10", "pairs-20",
-            "k22-copies-2", "k22-copies-5", "k22-copies-10"])
-    def test_twin_family_search_effort_is_pinned(self, design, refines, refines_without_twins):
-        # colour refinements per certificate, with the twin classes and
-        # with none found: what a change to the twin handling must match
-        form = gr.canonical_form(design)
-        for twins, expected in ((gr._twin_classes, refines),
-                                (lambda *args: [], refines_without_twins)):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(gr, "_twin_classes", twins)
-                calls = counted(patch, "_refine")
-                assert gr.canonical_form(design) == form
-            assert calls == {"_refine": expected}
+    def test_symmetric_family_digest_is_pinned(self):
+        # sha256 over the concatenated certificates of large symmetric
+        # designs that are not component-discrete, so each takes the search
+        digest = hashlib.sha256()
+        for design in (clique(40), complete_bipartite(20, False), complete_bipartite(20, True),
+                       twin_pairs(40), bipartite_copies(20)):
+            digest.update(gr.canonical_form(design))
+        assert digest.hexdigest() == \
+            "8d531ef7962a734ef37670f6b1c92dc0d4ce8d765c329d10c9ed1287a7678cc3"
+
+    @pytest.mark.parametrize("design, refines", [
+        (clique(6), 21), (clique(10), 55), (clique(20), 210), (clique(40), 820),
+        (complete_bipartite(20, False), 780), (complete_bipartite(20, True), 818),
+        (twin_pairs(5), 35), (twin_pairs(10), 120), (twin_pairs(20), 440),
+        (twin_pairs(40), 1680),
+        (bipartite_copies(2), 19), (bipartite_copies(5), 100), (bipartite_copies(10), 375),
+        (bipartite_copies(20), 1450),
+    ], ids=["clique-6", "clique-10", "clique-20", "clique-40", "k20-20", "k20-20-both-ways",
+            "pairs-5", "pairs-10", "pairs-20", "pairs-40", "k22-copies-2", "k22-copies-5",
+            "k22-copies-10", "k22-copies-20"])
+    def test_symmetric_search_effort_is_pinned(self, monkeypatch, design, refines):
+        # colour refinements per certificate: on a clique of n nodes the
+        # pruned search refines n(n+1)/2 times
+        calls = counted(monkeypatch, "_refine")
+        gr.canonical_form(design)
+        assert calls == {"_refine": refines}
 
     @settings(max_examples=150, deadline=None)
     @given(interchangeable_copies(), st.randoms(use_true_random=False))
     def test_component_discrete_designs_skip_the_search(self, design, rng):
-        # the twin classes are computed only on the way to the search
+        # one colour refinement each, and no search below it
         with pytest.MonkeyPatch.context() as patch:
-            calls = counted(patch, "_twin_classes")
+            calls = counted(patch, "_refine")
             form = gr.canonical_form(design)
+            assert calls == {"_refine": 1}
             again = gr.canonical_form(shuffled(design, rng))
-        assert calls == {"_twin_classes": 0}
         assert form == again == oracles.canonical_form(design)
 
     def test_component_sort_equals_the_walk_on_motif_unions(self):
@@ -798,9 +817,9 @@ class TestCanonicalFormPruning:
     ], ids=["adjacent-twins", "adjacent-twins-3", "directed-cycles-3-3",
             "directed-cycles-3-2-2", "colour-twice-2"])
     def test_other_symmetric_designs_take_the_search_path(self, monkeypatch, design):
-        calls = counted(monkeypatch, "_twin_classes")
+        calls = counted(monkeypatch, "_refine")
         form = gr.canonical_form(design)
-        assert calls == {"_twin_classes": 1}
+        assert calls["_refine"] > 1
         assert form == oracles.canonical_form(design)
         assert gr.canonical_form(shuffled(design, random.Random(11))) == form
 
@@ -1027,13 +1046,13 @@ class TestGenerateAgainstFullCheck:
                                       refines, searches, rewrites, oracle_forms):
         # Without the axiom check (done by Grammar), the oracle checks and
         # certifies every child; generate checks none of these valid ones
-        # in full and certifies no exact repeat.  No design needs the twin
-        # classes: shaft designs refine to discrete colourings, and gearbox
-        # ones to component-discrete colourings.  Both match every rule
-        # into every design they expand and rewrite at every match.
+        # in full and certifies no exact repeat.  No design needs the search
+        # (one refinement per certificate): shaft designs refine to discrete
+        # colourings, and gearbox ones to component-discrete colourings.  Both
+        # match every rule into every design they expand and rewrite at every
+        # match.
         grammar = request.getfixturevalue(name)
-        calls = counted(monkeypatch, "canonical_form", "_refine", "_twin_classes",
-                        "find_matches", "apply")
+        calls = counted(monkeypatch, "canonical_form", "_refine", "find_matches", "apply")
         calls["require_valid"] = 0
         require_valid = gr.Vocabulary.require_valid
 
@@ -1044,8 +1063,7 @@ class TestGenerateAgainstFullCheck:
         monkeypatch.setattr(gr.Vocabulary, "require_valid", counted_require_valid)
         gr.generate(grammar, 5, 1000)
         assert calls == {"require_valid": checks, "canonical_form": forms,
-                         "_refine": refines, "_twin_classes": 0,
-                         "find_matches": searches, "apply": rewrites}
+                         "_refine": refines, "find_matches": searches, "apply": rewrites}
         calls.update(dict.fromkeys(calls, 0))
         oracle_calls = counted(monkeypatch, "find_matches", "apply", module=oracles)
         oracles.generate_full_check(grammar, 5, 1000)

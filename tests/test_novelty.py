@@ -236,6 +236,14 @@ class TestNameIndex:
             assert novelty.assess(twin, radio) == report
             assert novelty.absorb(twin, radio) == grown
 
+    def test_copies_hold_no_index_until_first_lookup(self, signal_kb, radio):
+        assert "_by_name" in vars(signal_kb)
+        for twin in (pickle.loads(pickle.dumps(signal_kb)), copy.copy(signal_kb),
+                     copy.deepcopy(signal_kb)):
+            assert vars(twin) == {"variables": signal_kb.variables}
+            assert novelty.assess(twin, radio) == novelty.assess(signal_kb, radio)
+            assert vars(twin)["_by_name"] == signal_kb._by_name
+
 
 # ---------------------------------------------------------------------------
 # Property tests

@@ -1,17 +1,19 @@
 """Mapping problem profiles to applicable synthesis methods.
 
-The capability matrix is data, not code: each row says whether a method
-needs a decomposable problem and how well it copes with
-interdependencies, innovation and creativity.  The default matrix
-encodes the conclusions drawn from the worked examples: all three
-methods need decomposability and handle interdependencies; analogy
+The capability matrix and the verdict rules are data, not code.  Each
+row says whether a method needs a decomposable problem and how well it
+copes with interdependencies, innovation and creativity; the profile's
+novelty picks the column, and ``_VERDICTS`` maps its level to a verdict
+and a rationale.  The default matrix encodes the worked examples: all
+three methods need decomposability and handle interdependencies; analogy
 methods are only partially suited to innovation because retrieval pulls
 solutions toward what the case base already contains; and no method
 reaches creativity, since each one draws every variable it can touch
 from a knowledge base someone programmed in advance.
 
-The interdependency index never flips a verdict; it is carried into the
-rationale as an annotation only.
+The ``interdependencies`` column decides no verdict, although it is one
+of the paper's four traits, and the interdependency index (PI) only
+annotates the rationale.
 """
 
 from __future__ import annotations
@@ -100,10 +102,14 @@ def default_matrix() -> tuple[MethodCapabilities, ...]:
     )
 
 
-def _pi_note(profile: ProblemProfile) -> str:
-    if profile.pi is None:
-        return "no interdependency index is available"
-    return f"interdependencies at PI = {profile.pi} are handled"
+_VERDICTS = {
+    CapabilityLevel.FULL: (Verdict.APPLICABLE, "{method} covers {needed}; {note}"),
+    CapabilityLevel.LIMITED: (Verdict.LIMITED,
+                              "{method} covers {needed} only partially; {note}"),
+    CapabilityLevel.NONE: (Verdict.INAPPLICABLE,
+                           "{method} cannot provide {needed}: every variable it can "
+                           "reach lives in a pre-programmed knowledge base"),
+}
 
 
 def recommend(profile: ProblemProfile,
@@ -112,50 +118,24 @@ def recommend(profile: ProblemProfile,
     profile's novelty level) or INAPPLICABLE."""
     if matrix is None:
         matrix = default_matrix()
+    note = ("no interdependency index is available" if profile.pi is None
+            else f"interdependencies at PI = {profile.pi} are handled")
     entries = []
     for row in matrix:
         if row.requires_decomposable and not profile.decomposable:
-            entries.append(
-                MethodVerdict(
-                    row.method,
-                    Verdict.INAPPLICABLE,
-                    f"{row.method.value} needs a decomposable problem; "
-                    "this one is represented as a black box",
-                )
-            )
+            entries.append(MethodVerdict(
+                row.method, Verdict.INAPPLICABLE,
+                f"{row.method.value} needs a decomposable problem; "
+                "this one is represented as a black box"))
             continue
-        if profile.novelty is DesignCategory.ROUTINE:
-            level, needed = CapabilityLevel.FULL, "routine design"
-        elif profile.novelty is DesignCategory.INNOVATIVE:
-            level, needed = row.innovation, "innovation"
-        else:
-            level, needed = row.creativity, "creativity"
-        if level is CapabilityLevel.FULL:
-            entries.append(
-                MethodVerdict(
-                    row.method,
-                    Verdict.APPLICABLE,
-                    f"{row.method.value} covers {needed}; {_pi_note(profile)}",
-                )
-            )
-        elif level is CapabilityLevel.LIMITED:
-            entries.append(
-                MethodVerdict(
-                    row.method,
-                    Verdict.LIMITED,
-                    f"{row.method.value} covers {needed} only partially; "
-                    f"{_pi_note(profile)}",
-                )
-            )
-        else:
-            entries.append(
-                MethodVerdict(
-                    row.method,
-                    Verdict.INAPPLICABLE,
-                    f"{row.method.value} cannot provide {needed}: every variable it "
-                    "can reach lives in a pre-programmed knowledge base",
-                )
-            )
+        level, needed = {
+            DesignCategory.ROUTINE: (CapabilityLevel.FULL, "routine design"),
+            DesignCategory.INNOVATIVE: (row.innovation, "innovation"),
+            DesignCategory.CREATIVE: (row.creativity, "creativity"),
+        }[profile.novelty]
+        verdict, rationale = _VERDICTS[level]
+        entries.append(MethodVerdict(row.method, verdict, rationale.format(
+            method=row.method.value, needed=needed, note=note)))
     return MethodReport(tuple(entries))
 
 

@@ -134,9 +134,9 @@ def domain_from_dict(doc: object, location: str) -> Domain:
     if len(expect(doc, dict, location)) != 1:
         raise SchemaError("domain must be a one-key object", location)
     key, payload = next(iter(doc.items()))
+    if key in ("set", "any_of") and not expect(payload, list, f"{location}.{key}"):
+        raise SchemaError(f"'{key}' must not be empty", f"{location}.{key}")
     if key == "set":
-        if not isinstance(payload, list) or not payload:
-            raise SchemaError("'set' takes a non-empty array", f"{location}.set")
         for j, member in enumerate(payload):
             if not isinstance(member, _SCALARS):
                 raise SchemaError("set members must be scalars", f"{location}.set[{j}]")
@@ -157,12 +157,8 @@ def domain_from_dict(doc: object, location: str) -> Domain:
             raise SchemaError(f"unknown type {payload!r}", f"{location}.type")
         return TypeDomain(payload)
     if key == "description":
-        if not isinstance(payload, str):
-            raise SchemaError("'description' takes a string", f"{location}.description")
-        return DescribedDomain(payload)
+        return DescribedDomain(expect(payload, str, f"{location}.description"))
     if key == "any_of":
-        if not isinstance(payload, list) or not payload:
-            raise SchemaError("'any_of' takes a non-empty array", f"{location}.any_of")
         return DomainUnion(
             tuple(domain_from_dict(p, f"{location}.any_of[{i}]") for i, p in enumerate(payload))
         )

@@ -1166,8 +1166,8 @@ def _pattern_node(n: dict, loc: str) -> PatternNode:
         op = p.get("op", "eq")
         if op not in _PREDICATE_OPS:
             raise SchemaError(f"unknown op {op!r}", f"{ploc}.op")
-        if op == "in" and not isinstance(p.get("value"), list):
-            raise SchemaError("op 'in' needs an array 'value'", f"{ploc}.value")
+        if op == "in":
+            field(p, "value", list, ploc)
         predicates.append(AttrPredicate(attr, op, p.get("value")))
     return PatternNode(node_id, label, tuple(predicates))
 
@@ -1210,8 +1210,7 @@ def parse_grammar(data: bytes | str) -> Grammar:
         name = field(expect(r, dict, loc), "name", str, loc)
         anchors = field(r, "anchors", dict, loc, {})
         for lhs_id, rhs_id in anchors.items():
-            if not isinstance(rhs_id, str):
-                raise SchemaError("anchor target must be a string", f"{loc}.anchors.{lhs_id}")
+            expect(rhs_id, str, f"{loc}.anchors.{lhs_id}")
         lhs = PatternGraph(*_graph(field(r, "lhs", dict, loc, {}), f"{loc}.lhs", _pattern_node))
         rhs = RhsGraph(*_graph(field(r, "rhs", dict, loc, {}), f"{loc}.rhs", _rhs_node))
         rules.append(located(loc, Rule, name, lhs, rhs, tuple(sorted(anchors.items()))))

@@ -152,24 +152,18 @@ class Requirement:
     rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def __post_init__(self):
-        self._check(names_and_bits=True)
-
-    def _check(self, names_and_bits: bool) -> None:
-        """The table's checks, in order; :func:`parse_requirement` makes the
-        name and bit checks itself, at their own locations."""
         n, m = len(self.inputs), len(self.outputs)
         if n < 1 or m < 1:
             raise ValueError("a requirement needs inputs and outputs")
-        if names_and_bits:
-            _check_names(self.inputs, "input")
-            _check_names(self.outputs, "output")
+        _check_names(self.inputs, "input")
+        _check_names(self.outputs, "output")
         if len(self.rows) != 2 ** n:
             raise ValueError(f"expected {2 ** n} rows, got {len(self.rows)}")
         seen = set()
         for in_bits, out_bits in self.rows:
             if len(in_bits) != n or len(out_bits) != m:
                 raise ValueError("row width does not match the declared names")
-            if names_and_bits and not _are_bits((*in_bits, *out_bits)):
+            if not _are_bits((*in_bits, *out_bits)):
                 raise ValueError("rows must contain bits (0 or 1)")
             if in_bits in seen:
                 raise ValueError(f"duplicate row for inputs {in_bits}")
@@ -670,8 +664,8 @@ def parse_requirement(data: bytes | str) -> Requirement:
     inputs, outputs, raw_rows = (field(doc, key, list, "$")
                                  for key in ("inputs", "outputs", "rows"))
     for key, kind in (("inputs", "input"), ("outputs", "output")):
-        if not all(isinstance(x, str) for x in doc[key]):
-            raise SchemaError(f"'{key}' must contain strings", f"$.{key}")
+        for i, name in enumerate(doc[key]):
+            expect(name, str, f"$.{key}[{i}]")
         located(f"$.{key}", _check_names, doc[key], kind)
     rows = []
     for i, row in enumerate(raw_rows):
@@ -681,10 +675,7 @@ def parse_requirement(data: bytes | str) -> Requirement:
         if not _are_bits((*bits_in, *bits_out)):
             raise SchemaError("rows must contain bits (0 or 1)", loc)
         rows.append((tuple(bits_in), tuple(bits_out)))
-    requirement = object.__new__(Requirement)  # names and bits are checked above
-    requirement.__dict__.update(inputs=tuple(inputs), outputs=tuple(outputs), rows=tuple(rows))
-    located("$", requirement._check, False)
-    return requirement
+    return located("$", Requirement, tuple(inputs), tuple(outputs), tuple(rows))
 
 
 def parse_topology(data: bytes | str) -> Topology:
@@ -692,8 +683,8 @@ def parse_topology(data: bytes | str) -> Topology:
     inputs, raw_slots, outputs = (field(doc, key, list, "$")
                                   for key in ("inputs", "slots", "outputs"))
     for key in ("inputs", "outputs"):
-        if not all(isinstance(x, str) for x in doc[key]):
-            raise SchemaError(f"'{key}' must contain strings", f"$.{key}")
+        for i, name in enumerate(doc[key]):
+            expect(name, str, f"$.{key}[{i}]")
     slots = []
     for i, slot in enumerate(raw_slots):
         loc = f"$.slots[{i}]"

@@ -1,10 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from designbench import classify
+from designbench import classify, jsonio
 from designbench.classify import (
     CapabilityLevel,
     Method,
@@ -105,6 +106,25 @@ class TestRecommend:
                                  CapabilityLevel.FULL, CapabilityLevel.FULL)
         report = classify.recommend(profile(novelty=DesignCategory.CREATIVE), (row,))
         assert report.entries[0].verdict is Verdict.APPLICABLE
+
+    def test_recommendation_grid_digest_is_pinned(self):
+        # sha256 over the JSON reports of 12 profiles against the default
+        # matrix and every single-row matrix (3 methods x 2 decomposability
+        # needs x 27 levels), 1,956 reports: pins every verdict and rationale
+        profiles = [ProblemProfile(decomposable, pi, novelty)
+                    for (decomposable, pi), novelty in product(
+                        ((True, Fraction(1, 2)), (True, Fraction(0)),
+                         (False, None), (False, Fraction(1))), NOVELTIES)]
+        matrices = [None] + [
+            (MethodCapabilities(method, requires, *levels),)
+            for method, requires, levels in product(
+                Method, (False, True), product(CapabilityLevel, repeat=3))]
+        digest = hashlib.sha256()
+        for prof, matrix in product(profiles, matrices):
+            report = classify.report_to_dict(classify.recommend(prof, matrix))
+            digest.update(jsonio.dumps(report).encode())
+        assert digest.hexdigest() == \
+            "42f153201f1a6a6db1e552989f0b979b67d2d5bc1cd139852960c4f1b4bba000"
 
 
 class TestProfileValidation:

@@ -45,9 +45,10 @@ FORBIDDEN = [
      "write indented JSON with designbench.jsonio.dumps and memoise with jsonio.cached"),
     (r"PatternEdge|label_affinity|_closures|_backward_cover|_reachable_slots|"
      r"\bdef names\b|\.names\(\)|\bdomain_of\b|\bunexpected_names\b|\bnew_names\b|"
-     r"\binnovation_index\b|\bcreativity_index\b|_twin_classes", None,
+     r"\binnovation_index\b|\bcreativity_index\b|_twin_classes|names_and_bits", None,
      "rule edges are GraphEdge; synth walks fan-in once, in _fan_in, which also gives a "
-     "topology's unreachable slots (tests/oracles.py checks it with fan_in); the "
+     "topology's unreachable slots (tests/oracles.py checks it with fan_in), and "
+     "Requirement.__post_init__ runs every truth-table check, for parse_requirement too; the "
      "caller-less casebase.label_affinity lives on only as an oracle in tests/oracles.py; "
      "novelty looks names up in KnowledgeBase._by_name, its I and C being "
      "assess(...).innovation and .creativity; and canonical_form prunes its search only with "
@@ -57,9 +58,11 @@ FORBIDDEN = [
      "each of these formats has one reader, its parse_* function"),
     (r"\bgc\b", None,
      "free request state by reference counting; never pause, freeze or retune the collector"),
-    (r"(expected |' must be )an? (string|array|object|boolean|integer)\b", "jsonio.py",
-     "report a value of the wrong JSON type with jsonio.expect (a document or an array "
-     "element) or jsonio.field (a named field)"),
+    (r"(expected |' must be )an? (string|array|object|boolean|integer)\b|"
+     r"takes an? (string|non-empty array)|must contain strings|needs an array", "jsonio.py",
+     "report a value of the wrong JSON type with jsonio.expect (a document, an array "
+     "element or a value under a key taken from the data) or jsonio.field (a named "
+     "field), never in words of your own; an empty array is '<key>' must not be empty"),
 ]
 
 

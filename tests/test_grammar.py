@@ -1157,7 +1157,7 @@ class TestParseGrammar:
             gr.parse_grammar(data)
         # one location, not the rule's prefixed to the predicate's
         assert str(caught.value) == \
-            "$.rules[0].lhs.nodes[1].where[0].value: op 'in' needs an array 'value'"
+            "$.rules[0].lhs.nodes[1].where[0].value: 'value' must be an array"
         assert caught.value.location == "$.rules[0].lhs.nodes[1].where[0].value"
 
     def test_bad_anchor_is_located_at_the_rule(self):
@@ -1203,7 +1203,7 @@ class TestParseGrammar:
         doc["rules"][0]["anchors"]["s"] = ["s"]
         with pytest.raises(gr.SchemaError) as caught:
             gr.parse_grammar(json.dumps(doc))
-        assert str(caught.value) == "$.rules[0].anchors.s: anchor target must be a string"
+        assert str(caught.value) == "$.rules[0].anchors.s: expected a string"
 
     def test_copy_of_undeclared_attribute_is_rejected(self):
         doc = json.loads(load_fixture_bytes("shaft.grammar.json"))

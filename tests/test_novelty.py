@@ -91,14 +91,16 @@ class TestDomainForms:
         ({"type": "complex"}, "$.x.type: unknown type 'complex'"),
         ({"type": ["int"]}, "$.x.type: unknown type ['int']"),
         ({"type": {"int": 1}}, "$.x.type: unknown type {'int': 1}"),
-        ({"description": 3}, "$.x.description: 'description' takes a string"),
-        ({"any_of": []}, "$.x.any_of: 'any_of' takes a non-empty array"),
-        ({"any_of": {"set": [1]}}, "$.x.any_of: 'any_of' takes a non-empty array"),
+        ({"description": 3}, "$.x.description: expected a string"),
+        ({"set": []}, "$.x.set: 'set' must not be empty"),
+        ({"set": {"1": 1}}, "$.x.set: expected an array"),
+        ({"any_of": []}, "$.x.any_of: 'any_of' must not be empty"),
+        ({"any_of": {"set": [1]}}, "$.x.any_of: expected an array"),
         ({"any_of": [{"set": [1]}, {"type": "x"}]}, "$.x.any_of[1].type: unknown type 'x'"),
         ({"range": [0, 1]}, "$.x: unknown domain form 'range'"),
         ({"set": [1], "type": "int"}, "$.x: domain must be a one-key object"),
     ], ids=["unknown-type", "type-array", "type-object", "description-number",
-            "any-of-empty", "any-of-object", "any-of-nested", "unknown-form", "two-keys"])
+            "set-empty", "set-object", "any-of-empty", "any-of-object", "any-of-nested", "unknown-form", "two-keys"])
     def test_malformed_form_is_a_located_schema_error(self, domain, message):
         with pytest.raises(SchemaError) as err:
             domain_from_dict(domain, "$.x")

@@ -644,8 +644,8 @@ class TestStructuralInvariants:
     def test_topology_names_must_be_strings(self, key, doc):
         with pytest.raises(jsonio.SchemaError) as info:
             synth.parse_topology(json.dumps(doc))
-        assert str(info.value) == f"$.{key}: '{key}' must contain strings"
-        assert info.value.location == f"$.{key}"
+        assert str(info.value) == f"$.{key}[0]: expected a string"
+        assert info.value.location == f"$.{key}[0]"
 
     @pytest.mark.parametrize("arity", [True, 2.0], ids=["bool", "float"])
     def test_arity_must_be_int(self, arity):

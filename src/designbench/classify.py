@@ -76,6 +76,11 @@ class ProblemProfile:
             raise ValueError("a black-box annotation can only be 0 or 1")
         if self.pi is not None and not 0 <= self.pi <= 1:
             raise ValueError("interdependency index must lie in [0, 1]")
+        try:
+            str(self.pi)  # a ValueError past the integer limit, as in fraction_from_json
+        except ValueError:
+            raise ValueError("interdependency index has more digits than a report can "
+                             "print") from None
 
 
 @dataclass(frozen=True)

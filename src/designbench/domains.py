@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .jsonio import SchemaError, expect
+from .jsonio import SchemaError, cached, expect, fields_only
 
 Scalar = Union[None, bool, int, float, str]
 _SCALARS = (type(None), bool, int, float, str)
@@ -48,12 +48,35 @@ def scalar_key(value: Scalar):
     return (3, value)
 
 
+# A bool is looked up in a set as one of these stand-ins, never as itself,
+# so that it meets neither 0 nor 1, while 1 still meets 1.0.
+_BOOL_KEYS = {False: object(), True: object()}
+
+
 @dataclass(frozen=True)
 class SetDomain:
+    """A finite set of scalars; :func:`domain_from_dict` checks that each
+    member is one, and lookups need them hashable."""
+
     values: tuple[Scalar, ...]
 
+    __getstate__ = fields_only
+
+    @cached
+    def _keys(self) -> frozenset:
+        """The members, each bool as its stand-in in ``_BOOL_KEYS``."""
+        return frozenset([_BOOL_KEYS[v] if type(v) is bool else v for v in self.values])
+
     def contains(self, value: Scalar) -> bool:
-        return any(same_scalar(v, value) for v in self.values)
+        """Whether some member is :func:`same_scalar` to ``value``.  A NaN
+        equals no member, although a set lookup matches a NaN member by
+        identity."""
+        keys = self._keys
+        try:
+            found = (_BOOL_KEYS[value] if type(value) is bool else value) in keys
+        except TypeError:  # unhashable, as a JSON array is: no scalar member equals it
+            return False
+        return found and value == value
 
     def widen(self, value: Scalar) -> "Domain":
         if self.contains(value):

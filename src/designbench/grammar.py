@@ -51,10 +51,12 @@ removes or changes something in them.  :func:`apply` keeps each node it leaves
 unchanged, anchored ones included, as the parent's own object, and a
 child is vocabulary-checked only on its other nodes, because its
 parent is valid and nothing else can have changed: a violation still
-gets the message of the full check.  A child identical to one built
-earlier at the same depth (commuting rewrites from different parents)
-is skipped before the check and the canonical form, because its
-verdict and certificate are those of the earlier one.
+gets the message of the full check.  Steps that commute are taken in
+one order only (partial-order reduction, Godefroid 1996): a step that
+commutes with the step that made its design, and comes before that
+step in the parent's order, is not applied, because the other order
+has already reached an isomorphic design (the Local Church-Rosser
+theorem; see :func:`generate`).
 """
 
 from __future__ import annotations
@@ -434,6 +436,33 @@ class Rule:
     @cached
     def _rhs_edges(self) -> tuple[tuple[str, str, str], ...]:
         return tuple((e.source, e.target, e.label) for e in self.rhs.edges)
+
+    @cached
+    def _footprint(self) -> Optional[tuple[tuple, tuple]]:
+        """What a step of the rule reads and what it writes, as keys on LHS
+        ids, or ``None`` when it removes a node: ``(node, attr)`` for an
+        attribute, ``(node, None)`` for the label, ``(source, target,
+        label)`` for an edge.  A step reads each matched node's label, the
+        attributes its predicates test and its copies read; it writes the
+        attributes it sets on anchored nodes, the labels it changes, the
+        edges it consumes (and so reads) and those it adds between
+        matched nodes."""
+        if self._removed:
+            return None
+        lhs_of = {rhs_id: lhs_id for lhs_id, rhs_id in self.anchors}
+        reads = [(n.id, None) for n in self.lhs.nodes]
+        reads += [(n.id, p.attr) for n in self.lhs.nodes for p in n.predicates]
+        reads += [(expr.node, expr.attr) for n in self.rhs.nodes for _, expr in n.attrs
+                  if isinstance(expr, CopyAttr)]
+        writes: list[tuple] = list(self._lhs_edges)
+        writes += [(lhs_of[s], lhs_of[t], label) for s, t, label in self._rhs_edges
+                   if s in lhs_of and t in lhs_of]
+        lhs_label = {n.id: n.label for n in self.lhs.nodes}
+        for lhs_id, rhs_node, _ in self._anchored:
+            writes += [(lhs_id, attr) for attr, _ in rhs_node.attrs]
+            if rhs_node.label != lhs_label[lhs_id]:
+                writes.append((lhs_id, None))
+        return tuple(reads), tuple(writes)
 
 
 @dataclass(frozen=True)
@@ -1056,11 +1085,30 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
     :meth:`Vocabulary.require_valid`, which raises the message a full
     check gives.
 
-    A child whose node ids, node colours and edge tuple equal those of a
-    child built earlier at the same depth (commuting rewrites reached
-    from different parents) is skipped before the check and the
-    canonical form: it would get the same verdict and the certificate
-    already in ``seen``.
+    Steps that commute are applied in one order only (partial-order
+    reduction).  Expanding a child ``P``, :func:`generate` reads from its
+    derivation the step ``s1`` that made it from ``G``: the rule's
+    index, the positions of the matched nodes in LHS order, and what the
+    step reads and writes (see :meth:`Rule._footprint`).  A step ``s2``
+    of ``P`` is skipped when neither rule removes a node, ``s2`` comes
+    before ``s1`` in ``G``'s enumeration (by rule index, then by node
+    positions: rules go in order and :func:`find_matches` orders
+    matches by positions), and the two commute: ``s2`` matches no node
+    ``s1`` made, and neither writes what the other reads or writes.
+    Since ``s1`` removes no node and :func:`apply` appends new nodes,
+    positions of old nodes in ``P`` are their positions in ``G``.  Then
+    ``s2`` applies in ``G``, ``s1`` still applies after it, and ``G =>
+    s2 => s1`` is isomorphic to ``P => s2`` (Local Church-Rosser; the
+    rewrites touch disjoint state and the results differ only in fresh
+    ids and edge order).  ``G => s2`` comes before ``P`` in ``G``'s
+    enumeration, so a design ``R`` isomorphic to it was kept before
+    ``P`` (itself, the design whose certificate it repeated, or, had it
+    been skipped, the one this argument gives) and is expanded before
+    ``P``, where ``R``'s image of ``s1`` is applied or skipped by this
+    same argument.  By induction over the order of expansion, the
+    skipped child's certificate is already in ``seen``, its verdict is
+    that of an isomorphic child checked earlier, and the output is
+    unchanged.
     """
     if max_depth < 1 or max_designs < 1:
         raise ValueError("generation limits must be positive")
@@ -1070,28 +1118,46 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
     axiom_entry = GeneratedDesign(grammar.axiom, Derivation(), canonical_form(grammar.axiom), 0)
     seen[axiom_entry.canonical] = axiom_entry
     frontier = [axiom_entry]
+    rule_index = {rule.name: index for index, rule in enumerate(grammar.rules)}
 
     for depth in range(1, max_depth + 1):
         if len(seen) >= max_designs:
             break
         next_frontier: list[GeneratedDesign] = []
-        # children of this depth by ids, colours and edges; ``Design``
-        # equality would take 1, 1.0 and True for one value
-        built: set[tuple] = set()
         for entry in frontier:
             parent = entry.design
             kept = parent._by_id
-            for rule in grammar.rules:
+            # the step that made this design (the axiom has none), unless
+            # its rule removes a node: its order key, where the nodes it
+            # made start, and what it reads and writes
+            last_index = -1
+            if entry.derivation.steps:
+                last = entry.derivation.steps[-1]
+                last_rule = grammar.rules[rule_index[last.rule]]
+                if last_rule._footprint is not None:
+                    position = dict(zip(kept, range(len(kept))))
+                    last_index = rule_index[last.rule]
+                    last_order = (last_index, tuple([position[i] for _, i in last.match.nodes]))
+                    made = len(kept) - len(last_rule._new_nodes)
+                    node_map = dict(last.match.nodes)
+                    last_reads = _keys_on(last_rule._footprint[0], node_map)
+                    last_writes = _keys_on(last_rule._footprint[1], node_map)
+            for index, rule in enumerate(grammar.rules):
+                footprint = rule._footprint
+                reducible = footprint is not None and index <= last_index
                 for match in find_matches(rule, parent):
+                    if reducible:
+                        at = tuple([position[node_id] for _, node_id in match.nodes])
+                        if (index, at) < last_order and all(p < made for p in at):
+                            node_map = dict(match.nodes)
+                            reads = _keys_on(footprint[0], node_map)
+                            writes = _keys_on(footprint[1], node_map)
+                            if last_writes.isdisjoint(reads) and last_writes.isdisjoint(writes) \
+                                    and last_reads.isdisjoint(writes):
+                                continue
                     try:
                         child = apply(rule, parent, match)
                     except DanglingEdgeError:
-                        continue
-                    exact = (tuple([n.id for n in child.nodes]),
-                             tuple([n.colour_key for n in child.nodes]), child.edges)
-                    size = len(built)  # one hash of the key, not two
-                    built.add(exact)
-                    if len(built) == size:
                         continue
                     # apply appends the new nodes last, in RHS order
                     new, nodes = rule._new_nodes, child.nodes
@@ -1123,6 +1189,13 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
 
     ordered = tuple(sorted(seen.values(), key=lambda g: g.canonical))
     return GenerationResult(ordered)
+
+
+def _keys_on(keys: tuple, node_map: dict[str, str]) -> frozenset:
+    """Footprint keys on LHS ids (see :meth:`Rule._footprint`) as keys on
+    the design nodes ``node_map`` matched."""
+    return frozenset([(node_map[k[0]], k[1]) if len(k) == 2
+                      else (node_map[k[0]], node_map[k[1]], k[2]) for k in keys])
 
 
 def replay(grammar: Grammar, derivation: Derivation) -> Design:

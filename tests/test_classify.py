@@ -137,6 +137,14 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             ProblemProfile(False, Fraction(1, 2), DesignCategory.ROUTINE)
 
+    def test_pi_a_report_cannot_print_is_rejected(self):
+        # 4,300 digits, the default integer string limit, print; 4,301 do not
+        recommended = classify.recommend(
+            ProblemProfile(True, Fraction(1, 10**4299), DesignCategory.ROUTINE))
+        assert len(recommended.entries[0].rationale) > 4300
+        with pytest.raises(ValueError, match="more digits than a report can print"):
+            ProblemProfile(True, Fraction(1, 10**4300), DesignCategory.ROUTINE)
+
     def test_not_valuable_is_not_a_profile_novelty(self):
         with pytest.raises(ValueError):
             ProblemProfile(True, Fraction(0), DesignCategory.NOT_VALUABLE)

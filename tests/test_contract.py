@@ -286,6 +286,21 @@ def test_an_axiom_of_500_interchangeable_pairs_certifies_within_a_minute(tmp_pat
     assert proc.stdout.startswith(b"1 designs (depth <= 3)\n")
 
 
+def test_a_grammar_with_an_80000_member_set_generates_within_a_second_and_a_half(tmp_path):
+    # the shaft grammar, its diameters 80,000 with the two it uses last:
+    # every touched section is checked against the set.  Measured on one
+    # core of a 2-CPU x86-64 Linux host: 0.22 s looked up by key, 3.4 s
+    # scanning the members.
+    doc = json.loads((FIXTURES / "shaft.grammar.json").read_bytes())
+    doc["vocabulary"]["node_labels"]["section"]["diameter"] = {"set": [*range(3, 80_001), 1, 2]}
+    path = tmp_path / "wide.grammar.json"
+    path.write_text(json.dumps(doc))
+    proc = run_main("grammar-generate", path, "--max-depth", "5", "--max-designs", "1000",
+                    timeout=1.5)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"401 designs (depth <= 5)\n")
+
+
 def _address_space_of_2_000_000_kb():
     # as ``ulimit -v 2000000``: soft and hard limit, in the child only
     limit = 2_000_000 * 1024

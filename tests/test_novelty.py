@@ -15,6 +15,7 @@ from designbench.domains import (
     SetDomain,
     TypeDomain,
     domain_from_dict,
+    same_scalar,
 )
 from designbench.funcstruct import SchemaError
 from designbench.novelty import (
@@ -66,6 +67,32 @@ class TestSetDomainMembers:
     def test_every_scalar_kind_accepted(self):
         domain = domain_from_dict({"set": [None, True, 0, 1.5, "x"]}, "$")
         assert domain == SetDomain((None, True, 0, 1.5, "x"))
+
+    @pytest.mark.parametrize("members, value, contained", [
+        ((0, 1), True, False), ((0, 1), False, False), ((True,), 1, False),
+        ((False,), 0, False), ((True, 2), True, True), ((1,), 1.0, True),
+        ((1.0,), 1, True), ((0.0,), -0.0, True), ((-0.0,), 0, True),
+        ((1,), "1", False), ((None,), None, True), ((None,), False, False),
+        ((1,), [1], False),
+    ])
+    def test_membership_keeps_booleans_apart_and_numbers_equal(self, members, value, contained):
+        assert SetDomain(members).contains(value) is contained
+        # the scan the keyed lookup replaces
+        assert any(same_scalar(m, value) for m in members) is contained
+
+    def test_nan_is_in_no_set(self):
+        nan = float("nan")
+        assert not SetDomain((nan, 1.0)).contains(nan)
+        assert not SetDomain((1.0,)).contains(nan)
+
+    def test_copies_hold_no_keys_until_first_lookup(self):
+        domain = SetDomain((1, True, "x"))
+        assert domain.contains(True)
+        assert "_keys" in vars(domain)
+        for twin in (pickle.loads(pickle.dumps(domain)), copy.copy(domain),
+                     copy.deepcopy(domain)):
+            assert vars(twin) == {"values": domain.values}
+            assert twin.contains(True) and twin.contains(1.0) and not twin.contains(0)
 
 
 class TestDomainForms:

@@ -23,7 +23,7 @@ print(gr.design_to_dot(shaft.axiom, "axiom"))
 print()
 print("=== one rewrite, step by step ===")
 rule = shaft.rule("add_section")
-matches = gr.find_matches(rule, shaft.axiom)
+matches = list(gr.find_matches(rule, shaft.axiom))
 print(f"'{rule.name}' matches the axiom {len(matches)} time(s)")
 grown = gr.apply(rule, shaft.axiom, matches[0], shaft.vocabulary)
 print("after applying it once:")

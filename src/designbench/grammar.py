@@ -36,7 +36,9 @@ merged with each automorphism found below it; it is the partition a
 rebuild from scratch would give, so the same branches are skipped.
 
 :func:`generate` does less work per child than rewriting and
-certifying it from scratch, with the same output.  A rule derives, once
+certifying it from scratch, with the same output.  Matches and children
+are streams, taken one at a time, so generation stops matching once
+``max_designs`` designs are kept.  A rule derives, once
 on first use, everything its matching and rewriting read of it: the
 anchor map, the LHS ids and those whose nodes the rewrite removes, the
 edge counts each level of the search must find, the RHS node of each
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Container, Mapping, Optional, Sequence, Union
+from typing import Container, Iterator, Mapping, Optional, Sequence, Union
 
 from .domains import (
     Domain,
@@ -592,32 +594,31 @@ def _satisfies(pattern: PatternNode, node: GraphNode) -> bool:
     return True
 
 
-def find_matches(rule: Rule, design: Design) -> list[Match]:
+def find_matches(rule: Rule, design: Design) -> Iterator[Match]:
     """All injective embeddings of the rule's LHS, deterministically ordered.
 
     Matching is injective homomorphism: unrelated context around the
-    match is ignored.  Order follows lhs-node assignment order, then
-    matched edge indices, so results are stable run to run.  Candidates
-    come from the design's index of nodes by label (in design order) and
-    edge instances from its index by ``(source, target, label)``, both
-    built once per design and shared by every rule matched into it.
-    Each level of the search checks only the edge counts of the LHS
-    edges it completes, from the rule's search plan.  No vocabulary is
-    checked here: a :class:`Grammar` checks its rules and axiom once.
-    The recursive :func:`_extend` holds no reference to itself, so the
-    call's state is freed when it returns.
+    match is ignored.  Each match is built as it is pulled, in lhs-node
+    assignment order, then by matched edge indices, so results are
+    stable run to run and a caller that stops builds no more.
+    Candidates come from the design's index of nodes by label (in design
+    order) and edge instances from its index by ``(source, target,
+    label)``, both built once per design and shared by every rule
+    matched into it.  Each level of the search checks only the edge
+    counts of the LHS edges it completes, from the rule's search plan.
+    No vocabulary is checked here: a :class:`Grammar` checks its rules
+    and axiom once.
     """
     lhs_ids = rule._lhs_order
     groups = rule._edge_groups
-    matches: list[Match] = []
     instances = design._instances
-    assignment: dict[str, str] = {}
-
-    def emit_edge_choices() -> None:
+    plan = rule._search_plan
+    by_label = design._by_label
+    for assignment in _assignments(plan, 0, by_label, instances, {}, set()) if plan else ({},):
         nodes = tuple([(i, assignment[i]) for i in lhs_ids])
         if not groups:
-            matches.append(Match(nodes))
-            return
+            yield Match(nodes)
+            continue
         # every level checked the counts of the groups it completed
         per_group = [list(combinations(instances[assignment[s], assignment[t], label],
                                        len(positions)))
@@ -627,22 +628,17 @@ def find_matches(rule: Rule, design: Design) -> list[Match]:
             for (positions, _), chosen in zip(groups, picks):
                 for pos, inst in zip(positions, chosen):
                     slot[pos] = inst
-            matches.append(Match(nodes, tuple(slot[i] for i in range(len(slot)))))
-
-    _extend(rule._search_plan, 0, design._by_label, instances, assignment, set(),
-            emit_edge_choices)
-    return matches
+            yield Match(nodes, tuple(slot[i] for i in range(len(slot))))
 
 
-def _extend(plan: tuple, i: int, by_label: dict[str, list[GraphNode]],
-            instances: dict[tuple[str, str, str], list[int]], assignment: dict[str, str],
-            used: set[str], emit) -> None:
-    """Assign LHS nodes ``i`` onwards of ``plan`` on top of ``assignment``
-    (whose design nodes are ``used``), calling ``emit`` at each full one."""
-    if i == len(plan):
-        emit()
-        return
+def _assignments(plan: tuple, i: int, by_label: dict, instances: dict,
+                 assignment: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
+    """Assign LHS nodes ``i`` onwards of a non-empty ``plan`` on top of
+    ``assignment`` (whose design nodes are ``used``), yielding
+    ``assignment`` itself at each full one: nodes come from ``by_label``
+    and edge counts from ``instances``, a design's two indices."""
     pattern, needed = plan[i]
+    last = i + 1 == len(plan)
     for node in by_label.get(pattern.label, ()):
         if node.id in used or not _satisfies(pattern, node):
             continue
@@ -652,7 +648,10 @@ def _extend(plan: tuple, i: int, by_label: dict[str, list[GraphNode]],
             if len(instances.get((assignment[s], assignment[t], label), ())) < count:
                 break
         else:
-            _extend(plan, i + 1, by_label, instances, assignment, used, emit)
+            if last:
+                yield assignment
+            else:
+                yield from _assignments(plan, i + 1, by_label, instances, assignment, used)
         used.remove(node.id)
         del assignment[pattern.id]
 
@@ -660,6 +659,8 @@ def _extend(plan: tuple, i: int, by_label: dict[str, list[GraphNode]],
 def _verify_match(rule: Rule, design: Design, match: Match) -> dict[str, str]:
     """The match's node map, once the match is known to embed."""
     node_map = dict(match.nodes)
+    if len(node_map) != len(match.nodes):
+        raise StaleMatchError("match names an LHS node twice")
     if node_map.keys() != rule._lhs_ids:
         raise StaleMatchError("match does not cover the rule's LHS nodes")
     if len(set(node_map.values())) != len(node_map):
@@ -1067,7 +1068,8 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
 
     Deduplicated by canonical form; output sorted by canonical form, so
     two runs over equal inputs produce identical sequences.  The axiom
-    itself counts against ``max_designs``.
+    itself counts against ``max_designs``; once that many are kept, no
+    more children are pulled from :func:`_children`, so none matched.
 
     Every child is vocabulary-checked as :func:`apply` with ``vocab``
     would check it, with the same verdict and message, but only on the
@@ -1086,7 +1088,7 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
     check gives.
 
     Steps that commute are applied in one order only (partial-order
-    reduction).  Expanding a child ``P``, :func:`generate` reads from its
+    reduction).  Expanding a child ``P``, :func:`_children` reads from its
     derivation the step ``s1`` that made it from ``G``: the rule's
     index, the positions of the matched nodes in LHS order, and what the
     step reads and writes (see :meth:`Rule._footprint`).  A step ``s2``
@@ -1113,82 +1115,79 @@ def generate(grammar: Grammar, max_depth: int, max_designs: int) -> GenerationRe
     if max_depth < 1 or max_designs < 1:
         raise ValueError("generation limits must be positive")
 
-    vocab = grammar.vocabulary
-    seen: dict[bytes, GeneratedDesign] = {}
     axiom_entry = GeneratedDesign(grammar.axiom, Derivation(), canonical_form(grammar.axiom), 0)
-    seen[axiom_entry.canonical] = axiom_entry
+    seen = {axiom_entry.canonical: axiom_entry}
     frontier = [axiom_entry]
-    rule_index = {rule.name: index for index, rule in enumerate(grammar.rules)}
-
     for depth in range(1, max_depth + 1):
-        if len(seen) >= max_designs:
+        if not frontier or len(seen) >= max_designs:
             break
         next_frontier: list[GeneratedDesign] = []
-        for entry in frontier:
-            parent = entry.design
-            kept = parent._by_id
-            # the step that made this design (the axiom has none), unless
-            # its rule removes a node: its order key, where the nodes it
-            # made start, and what it reads and writes
-            last_index = -1
-            if entry.derivation.steps:
-                last = entry.derivation.steps[-1]
-                last_rule = grammar.rules[rule_index[last.rule]]
-                if last_rule._footprint is not None:
-                    position = dict(zip(kept, range(len(kept))))
-                    last_index = rule_index[last.rule]
-                    last_order = (last_index, tuple([position[i] for _, i in last.match.nodes]))
-                    made = len(kept) - len(last_rule._new_nodes)
-                    node_map = dict(last.match.nodes)
-                    last_reads = _keys_on(last_rule._footprint[0], node_map)
-                    last_writes = _keys_on(last_rule._footprint[1], node_map)
-            for index, rule in enumerate(grammar.rules):
-                footprint = rule._footprint
-                reducible = footprint is not None and index <= last_index
-                for match in find_matches(rule, parent):
-                    if reducible:
-                        at = tuple([position[node_id] for _, node_id in match.nodes])
-                        if (index, at) < last_order and all(p < made for p in at):
-                            node_map = dict(match.nodes)
-                            reads = _keys_on(footprint[0], node_map)
-                            writes = _keys_on(footprint[1], node_map)
-                            if last_writes.isdisjoint(reads) and last_writes.isdisjoint(writes) \
-                                    and last_reads.isdisjoint(writes):
-                                continue
-                    try:
-                        child = apply(rule, parent, match)
-                    except DanglingEdgeError:
-                        continue
-                    # apply appends the new nodes last, in RHS order
-                    new, nodes = rule._new_nodes, child.nodes
-                    cut = len(nodes) - len(new)
-                    touched = [n for n in nodes[:cut] if kept.get(n.id) is not n]
-                    touched += [n for n, (_, fields) in zip(nodes[cut:], new) if fields is None]
-                    if touched and vocab._node_problems(touched):
-                        vocab.require_valid(child, f"result of rule {rule.name!r}")
-                    key = canonical_form(child)
-                    if key in seen:
-                        continue
-                    child_entry = GeneratedDesign(
-                        child,
-                        Derivation((*entry.derivation.steps, DerivationStep(rule.name, match))),
-                        key,
-                        depth,
-                    )
-                    seen[key] = child_entry
-                    next_frontier.append(child_entry)
-                    if len(seen) >= max_designs:
-                        break
-                if len(seen) >= max_designs:
-                    break
+        for entry, step, child in _children(grammar, frontier):
+            key = canonical_form(child)
+            if key in seen:
+                continue
+            child_entry = GeneratedDesign(
+                child, Derivation((*entry.derivation.steps, step)), key, depth)
+            seen[key] = child_entry
+            next_frontier.append(child_entry)
             if len(seen) >= max_designs:
                 break
         frontier = next_frontier
-        if not frontier:
-            break
 
     ordered = tuple(sorted(seen.values(), key=lambda g: g.canonical))
     return GenerationResult(ordered)
+
+
+def _children(grammar: Grammar, frontier: list[GeneratedDesign]) -> Iterator[tuple]:
+    """``(entry, step, child)`` per design of ``frontier`` in rule and then
+    match order, each built as it is pulled, less the steps that leave a
+    dangling edge or that commute (see :func:`generate`); a child is
+    vocabulary-checked on its touched nodes."""
+    vocab = grammar.vocabulary
+    rule_index = {rule.name: index for index, rule in enumerate(grammar.rules)}
+    for entry in frontier:
+        parent = entry.design
+        kept = parent._by_id
+        # the step that made this design (the axiom has none), unless
+        # its rule removes a node: its order key, where the nodes it
+        # made start, and what it reads and writes
+        last_index = -1
+        if entry.derivation.steps:
+            last = entry.derivation.steps[-1]
+            last_rule = grammar.rules[rule_index[last.rule]]
+            if last_rule._footprint is not None:
+                position = dict(zip(kept, range(len(kept))))
+                last_index = rule_index[last.rule]
+                last_order = (last_index, tuple([position[i] for _, i in last.match.nodes]))
+                made = len(kept) - len(last_rule._new_nodes)
+                node_map = dict(last.match.nodes)
+                last_reads = _keys_on(last_rule._footprint[0], node_map)
+                last_writes = _keys_on(last_rule._footprint[1], node_map)
+        for index, rule in enumerate(grammar.rules):
+            footprint = rule._footprint
+            reducible = footprint is not None and index <= last_index
+            for match in find_matches(rule, parent):
+                if reducible:
+                    at = tuple([position[node_id] for _, node_id in match.nodes])
+                    if (index, at) < last_order and all(p < made for p in at):
+                        node_map = dict(match.nodes)
+                        reads = _keys_on(footprint[0], node_map)
+                        writes = _keys_on(footprint[1], node_map)
+                        if last_writes.isdisjoint(reads) and last_writes.isdisjoint(writes) \
+                                and last_reads.isdisjoint(writes):
+                            continue
+                try:
+                    child = apply(rule, parent, match)
+                except DanglingEdgeError:
+                    continue
+                # apply appends the new nodes last, in RHS order
+                new, nodes = rule._new_nodes, child.nodes
+                cut = len(nodes) - len(new)
+                touched = [n for n in nodes[:cut] if kept.get(n.id) is not n]
+                touched += [n for n, (_, fields) in zip(nodes[cut:], new) if fields is None]
+                if touched and vocab._node_problems(touched):
+                    vocab.require_valid(child, f"result of rule {rule.name!r}")
+                yield entry, DerivationStep(rule.name, match), child
 
 
 def _keys_on(keys: tuple, node_map: dict[str, str]) -> frozenset:

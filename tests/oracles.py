@@ -333,11 +333,14 @@ def find_matches(rule: gr.Rule, design: gr.Design) -> list[gr.Match]:
 def _stale(rule: gr.Rule, design: gr.Design, match: gr.Match) -> Optional[str]:
     """Why ``match`` is no embedding of the rule's LHS in ``design``: the
     first of these it breaks, in this order; ``None`` if it is one.  It
-    maps exactly the LHS nodes, injectively, onto present nodes that fit
-    their patterns, and the LHS edges onto as many distinct present
-    edges, each joining the images of its ends with its label."""
+    names each LHS node once and maps exactly the LHS nodes, injectively,
+    onto present nodes that fit their patterns, and the LHS edges onto as
+    many distinct present edges, each joining the images of its ends
+    with its label."""
     to = dict(match.nodes)
     nodes = {n.id: n for n in design.nodes}
+    if len(to) < len(match.nodes):
+        return "match names an LHS node twice"
     if to.keys() != {p.id for p in rule.lhs.nodes}:
         return "match does not cover the rule's LHS nodes"
     if len(set(to.values())) < len(to):

@@ -219,7 +219,8 @@ class TestGrammarGenerate:
         assert err == f"error: {path}: $: not valid JSON: {literal} is not a finite number\n"
 
     def test_pattern_too_large_to_match_is_input_error(self, tmp_path, capsys):
-        # find_matches extends a partial embedding one pattern node per call
+        # find_matches extends a partial embedding by one nested generator per
+        # pattern node
         nodes = [{"id": f"n{i}", "label": "a"} for i in range(1050)]
         path = tmp_path / "wide.grammar.json"
         path.write_text(json.dumps({

@@ -45,14 +45,16 @@ FORBIDDEN = [
      "write indented JSON with designbench.jsonio.dumps and memoise with jsonio.cached"),
     (r"PatternEdge|label_affinity|_closures|_backward_cover|_reachable_slots|"
      r"\bdef names\b|\.names\(\)|\bdomain_of\b|\bunexpected_names\b|\bnew_names\b|"
-     r"\binnovation_index\b|\bcreativity_index\b|_twin_classes|names_and_bits", None,
+     r"\binnovation_index\b|\bcreativity_index\b|_twin_classes|names_and_bits|"
+     r"emit_edge_choices|\b_extend\b", None,
      "rule edges are GraphEdge; synth walks fan-in once, in _fan_in, which also gives a "
      "topology's unreachable slots (tests/oracles.py checks it with fan_in), and "
      "Requirement.__post_init__ runs every truth-table check, for parse_requirement too; the "
      "caller-less casebase.label_affinity lives on only as an oracle in tests/oracles.py; "
      "novelty looks names up in KnowledgeBase._by_name, its I and C being "
-     "assess(...).innovation and .creativity; and canonical_form prunes its search only with "
-     "automorphisms read off two equal leaves"),
+     "assess(...).innovation and .creativity; canonical_form prunes its search only with "
+     "automorphisms read off two equal leaves; and find_matches yields each match as it is "
+     "pulled, from the _assignments generator, never through a callback"),
     (r"\b(kb|design|grammar|case_base|similarity_spec|profile|matrix|requirement|topology)"
      r"_from_dict\b", None,
      "each of these formats has one reader, its parse_* function"),
@@ -314,6 +316,27 @@ def test_synth_with_a_gate_bound_of_a_million_answers_at_once_in_little_memory()
     assert proc.stdout.startswith(b"SAT: 1 gates\n")
 
 
+def test_a_symmetric_rule_stops_matching_at_the_design_limit(tmp_path):
+    # six anchored ``a`` nodes that gain a ``b``, on sixteen ``a`` nodes:
+    # 5,765,760 matches, all giving one child, and the second design ends
+    # the run.  On one core of a 2-CPU x86-64 Linux host it takes 0.13 s
+    # and 19 MB taking matches as they are found; building them all first
+    # took about 38 s and 3.2 GB.
+    lhs = [{"id": f"x{i}", "label": "a"} for i in range(6)]
+    path = tmp_path / "symmetric.grammar.json"
+    path.write_text(json.dumps({
+        "vocabulary": {"node_labels": {"a": {}, "b": {}}, "edge_labels": []},
+        "axiom": {"nodes": [{"id": f"a{i}", "label": "a"} for i in range(16)], "edges": []},
+        "rules": [{"name": "add_b", "lhs": {"nodes": lhs},
+                   "rhs": {"nodes": [*lhs, {"id": "y", "label": "b"}]},
+                   "anchors": {n["id"]: n["id"] for n in lhs}}],
+    }))
+    proc = run_main("grammar-generate", path, "--max-depth", "1", "--max-designs", "2",
+                    timeout=5, preexec_fn=_address_space_of_2_000_000_kb)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"2 designs (depth <= 1)\n")
+
+
 def _subtractor_with_swapped_outputs(path):
     """The subtractor's table with its two outputs swapped, which the
     subtractor topology cannot realise: its gate search tries every gate."""
@@ -326,6 +349,8 @@ def _subtractor_with_swapped_outputs(path):
 
 # (command, how to write each file it names under the test's directory)
 NO_GARBAGE_EXTRAS = {
+    # generation that stops at its design limit with matches left unpulled
+    "grammar-generate fixtures/shaft.grammar.json --max-designs 7 --format json": {},
     # canonical_form's individualisation search
     "grammar-generate CYCLES --format json":
         {"CYCLES": lambda path: test_cli.TestGrammarGenerate.write_copies(

@@ -27,14 +27,12 @@ Topologies and gate assignments are then searched together, in one
 depth-first walk over canonical slot sequences that shares each slot
 prefix's computed values between every topology extending it, and the
 same bound drops a prefix whose remaining slots cannot produce the
-targets it lacks.  Gate assignment on a fixed topology stays plain
-backtracking, with any slot wired to a primary output checked the moment
-it is assigned.  Every returned circuit is re-verified row by row
-through the scalar evaluator before it is handed back.  UNSAT is a value
-(``None``), not an error.
-
-Neither recursive search holds a reference to itself once it ends, so a
-call's state is freed when it returns.
+targets it lacks.  On a fixed topology a loop assigns the slots in
+order, checks an output slot as it gets its gate, and skips a state whose
+slot and live values have failed before.  Both searches give a slot its
+gates through one step.  Every returned circuit is re-verified row by
+row through the scalar evaluator before it is handed back.  UNSAT is a
+value (``None``), not an error.
 """
 
 from __future__ import annotations
@@ -253,40 +251,29 @@ def evaluate(circuit: Circuit, bits: Sequence[int]) -> tuple[int, ...]:
     return tuple(values[n + j] for j in topo._outputs)
 
 
-def _gate_vectors(a: int, b: int, unary: bool, full: int) -> tuple[int, ...]:
-    """Per gate of ``_UNARY`` on ``a``, or of ``_BINARY`` on ``a`` and ``b``,
-    its output vector."""
-    return (a, a ^ full) if unary else (a & b, a | b, a ^ b)
-
-
-def _search_assignment(slot_sources: Sequence[tuple[int, ...]], input_vecs: list[int],
-                       checked: dict[int, list[int]], full: int) -> Optional[list[GateType]]:
-    """Lexicographically-first gate assignment; slots wired to an output
-    are compared against their target vector as soon as they get a gate."""
-    values = input_vecs + [0] * len(slot_sources)
-    assignment: list[GateType] = [GateType.IDENTITY] * len(slot_sources)
-    found = _backtrack(slot_sources, 0, len(input_vecs), values, assignment, checked, full)
-    return assignment if found else None
-
-
-def _backtrack(slot_sources: Sequence[tuple[int, ...]], j: int, n: int, values: list[int],
-               assignment: list[GateType], checked: dict[int, list[int]], full: int) -> bool:
-    """Give slots ``j`` onwards their first fitting gates, the signal
-    values of the ``n`` inputs and of slots before ``j`` in ``values``."""
-    if j == len(slot_sources):
-        return True
-    sources = slot_sources[j]
-    unary = len(sources) == 1
-    vecs = _gate_vectors(values[sources[0]], values[sources[-1]], unary, full)
-    targets = checked.get(j)
-    for gate, vec in zip(_UNARY if unary else _BINARY, vecs):
-        if targets is not None and any(vec != t for t in targets):
-            continue
-        values[n + j] = vec
-        assignment[j] = gate
-        if _backtrack(slot_sources, j + 1, n, values, assignment, checked, full):
-            return True
-    return False
+def _assign_slot(reached: Sequence[tuple[tuple[int, ...], tuple[GateType, ...]]],
+                 refs: tuple[int, ...], input_vecs: tuple[int, ...], full: int,
+                 keep) -> list[tuple[tuple[int, ...], tuple[GateType, ...]]]:
+    """The children of the states of ``reached`` (slot values and their gates)
+    when the next slot, reading ``refs``, takes each gate of ``GATE_ORDER``:
+    those whose values no earlier child has and ``keep`` accepts, in order."""
+    seen: set[tuple[int, ...]] = set()
+    grown = []
+    unary = len(refs) == 1
+    candidates = _UNARY if unary else _BINARY
+    first, second = refs[0], refs[-1]
+    for values, gates in reached:
+        signals = input_vecs + values
+        a, b = signals[first], signals[second]
+        vecs = (a, a ^ full) if unary else (a & b, a | b, a ^ b)  # per gate of candidates
+        for gate, vec in zip(candidates, vecs):
+            longer = values + (vec,)
+            if longer in seen:
+                continue
+            seen.add(longer)
+            if keep(longer):
+                grown.append((longer, gates + (gate,)))
+    return grown
 
 
 def _verify(circuit: Circuit, requirement: Requirement) -> None:
@@ -304,30 +291,60 @@ def _verify(circuit: Circuit, requirement: Requirement) -> None:
 def synthesize_assignment(topology: Topology,
                           requirement: Requirement) -> Optional[Circuit]:
     """Problem 1: fill a fixed topology's slots with gates so the circuit
-    realises the table, or return ``None`` (UNSAT)."""
+    realises the table, or return ``None`` (UNSAT).  The topology names
+    the requirement's inputs, in its order.
+
+    The search goes depth first along the slots and stops at its first
+    success, expanding a state by ``_assign_slot`` with the slot's output
+    check as ``keep``.  Whether a state completes depends only on its slot
+    and its live values, those of earlier slots that a later slot reads.
+    A child is pushed only if no state pushed before it had both.  That
+    state precedes it in gate order and is searched to the end first: the
+    search stops there, or it fails and so would the child.  So the first
+    success is the lexicographically-first assignment."""
     if len(topology.inputs) != len(requirement.inputs):
         raise ValueError(
             f"topology has {len(topology.inputs)} inputs, "
             f"requirement has {len(requirement.inputs)}"
         )
+    if topology.inputs != requirement.inputs:
+        raise ValueError(f"topology inputs are {list(topology.inputs)}, "
+                         f"requirement inputs are {list(requirement.inputs)}")
     if len(topology.outputs) != len(requirement.outputs):
         raise ValueError(
             f"topology has {len(topology.outputs)} outputs, "
             f"requirement has {len(requirement.outputs)}"
         )
-    full = (1 << 2 ** len(topology.inputs)) - 1
-    targets = requirement.target_vectors()
-    checked: dict[int, list[int]] = {}
-    for position, slot in enumerate(topology._outputs):
-        checked.setdefault(slot, []).append(targets[position])
-
-    gates = _search_assignment(topology._sources, requirement.input_vectors(),
-                               checked, full)
-    if gates is None:
-        return None
-    circuit = Circuit(topology, tuple(gates))
-    _verify(circuit, requirement)
-    return circuit
+    n, sources = len(topology.inputs), topology._sources
+    full = (1 << 2 ** n) - 1
+    input_vecs = tuple(requirement.input_vectors())
+    wanted: list[set[int]] = [set() for _ in sources]
+    for slot, target in zip(topology._outputs, requirement.target_vectors()):
+        wanted[slot].add(target)
+    last_reader = {r - n: k for k, refs in enumerate(sources) for r in refs if r >= n}
+    # per slot: its targets all equal its value; the slots up to it that later slots read
+    keeps, live, reads = [], [], ()
+    for j, targets in enumerate(wanted):
+        keeps.append(lambda values, targets=targets: targets <= {values[-1]})
+        reads = tuple(i for i in (*reads, j) if last_reader.get(i, j) > j)
+        live.append(reads)
+    seen: set[tuple[int, ...]] = set()
+    stack = [((), ())]
+    while stack:
+        state = stack.pop()
+        j = len(state[1])
+        if j == len(sources):
+            circuit = Circuit(topology, state[1])
+            _verify(circuit, requirement)
+            return circuit
+        fresh = []
+        for child in _assign_slot([state], sources[j], input_vecs, full, keeps[j]):
+            key = (j, *map(child[0].__getitem__, live[j]))
+            if key not in seen:
+                seen.add(key)
+                fresh.append(child)
+        stack += reversed(fresh)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -539,25 +556,6 @@ def synthesize_topology(requirement: Requirement,
             completable[key] = verdict
         return verdict
 
-    def extend(reached: list[tuple[tuple[int, ...], tuple[GateType, ...]]],
-               refs: tuple[int, ...], left: int):
-        seen: set[tuple[int, ...]] = set()
-        grown = []
-        unary = len(refs) == 1
-        candidates = _UNARY if unary else _BINARY
-        first, second = refs[0], refs[-1]
-        for values, gates in reached:
-            signals = input_vecs + values
-            vecs = _gate_vectors(signals[first], signals[second], unary, full)
-            for gate, vec in zip(candidates, vecs):
-                longer = values + (vec,)
-                if longer in seen:
-                    continue
-                seen.add(longer)
-                if can_complete(longer, left):
-                    grown.append((longer, gates + (gate,)))
-        return grown
-
     slots: list[tuple[int, ...]] = []
     depths = [0] * n  # per source, inputs first
     choices: list[list[tuple[int, tuple[int, ...]]]] = []  # per slot, up to the gate count
@@ -598,7 +596,8 @@ def synthesize_topology(requirement: Requirement,
             key = (depth, arity, refs)
             if key < prev_key:
                 continue
-            grown = extend(reached, refs, gate_count - j - 1)
+            grown = _assign_slot(reached, refs, input_vecs, full,
+                                 lambda values: can_complete(values, gate_count - j - 1))
             if not grown:
                 continue
             slots.append(refs)

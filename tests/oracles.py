@@ -35,10 +35,15 @@ order is part of the byte-identical output:
 * ``input_vectors``, ``target_vectors`` and ``supports``: a table's
   columns packed row by row, and the inputs each output depends on.
 * ``fan_in``: per slot, every source a chain of refs leads back to.
+* ``first_assignment``: the first choice of one gate per slot, slots
+  taken in order and gates in ``GATE_ORDER``, whose circuit gives every
+  row of the table.
 * ``enumerate_then_assign``, ``fewest_gates`` and ``gate_with_new``: not
   definitions but the search whose first circuit the library's walk must
   return, with its level-by-level bound and one-gate test; they stay
-  until the capped bound has a reference of its own.
+  until the capped bound has a reference of its own.  The gate
+  assignment it runs, ``_search_assignment``, is plain backtracking over
+  the slots, and the second reference for ``synthesize_assignment``.
 * ``flow_scan_pi`` and ``flow_scan_degrees``: the paper's share of
   subfunctions with degree above two, and every vertex's degree, by
   scanning the flows.
@@ -99,12 +104,15 @@ from designbench.novelty import (
     NoveltyReport,
 )
 from designbench.synth import (
+    GATE_ORDER,
     Circuit,
+    GateType,
     Requirement,
+    Topology,
     _ref_choices,
-    _search_assignment,
     _slot_sequence_to_topology,
     _verify,
+    evaluate,
 )
 
 
@@ -621,6 +629,62 @@ def supports(requirement: Requirement) -> list[frozenset[int]]:
                 support.add(i)
         out.append(frozenset(support))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Gate assignment on a fixed topology: every choice of gates, and plain
+# backtracking over them
+
+def first_assignment(topology: Topology, requirement: Requirement) -> Optional[Circuit]:
+    """The circuit of the first gate choice, in ``itertools.product`` order
+    over the slots' fitting gates in ``GATE_ORDER``, that gives every row;
+    ``None`` if none does."""
+    per_slot = [[g for g in GATE_ORDER if g.arity == slot.arity] for slot in topology.slots]
+    for gates in product(*per_slot):
+        circuit = Circuit(topology, gates)
+        if all(evaluate(circuit, in_bits) == out_bits for in_bits, out_bits in requirement.rows):
+            return circuit
+    return None
+
+
+_UNARY = tuple(g for g in GATE_ORDER if g.arity == 1)
+_BINARY = tuple(g for g in GATE_ORDER if g.arity == 2)
+
+
+def _gate_vectors(a: int, b: int, unary: bool, full: int) -> tuple[int, ...]:
+    """Per gate of ``_UNARY`` on ``a``, or of ``_BINARY`` on ``a`` and ``b``,
+    its output vector."""
+    return (a, a ^ full) if unary else (a & b, a | b, a ^ b)
+
+
+def _search_assignment(slot_sources: Sequence[tuple[int, ...]], input_vecs: list[int],
+                       checked: dict[int, list[int]], full: int) -> Optional[list[GateType]]:
+    """Lexicographically-first gate assignment; slots wired to an output
+    are compared against their target vector as soon as they get a gate."""
+    values = input_vecs + [0] * len(slot_sources)
+    assignment: list[GateType] = [GateType.IDENTITY] * len(slot_sources)
+    found = _backtrack(slot_sources, 0, len(input_vecs), values, assignment, checked, full)
+    return assignment if found else None
+
+
+def _backtrack(slot_sources: Sequence[tuple[int, ...]], j: int, n: int, values: list[int],
+               assignment: list[GateType], checked: dict[int, list[int]], full: int) -> bool:
+    """Give slots ``j`` onwards their first fitting gates, the signal
+    values of the ``n`` inputs and of slots before ``j`` in ``values``."""
+    if j == len(slot_sources):
+        return True
+    sources = slot_sources[j]
+    unary = len(sources) == 1
+    vecs = _gate_vectors(values[sources[0]], values[sources[-1]], unary, full)
+    targets = checked.get(j)
+    for gate, vec in zip(_UNARY if unary else _BINARY, vecs):
+        if targets is not None and any(vec != t for t in targets):
+            continue
+        values[n + j] = vec
+        assignment[j] = gate
+        if _backtrack(slot_sources, j + 1, n, values, assignment, checked, full):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -496,6 +496,21 @@ class TestSynth:
         assert err == f"error: {topo}: $: {message}\n"
         assert not (tmp_path / "out.fs.json").exists()
 
+    @pytest.mark.parametrize("inputs, ref", [(["B", "A"], "A"), (["X", "Y"], "X")],
+                             ids=["swapped", "renamed"])
+    def test_topology_over_other_inputs_is_input_error(self, capsys, tmp_path, inputs, ref):
+        # y = A over A and B: matched by position, the swapped topology would
+        # read B (UNSAT, exit 1) and the renamed one would print IDENTITY(X)
+        req, topo = tmp_path / "a.req.json", tmp_path / "named.topo.json"
+        req.write_text(json.dumps({"inputs": ["A", "B"], "outputs": ["y"],
+                                   "rows": [{"in": [r >> 1, r & 1], "out": [r >> 1]}
+                                            for r in range(4)]}))
+        topo.write_text(json.dumps({"inputs": inputs, "slots": [{"from": [ref]}],
+                                    "outputs": ["s0"]}))
+        code, out, err = run_cli(capsys, "synth", req, "--topology", topo)
+        assert (code, out) == (2, "")
+        assert err == f"error: topology inputs are {inputs}, requirement inputs are ['A', 'B']\n"
+
     @staticmethod
     def write_chain(path, length):
         """A topology over ``A`` and ``B`` of ``length`` slots: slot 0 reads
@@ -505,20 +520,16 @@ class TestSynth:
         path.write_text(json.dumps({"inputs": ["A", "B"], "slots": slots,
                                     "outputs": [f"s{length - 1}"]}))
 
-    def test_topology_too_deep_to_assign_is_input_error(self, capsys, tmp_path):
-        # the gate-assignment search assigns one slot per call; it used to
-        # end in a RecursionError traceback and exit 1
+    def test_a_topology_deeper_than_the_recursion_limit_is_assigned(self, capsys, tmp_path):
+        # the gate-assignment search keeps its own stack, so a chain longer
+        # than Python's recursion limit is assigned like a short one
         topo = tmp_path / "chain.topo.json"
-        self.write_chain(topo, 100)
-        code, out, err = run_cli(capsys, "synth", FIXTURES / "and_gate.req.json",
-                                 "--topology", topo)
-        assert (code, err) == (0, "")
-        assert out.startswith("SAT: 100 gates\n")
-        self.write_chain(topo, 2500)
-        code, out, err = run_cli(capsys, "synth", FIXTURES / "and_gate.req.json",
-                                 "--topology", topo)
-        assert (code, out) == (2, "")
-        assert err == f"error: {topo}: too large to synthesise (recursion limit reached)\n"
+        for length in (100, 2500):
+            self.write_chain(topo, length)
+            code, out, err = run_cli(capsys, "synth", FIXTURES / "and_gate.req.json",
+                                     "--topology", topo)
+            assert (code, err) == (0, "")
+            assert out.startswith(f"SAT: {length} gates\n")
 
 
 class TestClassify:

@@ -46,7 +46,7 @@ FORBIDDEN = [
     (r"PatternEdge|label_affinity|_closures|_backward_cover|_reachable_slots|"
      r"\bdef names\b|\.names\(\)|\bdomain_of\b|\bunexpected_names\b|\bnew_names\b|"
      r"\binnovation_index\b|\bcreativity_index\b|_twin_classes|names_and_bits|"
-     r"emit_edge_choices|\b_extend\b", None,
+     r"emit_edge_choices|\b_extend\b|\b_backtrack\b|\b_search_assignment\b", None,
      "rule edges are GraphEdge; synth walks fan-in once, in _fan_in, which also gives a "
      "topology's unreachable slots (tests/oracles.py checks it with fan_in), and "
      "Requirement.__post_init__ runs every truth-table check, for parse_requirement too; the "
@@ -54,7 +54,9 @@ FORBIDDEN = [
      "novelty looks names up in KnowledgeBase._by_name, its I and C being "
      "assess(...).innovation and .creativity; canonical_form prunes its search only with "
      "automorphisms read off two equal leaves; and find_matches yields each match as it is "
-     "pulled, from the _assignments generator, never through a callback"),
+     "pulled, from the _assignments generator, never through a callback; both synth searches "
+     "give a slot its gates through _assign_slot, the fixed-topology one in a loop (the "
+     "recursive backtracker is tests/oracles.py's _search_assignment)"),
     (r"\b(kb|design|grammar|case_base|similarity_spec|profile|matrix|requirement|topology)"
      r"_from_dict\b", None,
      "each of these formats has one reader, its parse_* function"),
@@ -109,11 +111,12 @@ ORACLE_TARGETS = {
     "retrieve": {"retrieve", "similarity", "structure_similarity"},
     "assess": {"assess", "absorb"},
     "absorb": {"assess", "absorb"},
+    "first_assignment": {"synthesize_assignment"},
 }
 
-# the topology search oracles still run the library's gate assignment
-SEARCH_INTERNALS = {"_ref_choices", "_search_assignment", "_slot_sequence_to_topology",
-                    "_verify"}
+# the topology search oracle still takes the library's ref choices, topology builder
+# and post-check
+SEARCH_INTERNALS = {"_ref_choices", "_slot_sequence_to_topology", "_verify"}
 
 
 def _oracle_module() -> tuple[dict[str, ast.FunctionDef], set[str]]:
@@ -337,6 +340,45 @@ def test_a_symmetric_rule_stops_matching_at_the_design_limit(tmp_path):
     assert proc.stdout.startswith(b"2 designs (depth <= 1)\n")
 
 
+def _write_table(path, inputs, fn):
+    """The one-output table of ``fn`` over ``inputs``, rows in binary order."""
+    n = len(inputs)
+    path.write_text(json.dumps({"inputs": inputs, "outputs": ["y"], "rows": [
+        {"in": bits, "out": [fn(*bits)]}
+        for bits in ([r >> (n - 1 - i) & 1 for i in range(n)] for r in range(2 ** n))]}))
+
+
+def test_a_40_slot_chain_that_cannot_give_its_table_is_unsat_within_seconds(tmp_path):
+    # A, then 38 unary slots, then one binary slot on the last and B: every
+    # slot carries A or NOT A, so A AND NOT B is out of reach.  Plain
+    # backtracking tries all 2^39 prefixes (0.42 s already at 18 slots);
+    # with failed live values remembered the search is linear in the chain.
+    req, topo = tmp_path / "and_not.req.json", tmp_path / "chain.topo.json"
+    _write_table(req, ["A", "B"], lambda a, b: a & (1 - b))
+    test_cli.TestSynth.write_chain(topo, 40)
+    proc = run_main("synth", req, "--topology", topo, timeout=5,
+                    preexec_fn=_address_space_of_2_000_000_kb)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert proc.stdout == b"UNSAT: no circuit within the given bounds\n"
+
+
+def test_an_18_wide_fan_gives_its_table_within_seconds(tmp_path):
+    # 18 unary slots on A, folded by a chain of 17 binary slots, must give
+    # NOT A.  Depth first the search expands 69 states; the live values
+    # after the fan take 2^18 tuples, which a breadth-first search would
+    # all build.  On one core of a 2-CPU x86-64 Linux host it takes 0.12 s;
+    # plain backtracking ran past 25 s.
+    req, topo = tmp_path / "not_a.req.json", tmp_path / "fan.topo.json"
+    _write_table(req, ["A"], lambda a: 1 - a)
+    slots = [["A"]] * 18 + [["s0", "s1"]] + [[f"s{16 + k}", f"s{k}"] for k in range(2, 18)]
+    topo.write_text(json.dumps({"inputs": ["A"], "slots": [{"from": refs} for refs in slots],
+                                "outputs": [f"s{len(slots) - 1}"]}))
+    proc = run_main("synth", req, "--topology", topo, timeout=5,
+                    preexec_fn=_address_space_of_2_000_000_kb)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"SAT: 35 gates\n")
+
+
 def _subtractor_with_swapped_outputs(path):
     """The subtractor's table with its two outputs swapped, which the
     subtractor topology cannot realise: its gate search tries every gate."""
@@ -355,10 +397,10 @@ NO_GARBAGE_EXTRAS = {
     "grammar-generate CYCLES --format json":
         {"CYCLES": lambda path: test_cli.TestGrammarGenerate.write_copies(
             path, "aaa", [(0, 1), (1, 2), (2, 0)], 3)},
-    # a gate search that backtracks through every assignment (exit 1)
+    # a gate search that tries every gate, skipping states that failed (exit 1)
     "synth SWAPPED --topology fixtures/subtractor.topo.json --format json":
         {"SWAPPED": _subtractor_with_swapped_outputs},
-    # an input error raised through a thousand frames of that search
+    # a 2,500-slot chain that the same loop assigns (exit 0)
     "synth fixtures/and_gate.req.json --topology CHAIN --format json":
         {"CHAIN": lambda path: test_cli.TestSynth.write_chain(path, 2500)},
 }

@@ -7,7 +7,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from designbench import funcstruct as fs
 from designbench import jsonio, synth
@@ -15,10 +15,12 @@ from designbench.synth import GateSlot, GateType, Requirement, Topology
 from conftest import load_fixture_bytes
 from oracles import (
     _enumerate_slot_sequences,
+    _search_assignment,
     chain_sat,
     enumerate_then_assign,
     fan_in,
     fewest_gates,
+    first_assignment,
     gate_with_new,
     input_vectors,
     pair_sat,
@@ -141,6 +143,73 @@ class TestSynthesizeAssignment:
         req = Requirement.from_function(("x",), ("y",), lambda x: (x,))
         circuit = synth.synthesize_assignment(topo, req)
         assert circuit.gates == (GateType.IDENTITY,)
+
+    @pytest.mark.parametrize("inputs, ref", [(("B", "A"), "A"), (("X", "Y"), "X")],
+                             ids=["swapped", "renamed"])
+    def test_topology_inputs_must_be_the_requirements(self, inputs, ref):
+        # y = A: matched by position, the swapped topology would read B (UNSAT)
+        # and the renamed one would give IDENTITY(X)
+        topo = Topology(inputs, (GateSlot(1, (ref,)),), ("s0",))
+        req = Requirement.from_function(("A", "B"), ("y",), lambda a, b: (a,))
+        with pytest.raises(ValueError, match=re.escape(
+                f"topology inputs are {list(inputs)}, requirement inputs are ['A', 'B']")):
+            synth.synthesize_assignment(topo, req)
+
+
+@st.composite
+def _assignment_cases(draw):
+    """``(inputs, sources, outputs, vectors)``: 1-3 inputs, 1-6 slots, each
+    reading inputs or earlier slots by internal index (inputs first), up to
+    two outputs that may share a slot or name one a later slot reads, then
+    one on each slot no other slot reads, and per output its packed column:
+    what random gates on the wiring compute, or random bits (mostly UNSAT)."""
+    n = draw(st.integers(1, 3))
+    sources = []
+    for j in range(draw(st.integers(1, 6))):
+        sources.append(tuple(draw(st.lists(st.integers(0, n + j - 1), min_size=1, max_size=2))))
+    outputs = draw(st.lists(st.integers(0, len(sources) - 1), max_size=2))
+    read = {r - n for refs in sources for r in refs}
+    outputs += [j for j in range(len(sources)) if j not in read and j not in outputs]
+    full = (1 << 2 ** n) - 1
+    if draw(st.booleans()):
+        values = [sum(1 << r for r in range(2 ** n) if r >> (n - 1 - i) & 1) for i in range(n)]
+        for refs in sources:
+            a, b = values[refs[0]], values[refs[-1]]
+            values.append(draw(st.sampled_from(
+                (a, a ^ full) if len(refs) == 1 else (a & b, a | b, a ^ b))))
+        vectors = [values[n + j] for j in outputs]
+    else:
+        vectors = draw(st.lists(st.integers(0, full), min_size=len(outputs),
+                                max_size=len(outputs)))
+    return "abc"[:n], sources, outputs, vectors
+
+
+class TestAssignmentAgainstOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(_assignment_cases())
+    # two outputs on one slot, SAT and UNSAT; an output that a later slot
+    # reads, named first and second, SAT, and UNSAT
+    @example(("ab", [(0, 1)], [0, 0], [0b1000, 0b1000]))
+    @example(("ab", [(0, 1)], [0, 0], [0b1000, 0b1110]))
+    @example(("ab", [(0,), (2, 1)], [0, 1], [0b0011, 0b0010]))
+    @example(("ab", [(0,), (2, 1)], [1, 0], [0b1011, 0b0011]))
+    @example(("ab", [(0,), (2, 1)], [1, 0], [0b1000, 0b0011]))
+    def test_equals_the_backtracker_and_the_first_fitting_product(self, case):
+        names, sources, outputs, vectors = case
+        n = len(names)
+        gate_slots = tuple(GateSlot(len(refs), tuple(names[r] if r < n else f"s{r - n}"
+                                                     for r in refs)) for refs in sources)
+        topo = Topology(tuple(names), gate_slots, tuple(f"s{j}" for j in outputs))
+        req = _table(vectors, n)
+        circuit = synth.synthesize_assignment(topo, req)
+        got = None if circuit is None else list(circuit.gates)
+        checked = {}
+        for j, t in zip(outputs, vectors):
+            checked.setdefault(j, []).append(t)
+        assert got == _search_assignment(sources, input_vectors(req), checked,
+                                         (1 << 2 ** n) - 1)
+        brute = first_assignment(topo, req)
+        assert got == (None if brute is None else list(brute.gates))
 
 
 class TestSynthesizeTopology:

@@ -125,7 +125,7 @@ def _cmd_metrics(args) -> int:
         _require_valid(args.structure, funcstruct.validate_blackbox(problem))
     pi = funcstruct.interdependency_index(problem)
     decomposable = funcstruct.is_decomposable(problem)
-    busy = sum(1 for d in problem.degrees.values() if d > 2) if decomposable else 0
+    busy = int(pi * len(problem.vertices)) if decomposable else 0
     if args.format == "json":
         doc = {
             "kind": "structure" if decomposable else "blackbox",
@@ -224,8 +224,8 @@ def _cmd_synth(args) -> int:
             circuit = synth.synthesize_assignment(topology, requirement)
         else:
             circuit = synth.synthesize_topology(requirement, args.max_gates)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    except ValueError as exc:  # the topology's mismatch with the table, or a bad --max-gates
+        raise _InputError(f"{args.topology}: {exc}" if args.topology else str(exc)) from exc
     except RecursionError as exc:
         raise _InputError(f"{args.topology or args.requirement}: too large to synthesise "
                           "(recursion limit reached)") from exc

@@ -807,6 +807,13 @@ def apply(rule: Rule, design: Design, match: Match,
 # ---------------------------------------------------------------------------
 # Canonical form
 
+def _cell_sizes(colouring: list[int], count: int) -> list[int]:
+    size = [0] * count
+    for c in colouring:
+        size[c] += 1
+    return size
+
+
 def _refine(colours: list[int], count: int,
             edges: list[tuple[int, int, int]]) -> tuple[list[int], int]:
     """Colour refinement to the coarsest stable colouring and its size.
@@ -830,9 +837,7 @@ def _refine(colours: list[int], count: int,
         for s, t, lbl in edges:
             outs[s].append(lbl + current[t])
             ins[t].append(lbl + current[s])
-        size = [0] * count
-        for c in current:
-            size[c] += 1
+        size = _cell_sizes(current, count)
         signatures = [(c,) if size[c] == 1 else (c, *sorted(o), -1, *sorted(i))
                       for c, o, i in zip(current, outs, ins)]
         distinct = sorted(set(signatures))
@@ -872,13 +877,6 @@ def _union(forest: list[int], x: int, y: int) -> None:
     x, y = _find(forest, x), _find(forest, y)
     if x != y:
         forest[max(x, y)] = min(x, y)
-
-
-def _cell_sizes(colouring: list[int], count: int) -> list[int]:
-    size = [0] * count
-    for c in colouring:
-        size[c] += 1
-    return size
 
 
 def canonical_form(design: Design) -> bytes:
@@ -921,9 +919,6 @@ def canonical_form(design: Design) -> bytes:
     colours, count = _refine(list(map(dict(zip(distinct, range(n))).__getitem__, keys)),
                              len(distinct), edges)
 
-    def certificate(order: list[int]) -> bytes:
-        return _certificate(order, edges, label_text, keys)
-
     # A component-discrete colouring (see the docstring) is certified by
     # ordering each cell by the components' roots: each vertex is keyed by
     # its colour and, in a cell of two or more, its component's root, and
@@ -936,7 +931,7 @@ def canonical_form(design: Design) -> bytes:
             _union(forest, s, t)
     key = [c * n + (_find(forest, v) if size[c] > 1 else 0) for v, c in enumerate(colours)]
     if len(set(key)) == n:
-        return certificate(sorted(range(n), key=key.__getitem__))
+        return _certificate(sorted(range(n), key=key.__getitem__), edges, label_text, keys)
 
     # Otherwise: individualisation search with automorphism pruning (McKay
     # & Piperno, "Practical graph isomorphism, II", 2014).  ``path`` holds
@@ -991,7 +986,7 @@ def canonical_form(design: Design) -> bytes:
         order = [0] * n
         for v, c in enumerate(colouring):
             order[c] = v
-        cert = certificate(order)
+        cert = _certificate(order, edges, label_text, keys)
         if best is None:
             first = best = (cert, order)
             return None

@@ -200,15 +200,6 @@ class Requirement:
     def target_vectors(self) -> list[int]:
         return list(self._columns[1])
 
-    def supports(self) -> list[frozenset[int]]:
-        """Per output, the inputs it truly depends on: input ``i`` is one
-        iff the column differs from itself with input ``i`` flipped."""
-        n = len(self.inputs)
-        full = (1 << 2 ** n) - 1
-        inputs, targets = self._columns
-        return [frozenset(i for i, x in enumerate(inputs)
-                          if (t & x) >> (1 << (n - 1 - i)) != t & (full ^ x)) for t in targets]
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -302,11 +293,6 @@ def synthesize_assignment(topology: Topology,
     state precedes it in gate order and is searched to the end first: the
     search stops there, or it fails and so would the child.  So the first
     success is the lexicographically-first assignment."""
-    if len(topology.inputs) != len(requirement.inputs):
-        raise ValueError(
-            f"topology has {len(topology.inputs)} inputs, "
-            f"requirement has {len(requirement.inputs)}"
-        )
     if topology.inputs != requirement.inputs:
         raise ValueError(f"topology inputs are {list(topology.inputs)}, "
                          f"requirement inputs are {list(requirement.inputs)}")
@@ -516,10 +502,10 @@ def synthesize_topology(requirement: Requirement,
     may repeat a structure) and assigns gates on the way down.  A prefix
     carries the distinct tuples of slot values its assignments reach,
     each with the lexicographically-first assignment reaching it, in
-    that order.  At a full sequence, every choice of output slots that
-    spans the needed inputs and covers every slot takes the first tuple
-    whose output slots carry the targets.  The result is the circuit the
-    plain enumerate-then-assign search returns, for two reasons:
+    that order.  At a full sequence, each choice of output slots, in
+    ``product`` order, takes the first tuple whose output slots carry the
+    targets.  The result is the circuit the plain enumerate-then-assign
+    search returns, for two reasons:
 
     * a slot's value depends only on the values before it, so extending
       each kept tuple in order, gate by gate, and keeping the first
@@ -527,9 +513,16 @@ def synthesize_topology(requirement: Requirement,
       assignment of every reachable tuple, and the first matching tuple
       carries the first matching assignment;
     * a tuple is dropped only when ``_fewest_gates`` finds that the
-      remaining slots cannot carry the targets no slot holds yet.  That
-      count is a lower bound even when ``_BOUND_STATES`` caps a level,
-      so only tuples without any completion are dropped."""
+      remaining slots cannot carry the targets no slot holds yet, and no
+      count below it is tried.  That count is a lower bound even when
+      ``_BOUND_STATES`` caps a level, so both skip only what cannot
+      succeed.  That search also skips a choice whose output slots miss
+      an input a target depends on, or leave a slot feeding no output;
+      no matching choice does either.  A slot equal to its target reads
+      every input the target depends on.  And the last slot feeding no
+      output feeds no slot either: without it, a circuit of one gate
+      fewer, its keys still in order, carries every target, at a count
+      no smaller than the bound, so the walk would have returned there."""
     if max_gates < 1:
         raise ValueError("max_gates must be at least 1")
     n = len(requirement.inputs)
@@ -539,9 +532,6 @@ def synthesize_topology(requirement: Requirement,
     fewest = _fewest_gates(input_vecs, targets, full, max_gates)
     if fewest is None:
         return None
-    support_masks = [
-        sum(1 << i for i in support) for support in requirement.supports()
-    ]
     completable: dict[tuple[frozenset[int], int], bool] = {}
     wanted = frozenset(targets)
 
@@ -561,22 +551,7 @@ def synthesize_topology(requirement: Requirement,
     choices: list[list[tuple[int, tuple[int, ...]]]] = []  # per slot, up to the gate count
 
     def finish(reached) -> Optional[Circuit]:
-        gate_count = len(slots)
-        fan_in = _fan_in(n, slots)
-        # Per output position, slots whose fan-in spans the needed inputs.
-        candidates = [
-            [j for j in range(gate_count) if fan_in[j] & support == support]
-            for support in support_masks
-        ]
-        if any(not c for c in candidates):
-            return None
-        all_slots_mask = (1 << gate_count) - 1
-        for output_slots in product(*candidates):
-            covered = 0
-            for j in output_slots:
-                covered |= fan_in[j]
-            if covered >> n != all_slots_mask:
-                continue
+        for output_slots in product(range(len(slots)), repeat=len(targets)):
             for values, gates in reached:
                 if all(values[j] == t for j, t in zip(output_slots, targets)):
                     topology = _slot_sequence_to_topology(

@@ -33,7 +33,8 @@ order is part of the byte-identical output:
   chain computes a vector (or two at once), by enumerating the chains or
   the sets of vectors they compute.
 * ``input_vectors``, ``target_vectors`` and ``supports``: a table's
-  columns packed row by row, and the inputs each output depends on.
+  columns packed row by row, and the inputs each output depends on,
+  which only ``enumerate_then_assign`` reads.
 * ``fan_in``: per slot, every source a chain of refs leads back to.
 * ``first_assignment``: the first choice of one gate per slot, slots
   taken in order and gates in ``GATE_ORDER``, whose circuit gives every

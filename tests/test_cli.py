@@ -496,11 +496,13 @@ class TestSynth:
         assert err == f"error: {topo}: $: {message}\n"
         assert not (tmp_path / "out.fs.json").exists()
 
-    @pytest.mark.parametrize("inputs, ref", [(["B", "A"], "A"), (["X", "Y"], "X")],
-                             ids=["swapped", "renamed"])
+    @pytest.mark.parametrize("inputs, ref", [(["B", "A"], "A"), (["X", "Y"], "X"),
+                                             (["A", "B", "C"], "A")],
+                             ids=["swapped", "renamed", "one-more"])
     def test_topology_over_other_inputs_is_input_error(self, capsys, tmp_path, inputs, ref):
         # y = A over A and B: matched by position, the swapped topology would
-        # read B (UNSAT, exit 1) and the renamed one would print IDENTITY(X)
+        # read B (UNSAT, exit 1) and the renamed one would print IDENTITY(X);
+        # a count mismatch is reported the same way, at the topology file
         req, topo = tmp_path / "a.req.json", tmp_path / "named.topo.json"
         req.write_text(json.dumps({"inputs": ["A", "B"], "outputs": ["y"],
                                    "rows": [{"in": [r >> 1, r & 1], "out": [r >> 1]}
@@ -509,7 +511,8 @@ class TestSynth:
                                     "outputs": ["s0"]}))
         code, out, err = run_cli(capsys, "synth", req, "--topology", topo)
         assert (code, out) == (2, "")
-        assert err == f"error: topology inputs are {inputs}, requirement inputs are ['A', 'B']\n"
+        assert err == (f"error: {topo}: topology inputs are {inputs}, "
+                       "requirement inputs are ['A', 'B']\n")
 
     @staticmethod
     def write_chain(path, length):

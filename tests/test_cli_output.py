@@ -127,9 +127,9 @@ GOLDEN = {
     "synth fixtures/subtractor.req.json --topology fixtures/subtractor.topo.json --format json":
         (0, "326b5f930c322c13", "e3b0c44298fc1c14"),
     "synth fixtures/and_gate.req.json --topology fixtures/subtractor.topo.json --format text":
-        (2, "e3b0c44298fc1c14", "e5b2dadf9f92b306"),
+        (2, "e3b0c44298fc1c14", "4939f8eeb13a5b41"),
     "synth fixtures/and_gate.req.json --topology fixtures/subtractor.topo.json --format json":
-        (2, "e3b0c44298fc1c14", "e5b2dadf9f92b306"),
+        (2, "e3b0c44298fc1c14", "4939f8eeb13a5b41"),
     "synth fixtures/and_gate.req.json --fs-out OUT --format text":
         (0, "4b9ac7bcafb04333", "e3b0c44298fc1c14", "278fdef6c72d5c81"),
     "synth fixtures/and_gate.req.json --fs-out OUT --format json":

@@ -46,7 +46,8 @@ FORBIDDEN = [
     (r"PatternEdge|label_affinity|_closures|_backward_cover|_reachable_slots|"
      r"\bdef names\b|\.names\(\)|\bdomain_of\b|\bunexpected_names\b|\bnew_names\b|"
      r"\binnovation_index\b|\bcreativity_index\b|_twin_classes|names_and_bits|"
-     r"emit_edge_choices|\b_extend\b|\b_backtrack\b|\b_search_assignment\b", None,
+     r"emit_edge_choices|\b_extend\b|\b_backtrack\b|\b_search_assignment\b|"
+     r"\bdef supports\b|\.supports\(", None,
      "rule edges are GraphEdge; synth walks fan-in once, in _fan_in, which also gives a "
      "topology's unreachable slots (tests/oracles.py checks it with fan_in), and "
      "Requirement.__post_init__ runs every truth-table check, for parse_requirement too; the "
@@ -56,7 +57,9 @@ FORBIDDEN = [
      "automorphisms read off two equal leaves; and find_matches yields each match as it is "
      "pulled, from the _assignments generator, never through a callback; both synth searches "
      "give a slot its gates through _assign_slot, the fixed-topology one in a loop (the "
-     "recursive backtracker is tests/oracles.py's _search_assignment)"),
+     "recursive backtracker is tests/oracles.py's _search_assignment); the topology search "
+     "picks output slots by value alone, since a slot equal to its target reads every input "
+     "the target depends on (tests/oracles.py's supports serves only the reference search)"),
     (r"\b(kb|design|grammar|case_base|similarity_spec|profile|matrix|requirement|topology)"
      r"_from_dict\b", None,
      "each of these formats has one reader, its parse_* function"),
